@@ -70,8 +70,6 @@ def _add_common(p: _Parser, floorplan=False, log=False, out=True) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
                    help="pipeline parameter override, repeatable")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; the implementation is single threaded")
 
 
 def _load_fp(args) -> Floorplan:

@@ -199,12 +199,15 @@ def _reweight_batch(prev_xy: np.ndarray, new_poses: np.ndarray, step_index: int,
     w = np.ones(n)
     new_xy = new_poses[:, :2]
     if constraints.use_walls and len(fp.walls):
-        lo = np.minimum(prev_xy.min(axis=0), new_xy.min(axis=0))
-        hi = np.maximum(prev_xy.max(axis=0), new_xy.max(axis=0))
-        near = fp.walls_near(lo, hi)
-        if len(near):
-            crossed = segments_cross_walls(prev_xy, new_xy, fp.walls[near])
-            w[crossed] = 0.0
+        # moves the grid index clears cannot touch a wall; test the rest
+        test = np.flatnonzero(~fp.clear_of_walls(prev_xy, new_xy))
+        if len(test):
+            p0s, p1s = prev_xy[test], new_xy[test]
+            lo = np.minimum(p0s.min(axis=0), p1s.min(axis=0))
+            hi = np.maximum(p0s.max(axis=0), p1s.max(axis=0))
+            near = fp.walls_near(lo, hi)
+            if len(near):
+                w[test[segments_cross_walls(p0s, p1s, fp.walls[near])]] = 0.0
     flags = constraints.straight_flags
     if flags is not None and 0 <= step_index < len(flags) and flags[step_index]:
         live = w > 0

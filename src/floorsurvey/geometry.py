@@ -4,6 +4,33 @@ A floorplan is a set of wall segments plus a set of named room polygons.
 Walls block movement; rooms answer occupancy queries.  The two are kept
 independent on purpose: walls need not close off a room (doorways are
 plain gaps in the wall set), and room polygons may share edges.
+
+Each floorplan builds a uniform grid index over its bounds on first use
+(0.5 m cells, coarser when that would exceed _MAX_CELLS cells).  The
+index answers most room and wall queries by a cell lookup and leaves the
+rest to the exact loops, with the same answers.  A point's cell is
+floor((p - origin) / cell) in floats, which is monotone in p; a box
+"comes near" a cell when the cell range of the box grown by a pad
+(1e-9 of the plan's largest coordinate, at least 1e-9 m) contains it.
+
+- Exact room test: a point outside every edge's grown box gets the
+  answer of real arithmetic.  It lies on no edge's box, and any crossing
+  abscissa of the even-odd test lies farther from it than float rounding
+  (a few ulps, far below the pad).  So a point outside a room's grown
+  box is outside the room, and the exact loop skips that room for it.
+- Room lookup: a cell that no room edge's box comes near is decided.
+  By monotonicity, every point looked up in it lies outside each edge's
+  grown box on the same side as the cell centre, so the segment between
+  them meets no edge and both get the same answer of real arithmetic.
+  The index stores the centre's exact answer.
+- Walls: a move whose cell rectangle (the cells of its bounding box)
+  contains no cell that a wall's box comes near has a bounding box
+  disjoint from every wall's, by the same monotonicity.
+  segments_cross_walls reports a crossing only for boxes that meet, so
+  the move crosses nothing.
+
+Points and moves that are NaN, off the grid or in undecided cells take
+the exact loops.
 """
 
 from __future__ import annotations
@@ -14,6 +41,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TAU = 2.0 * math.pi
+
+_CELL = 0.5           # grid index cell size, metres
+_MAX_CELLS = 1 << 16  # larger plans get coarser cells
+_MIXED = -2           # grid index room mark: some room edge comes near
+
+
+def finite_floats(fields) -> list[float]:
+    """Parse text fields as floats; ValueError unless all are finite."""
+    values = [float(v) for v in fields]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"non-finite number in {','.join(fields)}")
+    return values
 
 
 def wrap_angle(theta):
@@ -117,9 +156,13 @@ class Floorplan:
         ids = [r.room_id for r in self.rooms]
         if ids != list(range(len(ids))):
             raise FloorplanError(f"room ids must be unique and contiguous from 0, got {ids}")
+        if not np.isfinite(self.walls).all():
+            raise FloorplanError("wall coordinates must be finite")
         for room in self.rooms:
             if len(room.vertices) < 3:
                 raise FloorplanError(f"room {room.room_id} has fewer than 3 vertices")
+            if not np.isfinite(room.vertices).all():
+                raise FloorplanError(f"room {room.room_id} has non-finite vertices")
             if not _polygon_is_simple(room.vertices):
                 raise FloorplanError(f"room {room.room_id} polygon is self-intersecting")
         xs = np.concatenate([self.walls[:, 0], self.walls[:, 2]]
@@ -130,6 +173,10 @@ class Floorplan:
             self.bounds = (0.0, 0.0, 0.0, 0.0)
         else:
             self.bounds = (float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
+        # far above the rounding of any coordinate (module docstring)
+        self._pad = 1e-9 * max(1.0, *map(abs, self.bounds))
+        self._room_box = [(r.vertices.min(axis=0) - self._pad, r.vertices.max(axis=0) + self._pad)
+                          for r in self.rooms]
         # wall bounding boxes, used to prefilter crossing tests
         self._wall_bbox = np.stack(
             [
@@ -141,6 +188,7 @@ class Floorplan:
             axis=1,
         ) if len(self.walls) else np.zeros((0, 4))
         self._edge_angle_cache: dict[int, np.ndarray] = {}
+        self._grid_index: _GridIndex | None = None
 
     def __repr__(self):
         return f"Floorplan(walls={len(self.walls)}, rooms={len(self.rooms)}, bounds={self.bounds})"
@@ -161,6 +209,86 @@ class Floorplan:
         hit = (bb[:, 0] <= hi[0]) & (bb[:, 2] >= lo[0]) & (bb[:, 1] <= hi[1]) & (bb[:, 3] >= lo[1])
         return np.nonzero(hit)[0]
 
+    def clear_of_walls(self, p0s: np.ndarray, p1s: np.ndarray) -> np.ndarray:
+        """Bool per move p0 -> p1: True where the grid index shows that
+        the move cannot touch a wall, False where it cannot tell."""
+        return self._grid().clear_of_walls(np.asarray(p0s, dtype=float), np.asarray(p1s, dtype=float))
+
+    def _grid(self) -> _GridIndex:
+        if self._grid_index is None:
+            self._grid_index = _GridIndex(self)
+        return self._grid_index
+
+
+class _GridIndex:
+    """Uniform grid over a floorplan's bounds: the room of every cell
+    that no room edge comes near (lowest id, -1 for none, _MIXED for
+    the other cells), and a summed-area table of the cells that some
+    wall comes near.  The module docstring says why lookups are exact."""
+
+    def __init__(self, fp: Floorplan):
+        x0, y0, x1, y1 = fp.bounds
+        self.origin = np.array([x0, y0])
+        self.pad = fp._pad
+        w, h = x1 - x0, y1 - y0
+        if not (math.isfinite(w) and math.isfinite(h)):
+            w = h = 0.0  # extent overflows: one cell, which the pad marks
+        cell = _CELL
+        while max(1, math.ceil(w / cell)) * max(1, math.ceil(h / cell)) > _MAX_CELLS:
+            cell *= 2.0
+        self.cell = cell
+        self.nx, self.ny = max(1, math.ceil(w / cell)), max(1, math.ceil(h / cell))
+        edges = [np.hstack([r.vertices, np.roll(r.vertices, -1, axis=0)]) for r in fp.rooms]
+        edges = np.concatenate(edges) if edges else np.zeros((0, 4))
+        edge_boxes = np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
+                                np.maximum(edges[:, :2], edges[:, 2:])])
+        free = np.flatnonzero(~self._near(edge_boxes).ravel())
+        centres = self.origin + (np.column_stack([free % self.nx, free // self.nx]) + 0.5) * cell
+        self.rooms = np.full(self.nx * self.ny, _MIXED, dtype=int)
+        self.rooms[free] = _rooms_by_polygon(fp, centres)
+        self.wall_sat = np.zeros((self.ny + 1, self.nx + 1), dtype=np.int64)
+        self.wall_sat[1:, 1:] = self._near(fp._wall_bbox).cumsum(axis=0).cumsum(axis=1)
+
+    def _cells(self, xy: np.ndarray) -> np.ndarray:
+        """Cell coordinates (column, row) as floats; NaN stays NaN."""
+        return np.floor((xy - self.origin) / self.cell)
+
+    def _near(self, boxes: np.ndarray) -> np.ndarray:
+        """(ny, nx) mask of the cells that some box, grown by the pad,
+        comes near; boxes are rows of x0, y0, x1, y1."""
+        near = np.zeros((self.ny, self.nx), dtype=bool)
+        top = [self.nx - 1, self.ny - 1]
+        lo = np.clip(self._cells(boxes[:, :2] - self.pad), 0, top).astype(int)
+        hi = np.clip(self._cells(boxes[:, 2:] + self.pad), 0, top).astype(int)
+        for (i0, j0), (i1, j1) in zip(lo, hi):
+            near[j0:j1 + 1, i0:i1 + 1] = True
+        return near
+
+    def _on_grid(self, c: np.ndarray) -> np.ndarray:
+        return (c[:, 0] >= 0) & (c[:, 0] < self.nx) & (c[:, 1] >= 0) & (c[:, 1] < self.ny)
+
+    def rooms_at(self, pts: np.ndarray) -> np.ndarray:
+        """Room id per point from its cell; _MIXED where the cell is
+        undecided, off the grid, or the point is NaN."""
+        c = self._cells(pts)
+        on = self._on_grid(c)
+        out = np.full(len(pts), _MIXED, dtype=int)
+        i = c[on].astype(np.intp)
+        out[on] = self.rooms[i[:, 1] * self.nx + i[:, 0]]
+        return out
+
+    def clear_of_walls(self, p0s: np.ndarray, p1s: np.ndarray) -> np.ndarray:
+        lo = self._cells(np.minimum(p0s, p1s))
+        hi = self._cells(np.maximum(p0s, p1s))
+        on = self._on_grid(lo) & self._on_grid(hi)
+        out = np.zeros(len(p0s), dtype=bool)
+        a = lo[on].astype(np.intp)
+        b = hi[on].astype(np.intp) + 1
+        s = self.wall_sat
+        walls = s[b[:, 1], b[:, 0]] - s[a[:, 1], b[:, 0]] - s[b[:, 1], a[:, 0]] + s[a[:, 1], a[:, 0]]
+        out[on] = walls == 0
+        return out
+
 
 def parse_floorplan(text: str) -> Floorplan:
     """Parse the line-oriented floorplan format.
@@ -168,8 +296,8 @@ def parse_floorplan(text: str) -> Floorplan:
     wall,x0,y0,x1,y1
     room,<id>,<name>,x0,y0,x1,y1,...   (polygon vertices, >= 3)
 
-    Blank lines and lines starting with '#' are skipped.  Errors carry
-    the 1-based line number.
+    Blank lines and lines starting with '#' are skipped; coordinates must
+    be finite.  Errors carry the 1-based line number.
     """
     walls = []
     rooms = []
@@ -183,12 +311,12 @@ def parse_floorplan(text: str) -> Floorplan:
             if tag == "wall":
                 if len(parts) != 5:
                     raise ValueError("expected wall,x0,y0,x1,y1")
-                walls.append([float(v) for v in parts[1:5]])
+                walls.append(finite_floats(parts[1:5]))
             elif tag == "room":
                 if len(parts) < 9 or (len(parts) - 3) % 2 != 0:
                     raise ValueError("expected room,<id>,<name>,x0,y0,... with >= 3 vertices")
                 room_id = int(parts[1])
-                coords = np.array([float(v) for v in parts[3:]], dtype=float).reshape(-1, 2)
+                coords = np.array(finite_floats(parts[3:]), dtype=float).reshape(-1, 2)
                 rooms.append(Room(room_id, parts[2], coords))
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
@@ -226,7 +354,8 @@ def segments_cross_walls(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) ->
     """Vectorised crossing test of N motion segments against W walls.
 
     Returns a length-N bool array; same conservative touch semantics as
-    segment_crosses_wall.
+    segment_crosses_wall, and like it a pair whose bounding boxes do not
+    meet never crosses.
     """
     p0s = np.asarray(p0s, dtype=float)
     p1s = np.asarray(p1s, dtype=float)
@@ -243,7 +372,11 @@ def segments_cross_walls(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) ->
     o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
     o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
 
-    proper = ((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0)) \
+    # segments whose boxes do not meet cannot cross; without this test,
+    # rounding in nearly collinear configurations can report a crossing
+    meet = (np.minimum(ax, bx) <= np.maximum(cx, dx)) & (np.minimum(cx, dx) <= np.maximum(ax, bx)) \
+        & (np.minimum(ay, by) <= np.maximum(cy, dy)) & (np.minimum(cy, dy) <= np.maximum(ay, by))
+    proper = meet & ((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0)) \
         & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
 
     def on_ab(px, py):
@@ -301,31 +434,28 @@ def containing_room(fp: Floorplan, p) -> int | None:
 
 
 def containing_rooms(fp: Floorplan, pts: np.ndarray) -> np.ndarray:
-    """Vectorised containing_room for an (N, 2) array; -1 where no room."""
+    """Vectorised containing_room for an (N, 2) array; -1 where no room.
+
+    The grid index answers points in cells that no room edge comes
+    near; the others run the exact polygon loop."""
     pts = np.asarray(pts, dtype=float)
+    out = fp._grid().rooms_at(pts)
+    slow = np.flatnonzero(out == _MIXED)
+    if len(slow):
+        out[slow] = _rooms_by_polygon(fp, pts[slow])
+    return out
+
+
+def _rooms_by_polygon(fp: Floorplan, pts: np.ndarray) -> np.ndarray:
+    """Exact even-odd and boundary test of each point against the rooms
+    in id order, up to the first that holds it; -1 where no room.  A
+    room is tested only on the points in its box grown by the pad."""
     out = np.full(len(pts), -1, dtype=int)
     x, y = pts[:, 0], pts[:, 1]
-    for room in fp.rooms:
-        open_mask = out == -1
-        if not open_mask.any():
-            break
-        vs = room.vertices
-        n = len(vs)
-        inside = np.zeros(len(pts), dtype=bool)
-        boundary = np.zeros(len(pts), dtype=bool)
-        for i in range(n):
-            x0, y0 = vs[i]
-            x1, y1 = vs[(i + 1) % n]
-            o = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
-            onseg = (o == 0) \
-                & (np.minimum(x0, x1) <= x) & (x <= np.maximum(x0, x1)) \
-                & (np.minimum(y0, y1) <= y) & (y <= np.maximum(y0, y1))
-            boundary |= onseg
-            crosses = (y0 > y) != (y1 > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= crosses & (x < xc)
-        out[open_mask & (boundary | inside)] = room.room_id
+    for room, (lo, hi) in zip(fp.rooms, fp._room_box):
+        idx = np.flatnonzero((out == -1) & (x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1]))
+        if len(idx):
+            out[idx[points_in_polygon(room.vertices, pts[idx])]] = room.room_id
     return out
 
 

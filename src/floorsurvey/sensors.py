@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2D, wrap_angle
+from .geometry import Pose2D, finite_floats, wrap_angle
 
 DEFAULT_STEP_LENGTH = 0.75  # metres, fixed nominal stride
 
@@ -102,8 +102,8 @@ def parse_survey_log(text: str) -> SurveyLog:
     wifi,<t>,<ap_id>,<rssi_dbm>
     start,<room_id>            or  start,<x>,<y>,<theta_rad>
 
-    Blank lines and '#' comments are skipped; step timestamps must be
-    non-decreasing.  Errors carry the 1-based line number.
+    Blank lines and '#' comments are skipped; numbers must be finite and
+    step timestamps non-decreasing.  Errors carry the 1-based line number.
     """
     log = SurveyLog()
     last_step_t = None
@@ -117,7 +117,7 @@ def parse_survey_log(text: str) -> SurveyLog:
             if tag == "step":
                 if len(parts) != 4:
                     raise ValueError("expected step,<t>,<length>,<dtheta>")
-                t, length, dtheta = (float(v) for v in parts[1:])
+                t, length, dtheta = finite_floats(parts[1:])
                 if last_step_t is not None and t < last_step_t:
                     raise ValueError(f"step timestamps must be non-decreasing ({t} after {last_step_t})")
                 last_step_t = t
@@ -125,19 +125,20 @@ def parse_survey_log(text: str) -> SurveyLog:
             elif tag == "mag":
                 if len(parts) != 5:
                     raise ValueError("expected mag,<t>,<bx>,<by>,<bz>")
-                t, bx, by, bz = (float(v) for v in parts[1:])
+                t, bx, by, bz = finite_floats(parts[1:])
                 log.mags.append(MagSample(t, (bx, by, bz)))
             elif tag == "wifi":
                 if len(parts) != 4:
                     raise ValueError("expected wifi,<t>,<ap_id>,<rssi>")
-                log.wifi.append(WifiObservation(float(parts[1]), parts[2], float(parts[3])))
+                t, rssi = finite_floats([parts[1], parts[3]])
+                log.wifi.append(WifiObservation(t, parts[2], rssi))
             elif tag == "start":
                 if log.has_start:
                     raise ValueError("duplicate start hint")
                 if len(parts) == 2:
                     log.start_room = int(parts[1])
                 elif len(parts) == 4:
-                    log.start_pose = Pose2D(float(parts[1]), float(parts[2]), float(parts[3]))
+                    log.start_pose = Pose2D(*finite_floats(parts[1:]))
                 else:
                     raise ValueError("expected start,<room_id> or start,<x>,<y>,<theta>")
             else:

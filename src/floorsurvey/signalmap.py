@@ -116,24 +116,6 @@ def fit_signal_map(ap_id: str, bounds: tuple[float, float, float, float],
     return stub
 
 
-def thin_by_cell(positions: np.ndarray, values: np.ndarray,
-                 cell: float) -> tuple[np.ndarray, np.ndarray]:
-    """Average observations that fall in the same grid cell; keeps GP
-    training tractable for dense sample streams."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    values = np.asarray(values, dtype=float)
-    if len(positions) == 0:
-        return positions, values
-    keys = np.floor(positions / cell).astype(np.int64)
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    k = inverse.max() + 1
-    counts = np.bincount(inverse, minlength=k)
-    px = np.bincount(inverse, weights=positions[:, 0], minlength=k) / counts
-    py = np.bincount(inverse, weights=positions[:, 1], minlength=k) / counts
-    pv = np.bincount(inverse, weights=values, minlength=k) / counts
-    return np.column_stack([px, py]), pv
-
-
 def interval_overlap(map_a: SignalMap, map_b: SignalMap) -> np.ndarray:
     """Per-cell intersection-over-union of the central 90 % intervals
     mu +/- 1.6449 sigma of two congruent maps."""

@@ -6,6 +6,8 @@ import pytest
 from floorsurvey import fileio
 from floorsurvey.cli import main
 from floorsurvey.filtering import FilterLostError
+from floorsurvey.sensors import LogError, parse_survey_log
+from floorsurvey.simulate import corridor_scenario, office_floorplan, simulate_scenario
 
 SCENARIO = """\
 waypoint, 2.0, 14.625
@@ -29,7 +31,7 @@ def ws(tmp_path_factory):
     srv = root / "srv"
     assert main(["survey", "--log", str(sim / "log.txt"),
                  "--floorplan", str(sim / "floorplan.txt"),
-                 "--out", str(srv), "--seed", "5", "--threads", "1"]) == 0
+                 "--out", str(srv), "--seed", "5"]) == 0
     maps = root / "maps"
     assert main(["map", "--points", str(srv / "points.spt"),
                  "--out", str(maps)]) == 0
@@ -155,7 +157,28 @@ def test_exit_code_data_errors(ws, tmp_path, capsys):
     badplan.write_text("wall,0,0,1\n")
     assert main(["simulate", "--scenario", str(ws["scen"]),
                  "--floorplan", str(badplan), "--out", str(tmp_path / "o3")]) == 2
-    capsys.readouterr()
+    nanplan = tmp_path / "nan.plan"
+    nanplan.write_text("wall,0,0,10,0\nwall,0,nan,10,10\n")
+    assert main(["simulate", "--scenario", str(ws["scen"]),
+                 "--floorplan", str(nanplan), "--out", str(tmp_path / "o4")]) == 2
+    assert "line 2: non-finite" in capsys.readouterr().err
+
+
+def test_survey_rejects_nan_stride(tmp_path, capsys):
+    # a 60-step corridor log with the stride of step index 10 set to nan
+    log, _ = simulate_scenario(corridor_scenario(repeats=1), office_floorplan(), seed=3)
+    assert len(log.steps) == 60
+    path = tmp_path / "nan.log"
+    fileio.write_survey_log(path, log)
+    lines = path.read_text().splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("step,")][10]
+    t, _, dtheta = lines[at].split(",")[1:]
+    lines[at] = f"step,{t},nan,{dtheta}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogError, match=f"line {at + 1}: non-finite"):
+        parse_survey_log(path.read_text())
+    assert main(["survey", "--log", str(path), "--out", str(tmp_path / "o2")]) == 2
+    assert f"line {at + 1}" in capsys.readouterr().err
 
 
 def test_exit_code_filter_lost(ws, tmp_path, monkeypatch, capsys):

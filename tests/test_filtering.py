@@ -23,6 +23,7 @@ from floorsurvey.filtering import (
 from floorsurvey.filtering import _reweight_batch
 from floorsurvey.geometry import Pose2D
 from floorsurvey.sensors import StepEvent, StepNoiseModel
+from floorsurvey.simulate import office_floorplan
 
 
 # ----------------------------------------------------------- KLD formula
@@ -152,17 +153,23 @@ def test_reweight_closure_factor_uses_fallback_anchor(square_plan):
 def test_reweight_batch_matches_scalar(two_room_plan):
     rng = np.random.default_rng(11)
     n = 300
-    prev = rng.uniform(0.5, 9.5, size=(n, 2))
-    new = np.column_stack([rng.uniform(0.5, 9.5, size=(n, 2)),
-                           rng.uniform(-math.pi, math.pi, n)])
-    flags = np.array([False, True, True])
-    pf1 = rng.uniform(0, 10, size=(4, 2))
-    c = ConstraintSet(two_room_plan, straight_flags=flags,
-                      closures=[(0, 2)], pf1_positions=pf1)
-    for step_index in (0, 1):
-        got = _reweight_batch(prev, new, step_index, c, None)
-        want = np.array([reweight(prev[i], new[i], step_index, c) for i in range(n)])
-        assert np.allclose(got, want, atol=1e-12)
+    for fp in (two_room_plan, office_floorplan()):
+        x0, y0, x1, y1 = fp.bounds
+        lo, hi = (x0 + 0.5, y0 + 0.5), (x1 - 0.5, y1 - 0.5)
+        prev = rng.uniform(lo, hi, size=(n, 2))
+        # independent end points, then stride-sized moves
+        ends = np.concatenate([rng.uniform(lo, hi, size=(n, 2)),
+                               prev + rng.uniform(-1.5, 1.5, size=(n, 2))])
+        prev = np.concatenate([prev, prev])
+        new = np.column_stack([ends, rng.uniform(-math.pi, math.pi, 2 * n)])
+        flags = np.array([False, True, True])
+        pf1 = rng.uniform(lo, hi, size=(4, 2))
+        c = ConstraintSet(fp, straight_flags=flags,
+                          closures=[(0, 2)], pf1_positions=pf1)
+        for step_index in (0, 1):
+            got = _reweight_batch(prev, new, step_index, c, None)
+            want = np.array([reweight(prev[i], new[i], step_index, c) for i in range(2 * n)])
+            assert np.allclose(got, want, atol=1e-12)
 
 
 # --------------------------------------------------------------- resample

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from floorsurvey.geometry import (
+    _MAX_CELLS,
+    _MIXED,
     Floorplan,
     FloorplanError,
     Pose2D,
@@ -19,6 +21,7 @@ from floorsurvey.geometry import (
     segments_cross_walls,
     wrap_angle,
 )
+from floorsurvey.simulate import office_floorplan
 
 from conftest import box
 
@@ -79,6 +82,13 @@ room,0,main,0,0,10,0,10,10,0,10
     assert fp.rooms[0].name == "main"
 
 
+def test_floorplan_rejects_non_finite_coordinates():
+    with pytest.raises(FloorplanError, match="wall"):
+        Floorplan(np.array([[0.0, 0.0, np.nan, 1.0]]), [])
+    with pytest.raises(FloorplanError, match="room 0"):
+        Floorplan(np.zeros((0, 4)), [Room(0, "a", [(0, 0), (1, 0), (np.inf, 1)])])
+
+
 def test_parse_floorplan_error_carries_line_number():
     with pytest.raises(FloorplanError, match="line 2"):
         parse_floorplan("wall,0,0,1,0\nwall,oops,0,1,0\n")
@@ -88,6 +98,12 @@ def test_parse_floorplan_error_carries_line_number():
         parse_floorplan(
             "room,0,a,0,0,1,0,1,1\nroom,0,b,2,2,3,2,3,3\n"
         )
+    with pytest.raises(FloorplanError, match="line 2: non-finite"):
+        parse_floorplan("wall,0,0,1,0\nwall,0,nan,1,0\n")
+    with pytest.raises(FloorplanError, match="line 3: non-finite"):
+        parse_floorplan("wall,0,0,1,0\n\nwall,0,0,inf,0\n")
+    with pytest.raises(FloorplanError, match="line 1: non-finite"):
+        parse_floorplan("room,0,a,0,0,1,0,-inf,1\n")
 
 
 # ------------------------------------------------------- segment crossing
@@ -208,3 +224,114 @@ def test_acute_angles_vector_matches_scalar(square_plan):
     for i in range(50):
         assert math.isclose(out[i], acute_angle_to_best_wall(square_plan, pts[i], heads[i]),
                             abs_tol=1e-9)
+
+
+# ------------------------------------------------------------ grid index
+
+def _diagonal_plan():
+    """Two rooms split by a bent diagonal wall; no bound is a multiple
+    of the 0.5 m grid cell."""
+    x0, y0, x1, y1 = 0.37, 0.21, 7.93, 5.11
+    walls = [[x0, y0, x1, y0], [x1, y0, x1, y1], [x1, y1, x0, y1], [x0, y1, x0, y0],
+             [3.3, y0, 4.1, 2.9], [4.1, 2.9, 3.05, 4.12]]
+    rooms = [Room(0, "west", [(x0, y0), (3.3, y0), (4.1, 2.9), (2.2, y1), (x0, y1)]),
+             Room(1, "east", [(3.3, y0), (x1, y0), (x1, y1), (2.2, y1), (4.1, 2.9)])]
+    return Floorplan(np.array(walls), rooms)
+
+
+GRID_PLANS = {"office": office_floorplan(), "diagonal": _diagonal_plan()}
+
+
+def _plan_points(fp):
+    """Random points, points on grid lines, on room edges and vertices,
+    far outside the bounds, and NaN points."""
+    x0, y0, x1, y1 = fp.bounds
+    grid_x = st.integers(-3, int((x1 - x0) / 0.5) + 3).map(lambda k: x0 + 0.5 * k)
+    grid_y = st.integers(-3, int((y1 - y0) / 0.5) + 3).map(lambda k: y0 + 0.5 * k)
+    xs = st.one_of(st.floats(x0 - 2, x1 + 2), grid_x)
+    ys = st.one_of(st.floats(y0 - 2, y1 + 2), grid_y)
+    edges = [(r.vertices[i], r.vertices[(i + 1) % len(r.vertices)])
+             for r in fp.rooms for i in range(len(r.vertices))]
+    on_edge = st.tuples(st.sampled_from(edges), st.floats(0, 1)).map(
+        lambda et: tuple(et[0][0] + et[1] * (et[0][1] - et[0][0])))
+    vertices = st.sampled_from([tuple(v) for r in fp.rooms for v in r.vertices])
+    far = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    nan = st.sampled_from([(math.nan, y0 + 1.0), (x0 + 1.0, math.nan), (math.nan, math.nan)])
+    return st.one_of(st.tuples(xs, ys), on_edge, vertices, far, nan)
+
+
+def _plan_moves(fp):
+    """Stride-sized and random moves, zero-length moves, moves ending on
+    a wall endpoint, and moves along a wall's line."""
+    x0, y0, x1, y1 = fp.bounds
+    pts = st.tuples(st.floats(x0 - 1, x1 + 1), st.floats(y0 - 1, y1 + 1))
+    step = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+    ends = [tuple(w[:2]) for w in fp.walls] + [tuple(w[2:]) for w in fp.walls]
+    walls = [tuple(w) for w in fp.walls]
+
+    def along(wt):
+        (cx, cy, dx, dy), t0, t1 = wt
+        return ((cx + t0 * (dx - cx), cy + t0 * (dy - cy)),
+                (cx + t1 * (dx - cx), cy + t1 * (dy - cy)))
+
+    return st.one_of(
+        st.tuples(pts, step).map(lambda ps: (ps[0], (ps[0][0] + ps[1][0], ps[0][1] + ps[1][1]))),
+        st.tuples(pts, pts),
+        pts.map(lambda p: (p, p)),
+        st.tuples(pts, st.sampled_from(ends)),
+        st.tuples(st.sampled_from(walls), st.floats(-1, 2), st.floats(-1, 2)).map(along),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PLANS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_containing_rooms_grid_matches_scalar(name, data):
+    fp = GRID_PLANS[name]
+    pts = np.array(data.draw(st.lists(_plan_points(fp), min_size=1, max_size=60)), dtype=float)
+    got = containing_rooms(fp, pts)
+    for i, p in enumerate(pts):
+        scalar = containing_room(fp, p)
+        assert got[i] == (-1 if scalar is None else scalar), p
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PLANS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wall_free_moves_never_cross(name, data):
+    fp = GRID_PLANS[name]
+    moves = data.draw(st.lists(_plan_moves(fp), min_size=1, max_size=60))
+    p0s = np.array([m[0] for m in moves], dtype=float)
+    p1s = np.array([m[1] for m in moves], dtype=float)
+    clear = fp.clear_of_walls(p0s, p1s)
+    batch = segments_cross_walls(p0s, p1s, fp.walls)
+    for i in range(len(moves)):
+        scalar = segment_crosses_wall(fp, p0s[i], p1s[i])
+        assert batch[i] == scalar, moves[i]
+        assert not (clear[i] and scalar), moves[i]
+
+
+def test_grid_decides_most_cells_and_clears_stride_moves():
+    fp = GRID_PLANS["office"]
+    grid = fp._grid()
+    assert np.mean(grid.rooms != _MIXED) > 0.5
+    # a stride along the corridor centre line is clear of every wall
+    assert fp.clear_of_walls(np.array([[10.0, 14.6]]), np.array([[10.7, 14.7]]))[0]
+    assert not fp.clear_of_walls(np.array([[10.0, 13.0]]), np.array([[10.0, 14.0]]))[0]
+
+
+def test_grid_cell_count_is_capped():
+    fp = Floorplan(np.array([[0.0, 0.0, 1e6, 3e5]]), [Room(0, "big", box(0, 0, 1e6, 3e5))])
+    grid = fp._grid()
+    assert grid.nx * grid.ny <= _MAX_CELLS
+    assert list(containing_rooms(fp, np.array([[5e5, 1e5], [2e6, 1.0]]))) == [0, -1]
+
+
+def test_segments_cross_walls_needs_meeting_boxes():
+    # four nearly collinear points; the boxes are 2 cm apart, yet the
+    # orientation signs alone, under rounding, report a proper crossing
+    p0 = np.array([[10.809303888981816, 1.5412649594296233]])
+    p1 = np.array([[13.072530414367915, 7.971741297313715]])
+    wall = np.array([[13.07972405019737, 7.9921804820200615, 13.863359933808114, 10.218715011618734]])
+    assert not segments_cross_walls(p0, p1, wall)[0]
+    assert not segment_crosses_wall(Floorplan(wall, []), p0[0], p1[0])

@@ -79,6 +79,14 @@ def test_parse_survey_log_room_hint():
     ("start,1\nstart,2\n", "duplicate start"),
     ("bogus,1,2\n", "unknown record"),
     ("mag,1,2,3\n", "expected mag"),
+    ("step,1.0,nan,0.0\n", "line 1: non-finite"),
+    ("step,1.0,0.75,0\nstep,nan,0.75,0\n", "line 2: non-finite"),
+    ("step,1.0,inf,0\n", "line 1: non-finite"),
+    ("step,1.0,0.75,-inf\n", "line 1: non-finite"),
+    ("mag,1.0,2,nan,3\n", "line 1: non-finite"),
+    ("# head\nwifi,inf,ap0,-60\n", "line 2: non-finite"),
+    ("wifi,1.0,ap0,nan\n", "line 1: non-finite"),
+    ("start,1,nan,0\n", "line 1: non-finite"),
 ])
 def test_parse_survey_log_errors(bad, msg):
     with pytest.raises(LogError, match=msg):

@@ -17,7 +17,6 @@ from floorsurvey.signalmap import (
     interval_overlap,
     position_one_shot,
     sq_exp_kernel,
-    thin_by_cell,
 )
 
 
@@ -125,16 +124,6 @@ def test_fit_signal_map_grid_matches_params(two_room_plan):
                        np.array([-60.0]), p)
     assert (m.nx, m.ny) == (10, 10)
     assert m.mu.shape == (100,)
-
-
-def test_thin_by_cell_averages_duplicates():
-    pos = np.array([[0.1, 0.1], [0.2, 0.2], [3.0, 3.0]])
-    val = np.array([10.0, 20.0, 30.0])
-    tp, tv = thin_by_cell(pos, val, cell=1.0)
-    assert len(tp) == 2
-    k = int(np.argmin(tp[:, 0]))
-    assert np.allclose(tp[k], [0.15, 0.15])
-    assert tv[k] == 15.0
 
 
 # ----------------------------------------------------------------- rss90
