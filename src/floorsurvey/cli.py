@@ -60,16 +60,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6f}"
 
 
-def _add_common(p: _Parser, floorplan=False, log=False, out=True) -> None:
+def _add_common(p: _Parser, floorplan=False, log=False, seed=False, config=False) -> None:
     if floorplan:
         p.add_argument("--floorplan", help="floorplan file (default: built-in office)")
     if log:
         p.add_argument("--log", required=True, help="survey log file")
-    if out:
-        p.add_argument("--out", required=True, help="output file or directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
-                   help="pipeline parameter override, repeatable")
+    p.add_argument("--out", required=True, help="output file or directory")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if config:
+        p.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
+                       help="pipeline parameter override, repeatable")
 
 
 def _load_fp(args) -> Floorplan:
@@ -79,7 +80,7 @@ def _load_fp(args) -> Floorplan:
 
 def _load_config(args) -> PipelineConfig:
     overrides = {}
-    for item in getattr(args, "config", []):
+    for item in args.config:
         if "=" not in item:
             raise UsageError(f"--config expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
@@ -268,28 +269,28 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="synthesise a survey walk")
     p.add_argument("--scenario", help="scenario file (overrides --walk)")
     p.add_argument("--walk", choices=sorted(_BUILTIN_WALKS), default="corridor")
-    _add_common(p, floorplan=True)
+    _add_common(p, floorplan=True, seed=True, config=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pf1", help="first pass: wall constraints only")
-    _add_common(p, floorplan=True, log=True)
+    _add_common(p, floorplan=True, log=True, seed=True, config=True)
     p.set_defaults(func=cmd_pf1)
 
     p = sub.add_parser("straight", help="flag straight-walk steps")
-    _add_common(p, log=True)
+    _add_common(p, log=True, config=True)
     p.set_defaults(func=cmd_straight)
 
     p = sub.add_parser("loops", help="mine magnetic loop closures")
-    _add_common(p, floorplan=True, log=True)
+    _add_common(p, floorplan=True, log=True, seed=True, config=True)
     p.set_defaults(func=cmd_loops)
 
     p = sub.add_parser("survey", help="full two-pass survey")
-    _add_common(p, floorplan=True, log=True)
+    _add_common(p, floorplan=True, log=True, seed=True, config=True)
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("map", help="build GP signal maps from survey points")
     p.add_argument("--points", required=True, help="survey points file")
-    _add_common(p, floorplan=True)
+    _add_common(p, floorplan=True, config=True)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("compare", help="interval overlap of two maps")

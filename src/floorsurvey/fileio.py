@@ -7,11 +7,9 @@ oriented with comma-separated fields and # comments.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .geometry import Floorplan
+from .geometry import Floorplan, finite_floats
 from .loopclosure import RejectedMatch, StepLoopClosure
 from .pipeline import EvalReport, SurveyPoint
 from .sensors import MagSample, StepEvent, SurveyLog, WifiObservation
@@ -48,8 +46,9 @@ def read_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
         try:
             if len(parts) != 5:
                 raise ValueError("expected epoch,t,x,y,theta")
-            times.append(float(parts[1]))
-            poses.append([float(parts[2]), float(parts[3]), float(parts[4])])
+            t, x, y, theta = finite_floats(parts[1:5])
+            times.append(t)
+            poses.append([x, y, theta])
         except ValueError as exc:
             raise _numbered(lineno, exc) from None
     return np.asarray(times), np.asarray(poses).reshape(-1, 3)
@@ -126,8 +125,7 @@ def read_signal_map(path) -> SignalMap:
             if parts[0] == "source":
                 source = parts[1]
             elif parts[0] == "grid":
-                grid = (float(parts[1]), float(parts[2]), float(parts[3]),
-                        int(parts[4]), int(parts[5]))
+                grid = (*finite_floats(parts[1:4]), int(parts[4]), int(parts[5]))
                 mu = np.full(grid[3] * grid[4], np.nan)
                 sigma = np.full(grid[3] * grid[4], np.nan)
             elif parts[0] == "cell":
@@ -135,8 +133,7 @@ def read_signal_map(path) -> SignalMap:
                     raise ValueError("cell row before grid row")
                 ix, iy = int(parts[1]), int(parts[2])
                 c = iy * grid[3] + ix
-                mu[c] = float(parts[3])
-                sigma[c] = float(parts[4])
+                mu[c], sigma[c] = finite_floats(parts[3:5])
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
         except (ValueError, IndexError) as exc:
@@ -171,22 +168,22 @@ def write_survey_points(path, points: list[SurveyPoint]) -> None:
 
 
 def read_survey_points(path) -> list[SurveyPoint]:
+    """Numbers must be finite, except a mag of nan, meaning no samples."""
     points: dict[int, SurveyPoint] = {}
     for lineno, parts in _data_lines(_read(path)):
         try:
             if parts[0] == "point":
                 epoch = int(parts[1])
+                t, x, y, theta = finite_floats(parts[2:6])
                 room = int(parts[6])
-                mag = float(parts[7])
-                points[epoch] = SurveyPoint(
-                    epoch, float(parts[2]), float(parts[3]), float(parts[4]),
-                    float(parts[5]), None if room < 0 else room,
-                    None if math.isnan(mag) else mag, {})
+                mag = None if parts[7] == "nan" else finite_floats(parts[7:8])[0]
+                points[epoch] = SurveyPoint(epoch, t, x, y, theta,
+                                            None if room < 0 else room, mag, {})
             elif parts[0] == "sig":
                 epoch = int(parts[1])
                 if epoch not in points:
                     raise ValueError("sig row before its point row")
-                points[epoch].wifi[parts[2]] = float(parts[3])
+                points[epoch].wifi[parts[2]] = finite_floats(parts[3:4])[0]
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
         except (ValueError, IndexError) as exc:

@@ -24,6 +24,7 @@ from .geometry import (
     segments_cross_walls,
     wrap_angle,
 )
+from .loopclosure import StepLoopClosure
 from .sensors import StepEvent, StepNoiseModel, step_epoch_times
 
 TAU = 2.0 * math.pi
@@ -45,7 +46,6 @@ class KldConfig:
     bin_x: float = 2.0
     bin_y: float = 2.0
     bin_theta: float = math.radians(30.0)
-    delta: float = 0.01
     epsilon: float = 0.0109238
     n_min: int = 504
     cap_factor: int = 10
@@ -65,21 +65,18 @@ def pf2_kld_config() -> KldConfig:
     return KldConfig(bin_x=0.5, bin_y=0.5, bin_theta=math.radians(1.0), n_min=16433)
 
 
-def kld_required_particles(k: int, epsilon: float, delta: float) -> int:
+def kld_required_particles(k: int, epsilon: float) -> int:
     """Draws needed before a cloud occupying k histogram bins is sampled
     within KL divergence epsilon of the underlying distribution.
 
     First-order form of the sample-size bound, rounded up.  The
-    confidence level delta is validated for interface completeness; the
-    calibrated epsilon already encodes it (the two larger reference
-    counts in use, 504 and 16433, follow from exactly this form).
-    Returns 0 for k < 2, where the bound is undefined and callers fall
-    back to their configured floor.
+    calibrated epsilon already encodes the confidence level (the two
+    larger reference counts in use, 504 and 16433, follow from exactly
+    this form).  Returns 0 for k < 2, where the bound is undefined and
+    callers fall back to their configured floor.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if k < 2:
         return 0
     return math.ceil((k - 1) / (2.0 * epsilon))
@@ -116,87 +113,47 @@ def propagate(poses, step: StepEvent, noise: StepNoiseModel, rng: np.random.Gene
     return out
 
 
-def _closure_pair(c) -> tuple[int, int]:
-    if hasattr(c, "epoch_a"):
-        return int(c.epoch_a), int(c.epoch_b)
-    a, b = c
-    return int(a), int(b)
-
-
 @dataclass
 class ConstraintSet:
     """Which constraint classes apply during reweighting, and their scales.
 
     Straight-line weighting applies only to steps flagged in
-    straight_flags; loop closures apply at their epoch_b.  pf1_positions
-    provides fallback closure anchors for closures whose epoch_a has no
-    per-particle ancestor to look up (epoch_a outside [0, epoch_b)).
+    straight_flags; each loop closure applies at its epoch_b, against the
+    particle's own ancestor at its epoch_a.
     """
 
     floorplan: Floorplan
     use_walls: bool = True
     straight_flags: np.ndarray | None = None
-    closures: list = field(default_factory=list)
-    pf1_positions: np.ndarray | None = None
+    closures: list[StepLoopClosure] = field(default_factory=list)
     sigma_alpha: float = math.radians(2.5)
     sigma_closure: float = 1.0
 
+    def __post_init__(self):
+        self._by_b: dict[int, list[int]] = {}
+        for c in self.closures:
+            self._by_b.setdefault(c.epoch_b, []).append(c.epoch_a)
+
     def closures_at(self, epoch_b: int) -> list[int]:
         """Anchor epochs of all closures that constrain the given epoch."""
-        if not hasattr(self, "_by_b"):
-            by_b: dict[int, list[int]] = {}
-            for c in self.closures:
-                a, b = _closure_pair(c)
-                by_b.setdefault(b, []).append(a)
-            self._by_b = by_b
         return self._by_b.get(epoch_b, [])
 
 
-def reweight(prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
-             counterpart=None) -> float:
-    """Constraint weight of one particle's move at the given step.
-
-    Order: start at 1; a wall crossing returns 0 immediately; a
-    straight-line step multiplies by the folded-normal density of the
-    acute angle to the most parallel wall of the containing room (no
-    factor when the particle is in no room); each loop closure ending at
-    this step multiplies by the folded-normal density of the distance to
-    the closure counterpart.  counterpart maps an anchor epoch to an
-    (x, y) position; without it the fallback pf1_positions row is used.
-    """
-    new_pose = np.asarray(new_pose, dtype=float)
-    prev_pos = np.asarray(prev_pos, dtype=float)[:2]
-    fp = constraints.floorplan
-    new_xy = new_pose[:2]
-    w = 1.0
-    if constraints.use_walls:
-        if segments_cross_walls(prev_pos[None, :], new_xy[None, :], fp.walls)[0]:
-            return 0.0
-    flags = constraints.straight_flags
-    if flags is not None and 0 <= step_index < len(flags) and flags[step_index]:
-        alphas = acute_angles_to_room_walls(fp, new_xy[None, :], np.array([new_pose[2]]))
-        if not math.isnan(alphas[0]):
-            w *= folded_normal_density(float(alphas[0]), constraints.sigma_alpha)
-    for epoch_a in constraints.closures_at(step_index + 1):
-        anchor = None
-        if counterpart is not None:
-            anchor = counterpart(epoch_a)
-        if anchor is None and constraints.pf1_positions is not None:
-            anchor = constraints.pf1_positions[epoch_a]
-        if anchor is None:
-            continue
-        d = float(np.hypot(new_xy[0] - anchor[0], new_xy[1] - anchor[1]))
-        w *= folded_normal_density(d, constraints.sigma_closure)
-    return float(w)
-
-
 def _reweight_batch(prev_xy: np.ndarray, new_poses: np.ndarray, step_index: int,
-                    constraints: ConstraintSet, anchors: dict[int, np.ndarray] | None) -> np.ndarray:
-    """Vectorised reweight over a whole cloud; anchors maps an anchor
-    epoch to per-particle counterpart positions aligned with the cloud."""
+                    constraints: ConstraintSet, anchors: dict[int, np.ndarray]) -> np.ndarray:
+    """Constraint weight of each particle's move prev_xy -> new_poses at
+    the given step.
+
+    Order: start at 1; a wall crossing zeroes the weight; a straight-line
+    step multiplies by the folded-normal density of the acute angle to
+    the most parallel wall of the containing room (no factor outside
+    every room); each loop closure ending at this step multiplies by the
+    folded-normal density of the distance to the particle's anchor.
+    anchors maps the anchor epoch of each such closure to per-particle
+    (x, y) positions aligned with the cloud.
+    """
     fp = constraints.floorplan
-    n = len(new_poses)
-    w = np.ones(n)
+    w = np.ones(len(new_poses))
     new_xy = new_poses[:, :2]
     if constraints.use_walls and len(fp.walls):
         # moves the grid index clears cannot touch a wall; test the rest
@@ -218,11 +175,7 @@ def _reweight_batch(prev_xy: np.ndarray, new_poses: np.ndarray, step_index: int,
             factor[ok] = folded_normal_density(alphas[ok], constraints.sigma_alpha)
             w[live] *= factor
     for epoch_a in constraints.closures_at(step_index + 1):
-        anchor = anchors.get(epoch_a) if anchors else None
-        if anchor is None:
-            if constraints.pf1_positions is None:
-                continue
-            anchor = np.broadcast_to(constraints.pf1_positions[epoch_a], (n, 2))
+        anchor = anchors[epoch_a]
         d = np.hypot(new_xy[:, 0] - anchor[:, 0], new_xy[:, 1] - anchor[:, 1])
         w *= folded_normal_density(d, constraints.sigma_closure)
     return w
@@ -271,7 +224,7 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
         parts.append(idx)
         drawn = target
         k = np.unique(bins[np.concatenate(parts)]).size
-        need = max(cfg.n_min, kld_required_particles(k, cfg.epsilon, cfg.delta))
+        need = max(cfg.n_min, kld_required_particles(k, cfg.epsilon))
         target = min(cap, need)
         if drawn >= target:
             return np.concatenate(parts)
@@ -478,8 +431,7 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         epoch = i + 1
         prev = tree[len(tree) - 1]
         draws = kld_resample(prev.poses, prev.weights, kld, rng)
-        anchors = {a: tree.ancestor_positions(draws, a)
-                   for a in constraints.closures_at(epoch) if 0 <= a < epoch}
+        anchors = {a: tree.ancestor_positions(draws, a) for a in constraints.closures_at(epoch)}
         selected = prev.poses[draws]
         new_poses = propagate(selected, step, noise, rng)
         w = _reweight_batch(selected[:, :2], new_poses, i, constraints, anchors)

@@ -333,29 +333,13 @@ def load_floorplan(path) -> Floorplan:
         return parse_floorplan(fh.read())
 
 
-def segment_crosses_wall(fp: Floorplan, p0, p1) -> bool:
-    """True iff the segment p0 -> p1 meets any wall.
-
-    Deliberately conservative: touching a wall endpoint or running
-    collinearly along a wall count as crossing.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    lo = np.minimum(p0, p1)
-    hi = np.maximum(p0, p1)
-    for wi in fp.walls_near(lo, hi):
-        w = fp.walls[wi]
-        if _segments_touch(p0, p1, w[:2], w[2:]):
-            return True
-    return False
-
-
 def segments_cross_walls(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) -> np.ndarray:
-    """Vectorised crossing test of N motion segments against W walls.
+    """Crossing test of N motion segments against W walls.
 
-    Returns a length-N bool array; same conservative touch semantics as
-    segment_crosses_wall, and like it a pair whose bounding boxes do not
-    meet never crosses.
+    Returns a length-N bool array, True where the segment meets any of
+    the walls.  Deliberately conservative: touching a wall endpoint or
+    running collinearly along a wall count as crossing.  A pair whose
+    bounding boxes do not meet never crosses.
     """
     p0s = np.asarray(p0s, dtype=float)
     p1s = np.asarray(p1s, dtype=float)
@@ -396,48 +380,18 @@ def segments_cross_walls(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) ->
     return (proper | touch).any(axis=1)
 
 
-def _point_on_polygon_boundary(vs: np.ndarray, x: float, y: float) -> bool:
-    n = len(vs)
-    for i in range(n):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % n]
-        if _orient(x0, y0, x1, y1, x, y) == 0 and _within_bbox(x0, y0, x1, y1, x, y):
-            return True
-    return False
-
-
-def _point_in_polygon(vs: np.ndarray, x: float, y: float) -> bool:
-    # even-odd rule; boundary handled separately by the caller
-    inside = False
-    n = len(vs)
-    for i in range(n):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % n]
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x < xc:
-                inside = not inside
-    return inside
-
-
 def containing_room(fp: Floorplan, p) -> int | None:
-    """Room id containing point p, or None.
-
-    Boundary points belong to every room they touch; the lowest room id
-    wins the tie.
-    """
-    x, y = float(p[0]), float(p[1])
-    for room in fp.rooms:  # already sorted by id
-        if _point_on_polygon_boundary(room.vertices, x, y) or _point_in_polygon(room.vertices, x, y):
-            return room.room_id
-    return None
+    """containing_rooms for the one point p: its room id, or None."""
+    room = int(containing_rooms(fp, np.asarray(p, dtype=float)[None, :2])[0])
+    return None if room < 0 else room
 
 
 def containing_rooms(fp: Floorplan, pts: np.ndarray) -> np.ndarray:
-    """Vectorised containing_room for an (N, 2) array; -1 where no room.
+    """Room id containing each point of an (N, 2) array; -1 where none.
 
-    The grid index answers points in cells that no room edge comes
-    near; the others run the exact polygon loop."""
+    Boundary points belong to every room they touch; the lowest room id
+    wins the tie.  The grid index answers points in cells that no room
+    edge comes near; the others run the exact polygon loop."""
     pts = np.asarray(pts, dtype=float)
     out = fp._grid().rooms_at(pts)
     slow = np.flatnonzero(out == _MIXED)
@@ -481,21 +435,9 @@ def points_in_polygon(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside | boundary
 
 
-def acute_angle_to_best_wall(fp: Floorplan, p, heading: float) -> float | None:
-    """Acute angle between heading and the most parallel wall of p's room.
-
-    Returns a value in [0, pi/2], or None when p lies in no room.
-    """
-    room_id = containing_room(fp, p)
-    if room_id is None:
-        return None
-    angles = fp.room_edge_angles(room_id)
-    d = (heading - angles + math.pi / 2.0) % math.pi - math.pi / 2.0
-    return float(np.abs(d).min())
-
-
 def acute_angles_to_room_walls(fp: Floorplan, pts: np.ndarray, headings: np.ndarray) -> np.ndarray:
-    """Vectorised acute_angle_to_best_wall; NaN where the point has no room."""
+    """Acute angle in [0, pi/2] between each heading and the most
+    parallel wall of its point's room; NaN where the point has no room."""
     pts = np.asarray(pts, dtype=float)
     headings = np.asarray(headings, dtype=float)
     out = np.full(len(pts), np.nan)

@@ -32,16 +32,6 @@ class StepLoopClosure:
 
 
 @dataclass(frozen=True)
-class MagLoopClosure:
-    """One matched magnetometer sample pair with trajectory positions."""
-
-    t_a: float
-    t_b: float
-    pos_a: tuple[float, float]
-    pos_b: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class SegmentPair:
     """Aligned trajectory index ranges; side b may run backwards."""
 
@@ -82,7 +72,6 @@ class LoopClosureResult:
     closures: list[StepLoopClosure]
     rejected: list[RejectedMatch]
     msps: list[SegmentPair]
-    mag_closures: list[MagLoopClosure]
 
 
 def find_msps(positions: np.ndarray, params: MspParams | None = None) -> list[SegmentPair]:
@@ -251,15 +240,8 @@ def validate_closure(sub: SubMatching, params: ValidationParams | None = None) -
     return True, ""
 
 
-def _match_times(m) -> tuple[float, float]:
-    if hasattr(m, "t_a"):
-        return float(m.t_a), float(m.t_b)
-    a, b = m
-    return float(a), float(b)
-
-
 def thin_to_steps(matches, step_times: np.ndarray) -> list[StepLoopClosure]:
-    """Thin dense matched sample pairs to step-level closures.
+    """Thin dense matched sample pairs (t_a, t_b) to step-level closures.
 
     For every step epoch whose time falls inside the matched interval on
     side a, the matched time on side b is interpolated and snapped to
@@ -269,10 +251,9 @@ def thin_to_steps(matches, step_times: np.ndarray) -> list[StepLoopClosure]:
     if not len(matches):
         return []
     step_times = np.asarray(step_times, dtype=float)
-    ta, tb = zip(*(_match_times(m) for m in matches))
+    ta, tb = np.asarray(matches, dtype=float).T
     order = np.argsort(ta)
-    ta = np.asarray(ta, dtype=float)[order]
-    tb = np.asarray(tb, dtype=float)[order]
+    ta, tb = ta[order], tb[order]
     pairs = set()
     inside = np.nonzero((step_times >= ta[0]) & (step_times <= ta[-1]))[0]
     for e in inside:
@@ -322,13 +303,12 @@ def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | No
     mp = msp_params or MspParams()
     vp = validation or ValidationParams()
     if len(mags) < 2:
-        return LoopClosureResult([], [], [], [])
+        return LoopClosureResult([], [], [])
     mt, mv = _magnitude_series(mags)
     times = np.asarray(traj.times, dtype=float)
     arcs = _arc_lengths(traj)
     pairs = find_msps(traj.positions, mp)
     accepted: set[tuple[int, int]] = set()
-    mag_closures: list[MagLoopClosure] = []
     rejected: list[RejectedMatch] = []
 
     def positions_at(ts: np.ndarray) -> np.ndarray:
@@ -360,13 +340,7 @@ def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | No
             sm = SubMatching(t_a, t_b, pos_a, pos_b, len_a, len_b)
             ok, reason = (True, "") if not validate else validate_closure(sm, vp)
             if ok:
-                mag_closures.extend(
-                    MagLoopClosure(float(t_a[k]), float(t_b[k]),
-                                   (float(pos_a[k, 0]), float(pos_a[k, 1])),
-                                   (float(pos_b[k, 0]), float(pos_b[k, 1])))
-                    for k in range(len(sub))
-                )
-                for c in thin_to_steps(list(zip(t_a, t_b)), times):
+                for c in thin_to_steps(np.column_stack([t_a, t_b]), times):
                     accepted.add((c.epoch_a, c.epoch_b))
             else:
                 mid = len(sub) // 2
@@ -376,4 +350,4 @@ def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | No
                     rejected.append(RejectedMatch(min(ea, eb), max(ea, eb), reason))
 
     closures = [StepLoopClosure(a, b) for a, b in sorted(accepted)]
-    return LoopClosureResult(closures, rejected, pairs, mag_closures)
+    return LoopClosureResult(closures, rejected, pairs)

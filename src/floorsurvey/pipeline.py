@@ -175,7 +175,6 @@ def run_survey(log: SurveyLog, fp: Floorplan, config: PipelineConfig | None = No
         floorplan=fp,
         straight_flags=flags,
         closures=closures.closures,
-        pf1_positions=pf1.positions,
         sigma_alpha=config.sigma_alpha,
         sigma_closure=config.sigma_closure,
     )

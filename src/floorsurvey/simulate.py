@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Floorplan, Pose2D, Room, containing_room, containing_rooms, wrap_angle
+from .geometry import (Floorplan, Pose2D, Room, containing_room, containing_rooms, finite_floats,
+                       wrap_angle)
 from .sensors import (
     MagSample,
     PdrTrajectory,
@@ -330,7 +331,7 @@ def parse_scenario(text: str) -> Scenario:
     ap,x,y,p0,n (ids assigned ap0, ap1, ... in order),
     anomaly,x,y,strength,decay, and scalar settings speed, step_length,
     background, mag_sigma, mag_rate, shadow_sigma, scan_period,
-    bias_deg_per_min, starthint (pose|room).
+    bias_deg_per_min, starthint (pose|room).  Numbers must be finite.
     """
     waypoints = []
     aps = []
@@ -345,16 +346,16 @@ def parse_scenario(text: str) -> Scenario:
         tag = parts[0]
         try:
             if tag == "waypoint":
-                waypoints.append((float(parts[1]), float(parts[2])))
+                x, y = finite_floats(parts[1:3])
+                waypoints.append((x, y))
             elif tag == "ap":
                 if len(parts) != 5:
                     raise ValueError("expected ap,x,y,p0,n")
-                aps.append(AccessPoint(f"ap{len(aps)}", float(parts[1]), float(parts[2]),
-                                       float(parts[3]), float(parts[4])))
+                aps.append(AccessPoint(f"ap{len(aps)}", *finite_floats(parts[1:])))
             elif tag == "anomaly":
                 if len(parts) != 5:
                     raise ValueError("expected anomaly,x,y,strength,decay")
-                anomalies.append([float(v) for v in parts[1:]])
+                anomalies.append(finite_floats(parts[1:]))
             elif tag == "starthint":
                 if parts[1] not in ("pose", "room"):
                     raise ValueError("starthint must be pose or room")
@@ -362,7 +363,7 @@ def parse_scenario(text: str) -> Scenario:
             elif tag in ("speed", "step_length", "theta_sigma", "len_sigma", "background",
                          "mag_sigma", "mag_rate", "shadow_sigma", "scan_period",
                          "bias_deg_per_min"):
-                scalars[tag] = float(parts[1])
+                scalars[tag] = finite_floats(parts[1:2])[0]
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
         except (ValueError, IndexError) as exc:

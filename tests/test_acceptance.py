@@ -60,7 +60,6 @@ from floorsurvey.simulate import (
 )
 
 EPSILON = 0.0109238
-DELTA = 0.01
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -108,7 +107,7 @@ def corridor_maps(corridor_run):
 
 def test_c01_kld_particle_counts(capsys):
     targets = {2: 300, 12: 504, 360: 16433}
-    got = {k: kld_required_particles(k, EPSILON, DELTA) for k in targets}
+    got = {k: kld_required_particles(k, EPSILON) for k in targets}
     ok = all(abs(got[k] - t) <= 0.01 * t for k, t in targets.items())
     detail = "; ".join(f"k={k}: {got[k]} (target {t} +-1%)" for k, t in targets.items())
     _verdict(capsys, 1, ok, detail)
@@ -332,7 +331,6 @@ def test_c10_runtime_on_long_walk(capsys):
         floorplan=fp,
         straight_flags=first.straight_flags,
         closures=closures.closures,
-        pf1_positions=first.pf1.positions,
     )
     t0 = time.perf_counter()
     run_filter(log.steps, fp, pf2_kld_config(), StepNoiseModel(), constraints,

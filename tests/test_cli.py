@@ -141,6 +141,12 @@ def test_exit_code_usage_errors(ws, tmp_path, capsys):
     assert main([]) == 1
     assert main(["survey", "--log", "x"]) == 1          # missing --out
     assert main(["simulate", "--nonsense", "y"]) == 1
+    # commands that draw no random numbers and read no config take neither flag
+    a = str(ws["maps"] / "map_ap0.map")
+    assert main(["compare", "--map-a", a, "--map-b", a, "--out", str(tmp_path / "c"),
+                 "--seed", "1"]) == 1
+    assert main(["compare", "--map-a", a, "--map-b", a, "--out", str(tmp_path / "c"),
+                 "--config", "gp.cell=1.0"]) == 1
     # config keys are checked after the log loads, so use a real log
     assert main(["straight", "--log", str(ws["sim"] / "log.txt"),
                  "--out", str(tmp_path / "y"), "--config", "bogus.key=1"]) == 1
@@ -162,6 +168,15 @@ def test_exit_code_data_errors(ws, tmp_path, capsys):
     assert main(["simulate", "--scenario", str(ws["scen"]),
                  "--floorplan", str(nanplan), "--out", str(tmp_path / "o4")]) == 2
     assert "line 2: non-finite" in capsys.readouterr().err
+    nantraj = tmp_path / "nan.traj"
+    lines = (ws["srv"] / "pf2.traj").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("3,"))
+    e, t, _, y, theta = lines[at].split(",")
+    lines[at] = f"{e},{t},nan,{y},{theta}"
+    nantraj.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--traj", str(nantraj), "--truth", str(ws["sim"] / "truth.traj"),
+                 "--out", str(tmp_path / "o5")]) == 2
+    assert f"line {at + 1}: non-finite" in capsys.readouterr().err
 
 
 def test_survey_rejects_nan_stride(tmp_path, capsys):

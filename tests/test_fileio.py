@@ -45,6 +45,10 @@ def test_trajectory_read_errors(tmp_path):
     f.write_text("0,0.0,1.0,x,0.0\n")
     with pytest.raises(ValueError, match="line 1"):
         fileio.read_trajectory(f)
+    for bad in ("nan", "inf", "-inf"):
+        f.write_text(f"0,0.0,1.0,2.0,0.0\n1,0.5,{bad},2.0,0.0\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            fileio.read_trajectory(f)
 
 
 def test_empty_trajectory_roundtrip(tmp_path):
@@ -102,6 +106,12 @@ def test_signal_map_read_errors(tmp_path):
     f.write_text("grid,0,0,1.0,1,1\ncell,0,0,-50.0,1.0\n")
     with pytest.raises(ValueError, match="source"):
         fileio.read_signal_map(f)
+    # non-finite grid origin and cell size, mu and sigma
+    for grid, cell in (("nan,0,1.0", "-50.0,1.0"), ("0,0,inf", "-50.0,1.0"),
+                       ("0,0,1.0", "nan,1.0"), ("0,0,1.0", "-50.0,inf")):
+        f.write_text(f"source,a\ngrid,{grid},1,1\ncell,0,0,{cell}\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.read_signal_map(f)
 
 
 def test_signal_map_cell_order_irrelevant(tmp_path):
@@ -127,6 +137,12 @@ def test_survey_points_roundtrip(tmp_path):
     f.write_text("sig,0,ap0,-50.0\n")
     with pytest.raises(ValueError, match="before its point"):
         fileio.read_survey_points(f)
+    # only the mag column may be nan, meaning no magnetometer samples
+    for point, sig in (("0.0,nan,2.0,0.5,3,nan", "-50.0"), ("0.0,1.0,2.0,0.5,3,inf", "-50.0"),
+                       ("0.0,1.0,2.0,0.5,3,nan", "nan")):
+        f.write_text(f"point,0,{point}\nsig,0,ap0,{sig}\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.read_survey_points(f)
 
 
 def test_positions_format(tmp_path):

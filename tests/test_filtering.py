@@ -16,37 +16,37 @@ from floorsurvey.filtering import (
     pf2_kld_config,
     propagate,
     prune_smooth,
-    reweight,
     run_filter,
     seed_particles,
 )
 from floorsurvey.filtering import _reweight_batch
 from floorsurvey.geometry import Pose2D
+from floorsurvey.loopclosure import StepLoopClosure
 from floorsurvey.sensors import StepEvent, StepNoiseModel
 from floorsurvey.simulate import office_floorplan
+
+import oracles
 
 
 # ----------------------------------------------------------- KLD formula
 
 def test_kld_required_particles_reference_counts():
     # the two counts that size both filter passes
-    assert kld_required_particles(12, 0.0109238, 0.01) == 504
-    assert kld_required_particles(360, 0.0109238, 0.01) == 16433
+    assert kld_required_particles(12, 0.0109238) == 504
+    assert kld_required_particles(360, 0.0109238) == 16433
 
 
 def test_kld_required_particles_edges():
-    assert kld_required_particles(1, 0.0109238, 0.01) == 0
-    assert kld_required_particles(0, 0.0109238, 0.01) == 0
+    assert kld_required_particles(1, 0.0109238) == 0
+    assert kld_required_particles(0, 0.0109238) == 0
     with pytest.raises(ValueError):
-        kld_required_particles(5, 0.0, 0.01)
-    with pytest.raises(ValueError):
-        kld_required_particles(5, 0.01, 1.5)
+        kld_required_particles(5, 0.0)
 
 
 @given(st.integers(2, 500))
 def test_kld_required_particles_monotone(k):
     eps = 0.0109238
-    assert kld_required_particles(k + 1, eps, 0.01) >= kld_required_particles(k, eps, 0.01)
+    assert kld_required_particles(k + 1, eps) >= kld_required_particles(k, eps)
 
 
 def test_kld_configs():
@@ -121,32 +121,34 @@ def test_propagate_consumes_stream_even_with_zero_sigmas():
 
 # --------------------------------------------------------------- reweight
 
+def _reweight_one(prev_xy, new_pose, step_index, c, anchors=None):
+    anchors = {a: np.array([xy], dtype=float) for a, xy in (anchors or {}).items()}
+    return _reweight_batch(np.array([prev_xy], dtype=float), np.array([new_pose], dtype=float),
+                           step_index, c, anchors)[0]
+
+
 def test_reweight_wall_crossing_zeroes(two_room_plan):
     c = ConstraintSet(two_room_plan)
-    w = reweight(np.array([4.0, 2.0]), np.array([6.0, 2.0, 0.0]), 0, c)
-    assert w == 0.0
-    w = reweight(np.array([4.0, 5.0]), np.array([6.0, 5.0, 0.0]), 0, c)
-    assert w == 1.0
+    assert _reweight_one((4.0, 2.0), (6.0, 2.0, 0.0), 0, c) == 0.0
+    assert _reweight_one((4.0, 5.0), (6.0, 5.0, 0.0), 0, c) == 1.0
 
 
 def test_reweight_straight_factor(square_plan):
     flags = np.array([True])
     c = ConstraintSet(square_plan, straight_flags=flags)
     heading = math.radians(4.0)
-    w = reweight(np.array([5.0, 5.0]), np.array([5.5, 5.0, heading]), 0, c)
+    w = _reweight_one((5.0, 5.0), (5.5, 5.0, heading), 0, c)
     assert math.isclose(w, folded_normal_density(heading, c.sigma_alpha))
     # outside every room there is no wall to compare against
-    w_out = reweight(np.array([50.0, 50.0]), np.array([50.5, 50.0, heading]), 0,
-                     ConstraintSet(square_plan, use_walls=False, straight_flags=flags))
+    w_out = _reweight_one((50.0, 50.0), (50.5, 50.0, heading), 0,
+                          ConstraintSet(square_plan, use_walls=False, straight_flags=flags))
     assert w_out == 1.0
 
 
-def test_reweight_closure_factor_uses_fallback_anchor(square_plan):
-    pf1 = np.zeros((5, 2))
-    pf1[2] = (4.0, 5.0)
-    c = ConstraintSet(square_plan, closures=[(2, 3)], pf1_positions=pf1)
-    # epoch 3 means step index 2
-    w = reweight(np.array([4.5, 5.0]), np.array([5.0, 5.0, 0.0]), 2, c)
+def test_reweight_closure_factor_uses_own_anchor(square_plan):
+    c = ConstraintSet(square_plan, closures=[StepLoopClosure(2, 3)])
+    # epoch 3 means step index 2; the anchor is the particle's position at epoch 2
+    w = _reweight_one((4.5, 5.0), (5.0, 5.0, 0.0), 2, c, {2: (4.0, 5.0)})
     assert math.isclose(w, folded_normal_density(1.0, c.sigma_closure))
 
 
@@ -163,12 +165,15 @@ def test_reweight_batch_matches_scalar(two_room_plan):
         prev = np.concatenate([prev, prev])
         new = np.column_stack([ends, rng.uniform(-math.pi, math.pi, 2 * n)])
         flags = np.array([False, True, True])
-        pf1 = rng.uniform(lo, hi, size=(4, 2))
+        # two closures ending at epoch 2, each with per-particle anchors
+        anchors = {a: rng.uniform(lo, hi, size=(2 * n, 2)) for a in (0, 1)}
         c = ConstraintSet(fp, straight_flags=flags,
-                          closures=[(0, 2)], pf1_positions=pf1)
+                          closures=[StepLoopClosure(0, 2), StepLoopClosure(1, 2)])
         for step_index in (0, 1):
-            got = _reweight_batch(prev, new, step_index, c, None)
-            want = np.array([reweight(prev[i], new[i], step_index, c) for i in range(2 * n)])
+            got = _reweight_batch(prev, new, step_index, c, anchors)
+            want = np.array([oracles.reweight(prev[i], new[i], step_index, c,
+                                              {a: xy[i] for a, xy in anchors.items()})
+                             for i in range(2 * n)])
             assert np.allclose(got, want, atol=1e-12)
 
 
@@ -419,13 +424,12 @@ def test_run_filter_walls_confine_cloud(square_plan):
 def test_run_filter_closure_anchors_survive_compaction(square_plan):
     # out east and back west, so closures tie the return leg to the outbound one
     steps = [StepEvent(0.5 * (i + 1), 0.75, math.pi if i == 5 else 0.0) for i in range(11)]
-    closures = [(0, 11), (1, 10), (2, 9), (4, 7), (6, 7), (10, 11),
-                (8, 8), (9, 3)]  # the last two have no ancestor: pf1 fallback
-    pf1 = np.random.default_rng(8).uniform(1.0, 9.0, size=(12, 2))
+    closures = [StepLoopClosure(a, b) for a, b in
+                [(0, 11), (1, 10), (2, 9), (4, 7), (6, 7), (10, 11)]]
     kw = dict(start_pose=Pose2D(2.0, 5.0, 0.0), seed=5)
 
     def run(closures, **extra):
-        c = ConstraintSet(square_plan, closures=closures, pf1_positions=pf1)
+        c = ConstraintSet(square_plan, closures=closures)
         return run_filter(steps, square_plan, KldConfig(n_min=300), StepNoiseModel(), c,
                           **kw, **extra)
 

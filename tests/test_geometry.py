@@ -11,18 +11,17 @@ from floorsurvey.geometry import (
     FloorplanError,
     Pose2D,
     Room,
-    acute_angle_to_best_wall,
     acute_angles_to_room_walls,
     containing_room,
     containing_rooms,
     parse_floorplan,
     points_in_polygon,
-    segment_crosses_wall,
     segments_cross_walls,
     wrap_angle,
 )
 from floorsurvey.simulate import office_floorplan
 
+import oracles
 from conftest import box
 
 
@@ -148,9 +147,11 @@ def test_segments_cross_walls_matches_oracle():
 
 def test_segment_crosses_wall_door_gap(two_room_plan):
     # through the doorway: no crossing; through the dividing wall: crossing
-    assert not segment_crosses_wall(two_room_plan, (4, 5), (6, 5))
-    assert segment_crosses_wall(two_room_plan, (4, 2), (6, 2))
-    assert not segment_crosses_wall(two_room_plan, (1, 1), (4, 9))
+    p0s = np.array([(4, 5), (4, 2), (1, 1)], dtype=float)
+    p1s = np.array([(6, 5), (6, 2), (4, 9)], dtype=float)
+    assert list(segments_cross_walls(p0s, p1s, two_room_plan.walls)) == [False, True, False]
+    assert [oracles.segment_crosses_wall(two_room_plan, a, b) for a, b in zip(p0s, p1s)] \
+        == [False, True, False]
 
 
 # --------------------------------------------------------- point in room
@@ -187,6 +188,8 @@ def test_containing_room_basics(two_room_plan):
     assert containing_room(two_room_plan, (2, 5)) == 0
     assert containing_room(two_room_plan, (8, 5)) == 1
     assert containing_room(two_room_plan, (20, 20)) is None
+    assert containing_room(two_room_plan, (5, 5)) == 0  # shared edge: lowest id
+    assert containing_room(two_room_plan, (math.nan, 5)) is None
 
 
 def test_containing_rooms_vector_matches_scalar(two_room_plan):
@@ -194,7 +197,7 @@ def test_containing_rooms_vector_matches_scalar(two_room_plan):
     pts = rng.uniform(-2, 12, size=(200, 2))
     got = containing_rooms(two_room_plan, pts)
     for i, p in enumerate(pts):
-        scalar = containing_room(two_room_plan, p)
+        scalar = oracles.containing_room(two_room_plan, p)
         assert got[i] == (-1 if scalar is None else scalar)
 
 
@@ -203,15 +206,15 @@ def test_containing_rooms_vector_matches_scalar(two_room_plan):
 def test_acute_angle_square_room(square_plan):
     # heading parallel to a wall -> 0; 30 deg off -> 30 deg; nearly
     # perpendicular -> distance to the other wall family
-    assert math.isclose(acute_angle_to_best_wall(square_plan, (5, 5), 0.0), 0.0, abs_tol=1e-12)
-    a = acute_angle_to_best_wall(square_plan, (5, 5), math.radians(30))
-    assert math.isclose(a, math.radians(30), abs_tol=1e-9)
-    a = acute_angle_to_best_wall(square_plan, (5, 5), math.radians(80))
-    assert math.isclose(a, math.radians(10), abs_tol=1e-9)
+    heads = np.radians([0.0, 30.0, 80.0])
+    out = acute_angles_to_room_walls(square_plan, np.full((3, 2), 5.0), heads)
+    assert math.isclose(out[0], 0.0, abs_tol=1e-12)
+    assert math.isclose(out[1], math.radians(30), abs_tol=1e-9)
+    assert math.isclose(out[2], math.radians(10), abs_tol=1e-9)
 
 
 def test_acute_angle_outside_rooms(square_plan):
-    assert acute_angle_to_best_wall(square_plan, (50, 50), 0.3) is None
+    assert oracles.acute_angle_to_best_wall(square_plan, (50, 50), 0.3) is None
     out = acute_angles_to_room_walls(square_plan, np.array([[50.0, 50.0]]), np.array([0.3]))
     assert np.isnan(out[0])
 
@@ -222,8 +225,8 @@ def test_acute_angles_vector_matches_scalar(square_plan):
     heads = rng.uniform(-math.pi, math.pi, 50)
     out = acute_angles_to_room_walls(square_plan, pts, heads)
     for i in range(50):
-        assert math.isclose(out[i], acute_angle_to_best_wall(square_plan, pts[i], heads[i]),
-                            abs_tol=1e-9)
+        want = oracles.acute_angle_to_best_wall(square_plan, pts[i], heads[i])
+        assert math.isclose(out[i], want, abs_tol=1e-9)
 
 
 # ------------------------------------------------------------ grid index
@@ -291,7 +294,7 @@ def test_containing_rooms_grid_matches_scalar(name, data):
     pts = np.array(data.draw(st.lists(_plan_points(fp), min_size=1, max_size=60)), dtype=float)
     got = containing_rooms(fp, pts)
     for i, p in enumerate(pts):
-        scalar = containing_room(fp, p)
+        scalar = oracles.containing_room(fp, p)
         assert got[i] == (-1 if scalar is None else scalar), p
 
 
@@ -306,7 +309,7 @@ def test_wall_free_moves_never_cross(name, data):
     clear = fp.clear_of_walls(p0s, p1s)
     batch = segments_cross_walls(p0s, p1s, fp.walls)
     for i in range(len(moves)):
-        scalar = segment_crosses_wall(fp, p0s[i], p1s[i])
+        scalar = oracles.segment_crosses_wall(fp, p0s[i], p1s[i])
         assert batch[i] == scalar, moves[i]
         assert not (clear[i] and scalar), moves[i]
 
@@ -334,4 +337,4 @@ def test_segments_cross_walls_needs_meeting_boxes():
     p1 = np.array([[13.072530414367915, 7.971741297313715]])
     wall = np.array([[13.07972405019737, 7.9921804820200615, 13.863359933808114, 10.218715011618734]])
     assert not segments_cross_walls(p0, p1, wall)[0]
-    assert not segment_crosses_wall(Floorplan(wall, []), p0[0], p1[0])
+    assert not oracles.segment_crosses_wall(Floorplan(wall, []), p0[0], p1[0])

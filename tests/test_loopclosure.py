@@ -6,7 +6,6 @@ import pytest
 
 from floorsurvey.loopclosure import (
     LoopClosureResult,
-    MagLoopClosure,
     MspParams,
     SegmentPair,
     StepLoopClosure,
@@ -241,4 +240,4 @@ def test_detect_loop_closures_validate_false_accepts_more():
 def test_detect_loop_closures_needs_mag_data():
     traj = _out_and_back()
     res = detect_loop_closures(traj, [])
-    assert res == LoopClosureResult([], [], [], [])
+    assert res == LoopClosureResult([], [], [])

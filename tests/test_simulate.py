@@ -238,6 +238,10 @@ def test_parse_scenario_defaults():
     ("bogus,1\nwaypoint,0,0\nwaypoint,1,0\n", "line 1"),
     ("waypoint,0,0\nwaypoint,1,0\nap,1,2\n", "line 3"),
     ("waypoint,0,0\nwaypoint,1,0\nstarthint,sofa\n", "pose or room"),
+    ("waypoint,0,0\nwaypoint,nan,0\n", "line 2: non-finite"),
+    ("waypoint,0,0\nwaypoint,1,0\nap,1,2,-40,inf\n", "line 3: non-finite"),
+    ("waypoint,0,0\nwaypoint,1,0\nanomaly,1,2,nan,1.5\n", "line 3: non-finite"),
+    ("waypoint,0,0\nwaypoint,1,0\nspeed,-inf\n", "line 3: non-finite"),
 ])
 def test_parse_scenario_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
