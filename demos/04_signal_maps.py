@@ -15,7 +15,7 @@ import numpy as np
 
 from floorsurvey import fileio
 from floorsurvey.pipeline import build_signal_maps, run_survey
-from floorsurvey.signalmap import GpParams, compare_maps, fit_signal_map
+from floorsurvey.signalmap import compare_maps, fit_signal_maps
 from floorsurvey.simulate import (
     corridor_scenario,
     grid_survey,
@@ -38,16 +38,16 @@ print(f"maps from the walk: {sorted(maps)}")
 pts, mag, wifi = grid_survey(sc, fp, spacing=1.0, seed=404)
 print(f"reference grid: {len(pts)} sample points")
 
-gp = GpParams()
+# the six reference maps share the grid points, so they share one GP fit
+refs = fit_signal_maps(fp.bounds, pts, wifi)
 path = res.final.positions
 centers = maps["ap0"].centers
 d_path = np.sqrt(((centers[:, None, :] - path[None, :, :]) ** 2).sum(-1)).min(axis=1)
 
 print("source   all cells   within 2 m of path")
 for ap in sorted(wifi):
-    ref = fit_signal_map(ap, fp.bounds, pts, wifi[ap], gp)
-    _, med_all = compare_maps(maps[ap], ref)
-    _, med_near = compare_maps(maps[ap], ref, d_path <= 2.0)
+    _, med_all = compare_maps(maps[ap], refs[ap])
+    _, med_near = compare_maps(maps[ap], refs[ap], d_path <= 2.0)
     print(f"{ap:6s}   {med_all:9.2f}   {med_near:18.2f}")
 
 fileio.write_signal_map(out / "map_ap0.map", maps["ap0"])

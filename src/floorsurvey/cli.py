@@ -269,7 +269,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="synthesise a survey walk")
     p.add_argument("--scenario", help="scenario file (overrides --walk)")
     p.add_argument("--walk", choices=sorted(_BUILTIN_WALKS), default="corridor")
-    _add_common(p, floorplan=True, seed=True, config=True)
+    _add_common(p, floorplan=True, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pf1", help="first pass: wall constraints only")

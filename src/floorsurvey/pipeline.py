@@ -25,7 +25,8 @@ from .filtering import (
 from .geometry import Floorplan, containing_room
 from .loopclosure import LoopClosureResult, MspParams, ValidationParams, detect_loop_closures
 from .sensors import PdrTrajectory, StepNoiseModel, SurveyLog
-from .signalmap import GpParams, SignalMap, fit_signal_map
+# fit_signal_map stays importable here: perfbench's traced mode swaps it by name
+from .signalmap import GpParams, SignalMap, fit_signal_map, fit_signal_maps  # noqa: F401
 from .straightline import StraightLineParams, detect_straight_steps
 
 MAG_SOURCE = "mag"
@@ -190,19 +191,23 @@ def build_signal_maps(points: list[SurveyPoint],
                       bounds: tuple[float, float, float, float],
                       gp: GpParams | None = None) -> dict[str, SignalMap]:
     """GP maps from annotated survey points: one magnetic map under the
-    key "mag" plus one RSS map per WiFi source seen."""
-    gp = gp or GpParams()
+    key "mag" plus one RSS map per WiFi source seen, in sorted order.
+    Sources observed at exactly the same positions (same array, same
+    bytes) share one GP factorisation."""
+    sources = [MAG_SOURCE] + sorted({ap for p in points for ap in p.wifi})
+    groups: dict[tuple, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
+    for src in sources:
+        if src == MAG_SOURCE:
+            obs = [((p.x, p.y), p.mag) for p in points if p.mag is not None]
+        else:
+            obs = [((p.x, p.y), p.wifi[src]) for p in points if src in p.wifi]
+        pos = np.array([xy for xy, _ in obs]).reshape(-1, 2)
+        val = np.array([v for _, v in obs])
+        groups.setdefault((pos.shape, pos.tobytes()), (pos, {}))[1][src] = val
     maps: dict[str, SignalMap] = {}
-    mag_pos = [(p.x, p.y) for p in points if p.mag is not None]
-    mag_val = [p.mag for p in points if p.mag is not None]
-    maps[MAG_SOURCE] = fit_signal_map(MAG_SOURCE, bounds, np.array(mag_pos).reshape(-1, 2),
-                                      np.array(mag_val), gp)
-    sources = sorted({ap for p in points for ap in p.wifi})
-    for ap in sources:
-        pos = [(p.x, p.y) for p in points if ap in p.wifi]
-        val = [p.wifi[ap] for p in points if ap in p.wifi]
-        maps[ap] = fit_signal_map(ap, bounds, np.array(pos), np.array(val), gp)
-    return maps
+    for pos, values in groups.values():
+        maps.update(fit_signal_maps(bounds, pos, values, gp))
+    return {src: maps[src] for src in sources}
 
 
 @dataclass

@@ -187,21 +187,10 @@ def dead_reckon(steps: list[StepEvent], start: Pose2D) -> PdrTrajectory:
     return PdrTrajectory(poses, step_epoch_times(steps))
 
 
-def interpolate_position(traj: PdrTrajectory, t: float) -> np.ndarray:
-    """Linear position interpolation along a trajectory at time t.
-
-    Raises ValueError when t is outside the trajectory's time range.
-    """
-    times = traj.times
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"t={t} outside trajectory time range [{times[0]}, {times[-1]}]")
-    x = np.interp(t, times, traj.poses[:, 0])
-    y = np.interp(t, times, traj.poses[:, 1])
-    return np.array([x, y])
-
-
 def interpolate_positions(traj: PdrTrajectory, ts: np.ndarray) -> np.ndarray:
-    """Vectorised interpolate_position; (N, 2) output, same range check."""
+    """Linear position interpolation along a trajectory at times ts;
+    (N, 2) output.  Raises ValueError when any time is outside the
+    trajectory's time range."""
     ts = np.asarray(ts, dtype=float)
     if ts.size and (ts.min() < traj.times[0] or ts.max() > traj.times[-1]):
         raise ValueError("query times outside trajectory time range")

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -77,43 +78,57 @@ def sq_exp_kernel(a: np.ndarray, b: np.ndarray, length_scale: float,
 def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
                params: GpParams) -> tuple[np.ndarray, np.ndarray]:
     """Exact GP posterior mean and predictive std (noise included) at the
-    query points.  With no training data the prior is returned."""
+    query points, for the targets of one source, shape (n,), or of S
+    sources observed at the same positions, shape (n, S); mu has shape
+    (m,) or (m, S).  With no training data the prior is returned."""
     query = np.atleast_2d(np.asarray(query, dtype=float))
     m = len(query)
-    prior_sd = math.sqrt(params.sigma_f ** 2 + params.sigma_n ** 2)
-    if train_x is None or len(train_x) == 0:
-        return np.full(m, params.mean), np.full(m, prior_sd)
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
     train_y = np.asarray(train_y, dtype=float)
-    n = len(train_x)
-    K = sq_exp_kernel(train_x, train_x, params.length_scale, params.sigma_f)
-    K[np.diag_indices(n)] += params.sigma_n ** 2 + 1e-10
-    chol = cho_factor(K, lower=True)
-    alpha = cho_solve(chol, train_y - params.mean)
-    mu = np.empty(m)
-    sigma = np.empty(m)
-    # chunk the query side to bound the n x chunk solve workspace
-    for lo in range(0, m, 2048):
-        hi = min(m, lo + 2048)
-        ks = sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f)
-        mu[lo:hi] = params.mean + ks @ alpha
-        v = cho_solve(chol, ks.T)
-        var_f = params.sigma_f ** 2 - np.einsum("ij,ji->i", ks, v)
-        sigma[lo:hi] = np.sqrt(np.maximum(var_f, 0.0) + params.sigma_n ** 2)
-    return mu, sigma
+    ys = train_y[:, None] if train_y.ndim == 1 else train_y
+    mu = np.full((ys.shape[1], m), params.mean)  # one contiguous row per source
+    sigma = np.full(m, math.sqrt(params.sigma_f ** 2 + params.sigma_n ** 2))
+    if len(train_x) > 0:
+        train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
+        n = len(train_x)
+        K = sq_exp_kernel(train_x, train_x, params.length_scale, params.sigma_f)
+        K[np.diag_indices(n)] += params.sigma_n ** 2 + 1e-10
+        chol = cho_factor(K, lower=True)
+        # one row per source; a single (m, n) @ (n, S) product would round
+        # differently from the one-source matrix-vector product
+        alphas = np.ascontiguousarray(cho_solve(chol, ys - params.mean).T)
+        # chunk the query side to bound the n x chunk solve workspace
+        for lo in range(0, m, 2048):
+            hi = min(m, lo + 2048)
+            ks = sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f)
+            for row, alpha in zip(mu, alphas):
+                row[lo:hi] = params.mean + ks @ alpha
+            v = cho_solve(chol, ks.T)
+            var_f = params.sigma_f ** 2 - np.einsum("ij,ji->i", ks, v)
+            sigma[lo:hi] = np.sqrt(np.maximum(var_f, 0.0) + params.sigma_n ** 2)
+    return (mu[0] if train_y.ndim == 1 else mu.T), sigma
+
+
+def fit_signal_maps(bounds: tuple[float, float, float, float], positions: np.ndarray,
+                    values_by_source: dict[str, np.ndarray],
+                    params: GpParams | None = None) -> dict[str, SignalMap]:
+    """Train one map per source from observations at shared positions:
+    values_by_source holds each source's values, one per row of
+    positions.  K, its Cholesky factor and the variance solve depend
+    only on the positions, so they are built once for all sources."""
+    params = params or GpParams()
+    nx, ny = grid_shape(bounds, params.cell)
+    grid = SignalMap("", bounds[0], bounds[1], params.cell, nx, ny, np.empty(0), np.empty(0))
+    ys = np.column_stack([np.asarray(v, dtype=float) for v in values_by_source.values()])
+    mu, sigma = gp_predict(positions, ys, grid.centers, params)
+    return {ap_id: dataclasses.replace(grid, ap_id=ap_id, mu=col, sigma=sigma.copy())
+            for ap_id, col in zip(values_by_source, mu.T)}
 
 
 def fit_signal_map(ap_id: str, bounds: tuple[float, float, float, float],
                    positions: np.ndarray, values: np.ndarray,
                    params: GpParams | None = None) -> SignalMap:
     """Train a map for one signal source from scattered observations."""
-    params = params or GpParams()
-    nx, ny = grid_shape(bounds, params.cell)
-    x0, y0 = bounds[0], bounds[1]
-    stub = SignalMap(ap_id, x0, y0, params.cell, nx, ny, np.empty(0), np.empty(0))
-    mu, sigma = gp_predict(positions, values, stub.centers, params)
-    stub.mu, stub.sigma = mu, sigma
-    return stub
+    return fit_signal_maps(bounds, positions, {ap_id: values}, params)[ap_id]
 
 
 def interval_overlap(map_a: SignalMap, map_b: SignalMap) -> np.ndarray:

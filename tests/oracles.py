@@ -1,8 +1,8 @@
 """Brute-force scalar references for the library's batch kernels.
 
-Each function answers one question for one point or one move, by plain
-loops over every wall and room, so tests can check the vectorised and
-grid-indexed code in floorsurvey against it.
+Each function answers one question for one point, one move or one time,
+by plain loops over every wall and room where it needs them, so tests
+can check the vectorised and grid-indexed code in floorsurvey against it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 
 from floorsurvey.filtering import ConstraintSet, folded_normal_density
 from floorsurvey.geometry import Floorplan, _orient, _segments_touch, _within_bbox
+from floorsurvey.sensors import PdrTrajectory
 
 
 def segment_crosses_wall(fp: Floorplan, p0, p1) -> bool:
@@ -116,3 +117,16 @@ def reweight(prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
         d = float(np.hypot(new_xy[0] - ax, new_xy[1] - ay))
         w *= folded_normal_density(d, constraints.sigma_closure)
     return float(w)
+
+
+def interpolate_position(traj: PdrTrajectory, t: float) -> np.ndarray:
+    """Linear position interpolation along a trajectory at time t.
+
+    Raises ValueError when t is outside the trajectory's time range.
+    """
+    times = traj.times
+    if t < times[0] or t > times[-1]:
+        raise ValueError(f"t={t} outside trajectory time range [{times[0]}, {times[-1]}]")
+    x = np.interp(t, times, traj.poses[:, 0])
+    y = np.interp(t, times, traj.poses[:, 1])
+    return np.array([x, y])

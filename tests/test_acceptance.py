@@ -47,7 +47,7 @@ from floorsurvey.loopclosure import (
 )
 from floorsurvey.pipeline import build_signal_maps, evaluate_trajectory, run_survey
 from floorsurvey.sensors import StepNoiseModel
-from floorsurvey.signalmap import GpParams, compare_maps, fit_signal_map, position_one_shot
+from floorsurvey.signalmap import compare_maps, fit_signal_maps, position_one_shot
 from floorsurvey.simulate import (
     corridor_scenario,
     detour_scenario,
@@ -93,8 +93,7 @@ def corridor_maps(corridor_run):
     t0 = time.perf_counter()
     path_maps = build_signal_maps(res.points, fp.bounds)
     pts, _, wifi = grid_survey(sc, fp, spacing=1.0, seed=404)
-    gp = GpParams()
-    ref_maps = {ap: fit_signal_map(ap, fp.bounds, pts, wifi[ap], gp) for ap in wifi}
+    ref_maps = fit_signal_maps(fp.bounds, pts, wifi)
     path = res.final.positions
     any_map = next(iter(path_maps.values()))
     near_cell = cdist(any_map.centers, path).min(axis=1) <= 2.0

@@ -141,6 +141,9 @@ def test_exit_code_usage_errors(ws, tmp_path, capsys):
     assert main([]) == 1
     assert main(["survey", "--log", "x"]) == 1          # missing --out
     assert main(["simulate", "--nonsense", "y"]) == 1
+    # simulate reads no pipeline config, so it takes no --config
+    assert main(["simulate", "--walk", "corridor", "--seed", "1", "--config", "bogus.key=1",
+                 "--out", str(tmp_path / "s")]) == 1
     # commands that draw no random numbers and read no config take neither flag
     a = str(ws["maps"] / "map_ap0.map")
     assert main(["compare", "--map-a", a, "--map-b", a, "--out", str(tmp_path / "c"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from floorsurvey import pipeline
 from floorsurvey.filtering import FilterResult
 from floorsurvey.pipeline import (
     PipelineConfig,
@@ -27,6 +28,7 @@ from floorsurvey.simulate import (
     office_floorplan,
     simulate_scenario,
 )
+from floorsurvey.signalmap import GpParams, fit_signal_map
 
 
 # -------------------------------------------------------------- overrides
@@ -148,6 +150,71 @@ def test_build_signal_maps_sources_and_grids():
     shapes = {(m.nx, m.ny, m.x0, m.y0, m.cell) for m in maps.values()}
     assert len(shapes) == 1  # congruent grids for cross-map comparison
     assert maps["mag"].mu.shape == maps["ap0"].mu.shape
+
+
+def _grouped_calls(monkeypatch):
+    """Record the sources of each grouped fit that build_signal_maps makes."""
+    calls = []
+    fit = pipeline.fit_signal_maps
+
+    def spy(bounds, positions, values_by_source, params=None):
+        calls.append(list(values_by_source))
+        return fit(bounds, positions, values_by_source, params)
+
+    monkeypatch.setattr(pipeline, "fit_signal_maps", spy)
+    return calls
+
+
+def _assert_equal_separate_fits(maps, pts, bounds):
+    for src, m in maps.items():
+        sel = [p for p in pts if (p.mag is not None if src == "mag" else src in p.wifi)]
+        pos = np.array([(p.x, p.y) for p in sel]).reshape(-1, 2)
+        val = np.array([p.mag if src == "mag" else p.wifi[src] for p in sel])
+        one = fit_signal_map(src, bounds, pos, val, GpParams())
+        assert m.ap_id == src
+        assert np.array_equal(m.mu, one.mu), src
+        assert np.array_equal(m.sigma, one.sigma), src
+
+
+def test_build_signal_maps_groups_by_training_positions(monkeypatch):
+    rng = np.random.default_rng(5)
+    xy = rng.uniform(0.0, 6.0, size=(9, 2))
+    # ap1 sees the first six points, ap0, ap2 and the magnetometer all nine;
+    # ap1 is inserted before ap0 so that group order differs from key order
+    pts = [SurveyPoint(i, float(i), float(x), float(y), 0.0, None, 40.0 + i,
+                       {**({"ap1": -70.0 + i} if i < 6 else {}),
+                        "ap0": -50.0 - i, "ap2": -60.0 + 2 * i})
+           for i, (x, y) in enumerate(xy)]
+    calls = _grouped_calls(monkeypatch)
+    maps = build_signal_maps(pts, (0.0, 0.0, 6.0, 4.0))
+    assert list(maps) == ["mag", "ap0", "ap1", "ap2"]
+    assert calls == [["mag", "ap0", "ap2"], ["ap1"]]
+    _assert_equal_separate_fits(maps, pts, (0.0, 0.0, 6.0, 4.0))
+
+
+def test_build_signal_maps_empty_magnetic_set_gives_prior(monkeypatch):
+    pts = [SurveyPoint(i, float(i), 1.0 + i, 1.0, 0.0, None, None, {"ap0": -50.0 - i})
+           for i in range(3)]
+    calls = _grouped_calls(monkeypatch)
+    maps = build_signal_maps(pts, (0.0, 0.0, 4.0, 2.0))
+    assert calls == [["mag"], ["ap0"]]
+    gp = GpParams()
+    assert np.all(maps["mag"].mu == gp.mean)
+    assert np.all(maps["mag"].sigma == math.hypot(gp.sigma_f, gp.sigma_n))
+    _assert_equal_separate_fits(maps, pts, (0.0, 0.0, 4.0, 2.0))
+
+
+def test_build_signal_maps_same_points_other_order_are_separate_groups(monkeypatch):
+    xy = [(1.0, 1.0), (2.5, 1.5), (3.0, 0.5)]
+    log = [(0, "ap0"), (1, "ap0"), (2, "ap0"), (2, "ap1"), (1, "ap1"), (0, "ap1")]
+    # one point per (position, source) reading, so the two sources visit the
+    # same three positions in opposite orders and no magnetometer is read
+    pts = [SurveyPoint(e, float(e), *xy[i], 0.0, None, None, {ap: -50.0 - 3 * i - e})
+           for e, (i, ap) in enumerate(log)]
+    calls = _grouped_calls(monkeypatch)
+    maps = build_signal_maps(pts, (0.0, 0.0, 4.0, 2.0))
+    assert calls == [["mag"], ["ap0"], ["ap1"]]
+    _assert_equal_separate_fits(maps, pts, (0.0, 0.0, 4.0, 2.0))
 
 
 # ------------------------------------------------------------------- e2e

@@ -13,11 +13,12 @@ from floorsurvey.sensors import (
     SurveyLog,
     WifiObservation,
     dead_reckon,
-    interpolate_position,
     interpolate_positions,
     parse_survey_log,
     step_epoch_times,
 )
+
+import oracles
 
 
 def test_step_event_rejects_nonpositive_length():
@@ -140,15 +141,19 @@ def _ramp_traj():
 
 def test_interpolate_position_linear_inside_range():
     traj = _ramp_traj()
-    assert np.allclose(interpolate_position(traj, 0.5), [0.5, 0.0])
-    assert np.allclose(interpolate_position(traj, 1.5), [2.0, 0.0])
-    assert np.allclose(interpolate_position(traj, 2.0), [3.0, 0.0])
+    assert np.allclose(oracles.interpolate_position(traj, 0.5), [0.5, 0.0])
+    assert np.allclose(oracles.interpolate_position(traj, 1.5), [2.0, 0.0])
+    assert np.allclose(oracles.interpolate_position(traj, 2.0), [3.0, 0.0])
+    assert np.allclose(interpolate_positions(traj, np.array([0.5, 1.5, 2.0])),
+                       [[0.5, 0.0], [2.0, 0.0], [3.0, 0.0]])
 
 
 def test_interpolate_position_rejects_out_of_range():
     traj = _ramp_traj()
     with pytest.raises(ValueError):
-        interpolate_position(traj, -0.1)
+        oracles.interpolate_position(traj, -0.1)
+    with pytest.raises(ValueError):
+        interpolate_positions(traj, np.array([-0.1]))
     with pytest.raises(ValueError):
         interpolate_positions(traj, np.array([0.5, 2.1]))
 
@@ -158,4 +163,4 @@ def test_interpolate_positions_matches_scalar():
     ts = np.array([0.0, 0.25, 1.0, 1.75, 2.0])
     out = interpolate_positions(traj, ts)
     for i, t in enumerate(ts):
-        assert np.allclose(out[i], interpolate_position(traj, t))
+        assert np.allclose(out[i], oracles.interpolate_position(traj, t))

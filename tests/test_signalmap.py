@@ -12,12 +12,14 @@ from floorsurvey.signalmap import (
     compare_maps,
     error_cdf,
     fit_signal_map,
+    fit_signal_maps,
     gp_predict,
     grid_shape,
     interval_overlap,
     position_one_shot,
     sq_exp_kernel,
 )
+from floorsurvey.simulate import corridor_scenario, grid_survey, office_floorplan
 
 
 def _dense_oracle(train_x, train_y, query, p):
@@ -44,6 +46,25 @@ def test_gp_predict_matches_dense_oracle():
     omu, osigma = _dense_oracle(train_x, train_y, query, p)
     assert np.allclose(mu, omu, atol=1e-6)
     assert np.allclose(sigma, osigma, atol=1e-6)
+
+
+def test_gp_predict_many_targets_match_dense_solve():
+    rng = np.random.default_rng(41)
+    p = GpParams()
+    train_x = rng.uniform(0, 12, size=(25, 2))
+    train_y = rng.uniform(-90, -30, size=(25, 3))
+    query = rng.uniform(-2, 14, size=(60, 2))
+    mu, sigma = gp_predict(train_x, train_y, query, p)
+    assert mu.shape == (60, 3) and sigma.shape == (60,)
+    K = sq_exp_kernel(train_x, train_x, p.length_scale, p.sigma_f) + p.sigma_n ** 2 * np.eye(25)
+    ks = sq_exp_kernel(query, train_x, p.length_scale, p.sigma_f)
+    want_mu = p.mean + ks @ np.linalg.solve(K, train_y - p.mean)
+    want_var = p.sigma_f ** 2 - (ks * np.linalg.solve(K, ks.T).T).sum(axis=1) + p.sigma_n ** 2
+    assert np.allclose(mu, want_mu, atol=1e-8)
+    assert np.allclose(sigma, np.sqrt(want_var), atol=1e-8)
+    for s in range(3):  # each column as its own one-source fit, to the byte
+        one_mu, one_sigma = gp_predict(train_x, train_y[:, s], query, p)
+        assert np.array_equal(mu[:, s], one_mu) and np.array_equal(sigma, one_sigma)
 
 
 def test_gp_predict_interpolates_with_zero_noise():
@@ -124,6 +145,21 @@ def test_fit_signal_map_grid_matches_params(two_room_plan):
                        np.array([-60.0]), p)
     assert (m.nx, m.ny) == (10, 10)
     assert m.mu.shape == (100,)
+
+
+def test_fit_signal_maps_equal_separate_fits_on_grid_survey():
+    fp = office_floorplan()
+    pts, mag, wifi = grid_survey(corridor_scenario(), fp, spacing=1.0, seed=404)
+    p = GpParams(cell=0.7)  # 3,096 cells: the query side spans a chunk boundary
+    values = {"mag": mag, **wifi}
+    maps = fit_signal_maps(fp.bounds, pts, values, p)
+    assert list(maps) == list(values)
+    for ap, v in values.items():
+        one = fit_signal_map(ap, fp.bounds, pts, v, p)
+        assert maps[ap].ap_id == ap and maps[ap].congruent(one)
+        assert np.array_equal(maps[ap].mu, one.mu)
+        assert np.array_equal(maps[ap].sigma, one.sigma)
+    assert maps["mag"].sigma is not maps["ap0"].sigma
 
 
 # ----------------------------------------------------------------- rss90
