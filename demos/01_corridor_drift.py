@@ -29,7 +29,7 @@ print(f"loop closures kept: {len(res.closures.closures)} "
 # the drift bends the wall-only estimate; closures and straight-walk
 # constraints pull the second pass back onto the corridor line
 for name, fres in (("first pass ", res.pf1), ("second pass", res.final)):
-    r = evaluate_trajectory(fres, truth)
+    r = evaluate_trajectory(fres.positions, fres.rooms, truth)
     print(f"{name}  mean {r.mean_error:.2f} m   p90 {r.p90_error:.2f} m   "
           f"max {r.max_error:.2f} m")
 

@@ -9,7 +9,6 @@ import sys
 from itertools import groupby
 from pathlib import Path
 
-from floorsurvey.geometry import containing_room
 from floorsurvey.pipeline import evaluate_trajectory, run_survey
 from floorsurvey.plotsvg import render_scene
 from floorsurvey.simulate import multi_room_scenario, office_floorplan, simulate_scenario
@@ -29,12 +28,10 @@ res = run_survey(log, fp, seed=1)
 visits = [r for r, _ in groupby(res.final.rooms) if r is not None and r < 16]
 print(f"rooms visited in order ({len(visits)}): {visits}")
 
-truth_rooms = [containing_room(fp, p) for p in truth.positions]
-agree = sum(a == b for a, b in zip(res.final.rooms, truth_rooms))
-print(f"label agreement: {agree}/{len(truth_rooms)} epochs "
-      f"({100.0 * agree / len(truth_rooms):.2f}%)")
-
-rep = evaluate_trajectory(res.final, truth, fp)
+rep = evaluate_trajectory(res.final.positions, res.final.rooms, truth, fp)
+agree = rep.n_epochs - rep.room_mismatches
+print(f"label agreement: {agree}/{rep.n_epochs} epochs "
+      f"({100.0 * agree / rep.n_epochs:.2f}%)")
 print(f"position error: median {rep.median_error:.2f} m, p90 {rep.p90_error:.2f} m")
 
 svg = render_scene(fp, [(truth.positions, "gray"), (res.final.positions, "green")])

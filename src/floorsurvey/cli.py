@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .filtering import FilterLostError
-from .geometry import Floorplan, FloorplanError, containing_room, load_floorplan
+from .geometry import Floorplan, FloorplanError, containing_rooms, load_floorplan
 from .pipeline import (
     PipelineConfig,
     apply_overrides,
@@ -54,10 +54,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.6f}"
 
 
 def _add_common(p: _Parser, floorplan=False, log=False, seed=False, config=False) -> None:
@@ -192,7 +188,7 @@ def cmd_compare(args) -> int:
     sm_b = fileio.read_signal_map(args.map_b)
     scores, median = compare_maps(sm_a, sm_b)
     fileio.write_overlap(args.out, sm_a, scores, median)
-    print(f"median,{_fmt(median)}")
+    print(f"median,{fileio.fmt(median)}")
     return 0
 
 
@@ -222,25 +218,18 @@ def cmd_position(args) -> int:
     return 0
 
 
-class _TrajShim:
-    """Adapts a trajectory file to the evaluation interface."""
-
-    def __init__(self, poses: np.ndarray, fp: Floorplan | None):
-        self.positions = poses[:, :2]
-        self.rooms = ([containing_room(fp, p) for p in self.positions]
-                      if fp is not None else [None] * len(poses))
-
-
 def cmd_eval(args) -> int:
     fp = _load_fp(args) if args.floorplan else None
     _, est_poses = fileio.read_trajectory(args.traj)
     truth_times, truth_poses = fileio.read_trajectory(args.truth)
     truth = PdrTrajectory(truth_poses, truth_times)
-    report = evaluate_trajectory(_TrajShim(est_poses, fp), truth, fp)
+    est = est_poses[:, :2]
+    rooms = containing_rooms(fp, est) if fp is not None else None
+    report = evaluate_trajectory(est, rooms, truth, fp)
     fileio.write_eval_report(args.out, report)
-    print(f"p90_error,{_fmt(report.p90_error)}")
+    print(f"p90_error,{fileio.fmt(report.p90_error)}")
     if report.room_accuracy is not None:
-        print(f"room_accuracy,{_fmt(report.room_accuracy)}")
+        print(f"room_accuracy,{fileio.fmt(report.room_accuracy)}")
     return 0
 
 

@@ -60,16 +60,6 @@ def write_straight_flags(path, flags: np.ndarray) -> None:
     _write(path, lines)
 
 
-def read_straight_flags(path) -> np.ndarray:
-    vals = []
-    for lineno, parts in _data_lines(_read(path)):
-        try:
-            vals.append(bool(int(parts[1])))
-        except (ValueError, IndexError) as exc:
-            raise _numbered(lineno, exc) from None
-    return np.asarray(vals, dtype=bool)
-
-
 def write_closures(path, closures: list[StepLoopClosure]) -> None:
     lines = ["# epoch_a,epoch_b"]
     lines += [f"{c.epoch_a},{c.epoch_b}" for c in closures]
@@ -90,16 +80,6 @@ def write_rejected(path, rejected: list[RejectedMatch]) -> None:
     lines = ["# epoch_a,epoch_b,reason"]
     lines += [f"{r.epoch_a},{r.epoch_b},{r.reason}" for r in rejected]
     _write(path, lines)
-
-
-def read_rejected(path) -> list[RejectedMatch]:
-    out = []
-    for lineno, parts in _data_lines(_read(path)):
-        try:
-            out.append(RejectedMatch(int(parts[0]), int(parts[1]), parts[2]))
-        except (ValueError, IndexError) as exc:
-            raise _numbered(lineno, exc) from None
-    return out
 
 
 def write_signal_map(path, sm: SignalMap) -> None:

@@ -28,6 +28,7 @@ from .loopclosure import StepLoopClosure
 from .sensors import StepEvent, StepNoiseModel, step_epoch_times
 
 TAU = 2.0 * math.pi
+COMPACT_EVERY = 64  # epochs between ancestor-tree compactions; 0 never compacts
 
 
 class FilterLostError(RuntimeError):
@@ -123,7 +124,6 @@ class ConstraintSet:
     """
 
     floorplan: Floorplan
-    use_walls: bool = True
     straight_flags: np.ndarray | None = None
     closures: list[StepLoopClosure] = field(default_factory=list)
     sigma_alpha: float = math.radians(2.5)
@@ -155,7 +155,7 @@ def _reweight_batch(prev_xy: np.ndarray, new_poses: np.ndarray, step_index: int,
     fp = constraints.floorplan
     w = np.ones(len(new_poses))
     new_xy = new_poses[:, :2]
-    if constraints.use_walls and len(fp.walls):
+    if len(fp.walls):
         # moves the grid index clears cannot touch a wall; test the rest
         test = np.flatnonzero(~fp.clear_of_walls(prev_xy, new_xy))
         if len(test):
@@ -356,18 +356,18 @@ def prune_smooth(tree: AncestorTree) -> SmoothResult:
 
 
 def seed_particles(fp: Floorplan, n: int, rng: np.random.Generator,
-                   start_room: int | None = None, start_pose: Pose2D | None = None,
-                   pos_sigma: float = 0.3, theta_sigma: float = math.radians(5.0)) -> np.ndarray:
+                   start_room: int | None = None, start_pose: Pose2D | None = None) -> np.ndarray:
     """Initial cloud from a start hint.
 
     Room hint: uniform rejection sampling over the room polygon, heading
-    uniform.  Pose hint: Gaussian ball around the pose.
+    uniform.  Pose hint: Gaussian ball around the pose, 0.3 m in x and y
+    and 5 degrees in heading.
     """
     if start_pose is not None:
         poses = np.empty((n, 3))
-        poses[:, 0] = start_pose.x + rng.normal(0.0, pos_sigma, n)
-        poses[:, 1] = start_pose.y + rng.normal(0.0, pos_sigma, n)
-        poses[:, 2] = wrap_angle(start_pose.theta + rng.normal(0.0, theta_sigma, n))
+        poses[:, 0] = start_pose.x + rng.normal(0.0, 0.3, n)
+        poses[:, 1] = start_pose.y + rng.normal(0.0, 0.3, n)
+        poses[:, 2] = wrap_angle(start_pose.theta + rng.normal(0.0, math.radians(5.0), n))
         return poses
     if start_room is None:
         raise ValueError("a start hint (room id or pose) is required")
@@ -407,10 +407,8 @@ class FilterResult:
 
 
 def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
-               noise: StepNoiseModel, constraints: ConstraintSet,
+               noise: StepNoiseModel, constraints: ConstraintSet, rng: np.random.Generator,
                start_room: int | None = None, start_pose: Pose2D | None = None,
-               seed: int = 0, rng: np.random.Generator | None = None,
-               n_seed: int | None = None, compact_every: int = 64,
                label: str = "filter") -> FilterResult:
     """Run the constraint-weighted filter over a step sequence.
 
@@ -420,9 +418,7 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
     Loop-closure distances use each draw's own ancestor at the anchor
     epoch, looked up in the ancestor tree.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    n0 = n_seed if n_seed is not None else kld.n_min
+    n0 = kld.n_min
     poses0 = seed_particles(fp, n0, rng, start_room=start_room, start_pose=start_pose)
     tree = AncestorTree()
     tree.append(poses0, np.full(n0, 1.0 / n0), np.full(n0, -1, dtype=np.int64))
@@ -440,7 +436,7 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
             raise FilterLostError(epoch, label)
         tree.append(new_poses, w / total, draws)
         counts.append(len(new_poses))
-        if compact_every and epoch % compact_every == 0:
+        if COMPACT_EVERY and epoch % COMPACT_EVERY == 0:
             tree.compact()
     smooth = prune_smooth(tree)
     # room per epoch: the weighted-mean pose's room, unless the cloud's

@@ -74,10 +74,6 @@ class Pose2D:
     def __post_init__(self):
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.theta])
 
@@ -94,53 +90,6 @@ class Room:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-
-
-def _orient(ax, ay, bx, by, cx, cy):
-    # twice the signed area of triangle abc; sign gives the turn direction
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _within_bbox(ax, ay, bx, by, px, py):
-    return (
-        min(ax, bx) <= px <= max(ax, bx)
-        and min(ay, by) <= py <= max(ay, by)
-    )
-
-
-def _segments_touch(p0, p1, q0, q1) -> bool:
-    """Closed-segment intersection: touches and collinear overlap count."""
-    o1 = _orient(p0[0], p0[1], p1[0], p1[1], q0[0], q0[1])
-    o2 = _orient(p0[0], p0[1], p1[0], p1[1], q1[0], q1[1])
-    o3 = _orient(q0[0], q0[1], q1[0], q1[1], p0[0], p0[1])
-    o4 = _orient(q0[0], q0[1], q1[0], q1[1], p1[0], p1[1])
-    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return True
-    if o1 == 0 and _within_bbox(p0[0], p0[1], p1[0], p1[1], q0[0], q0[1]):
-        return True
-    if o2 == 0 and _within_bbox(p0[0], p0[1], p1[0], p1[1], q1[0], q1[1]):
-        return True
-    if o3 == 0 and _within_bbox(q0[0], q0[1], q1[0], q1[1], p0[0], p0[1]):
-        return True
-    if o4 == 0 and _within_bbox(q0[0], q0[1], q1[0], q1[1], p1[0], p1[1]):
-        return True
-    return False
-
-
-def _polygon_is_simple(vertices: np.ndarray) -> bool:
-    n = len(vertices)
-    for i in range(n):
-        a0, a1 = vertices[i], vertices[(i + 1) % n]
-        if np.allclose(a0, a1):
-            return False  # degenerate edge
-        for j in range(i + 1, n):
-            adjacent = j == (i + 1) % n or (j + 1) % n == i or i == j
-            if adjacent:
-                continue
-            b0, b1 = vertices[j], vertices[(j + 1) % n]
-            if _segments_touch(a0, a1, b0, b1):
-                return False
-    return True
 
 
 class Floorplan:
@@ -163,8 +112,18 @@ class Floorplan:
                 raise FloorplanError(f"room {room.room_id} has fewer than 3 vertices")
             if not np.isfinite(room.vertices).all():
                 raise FloorplanError(f"room {room.room_id} has non-finite vertices")
-            if not _polygon_is_simple(room.vertices):
-                raise FloorplanError(f"room {room.room_id} polygon is self-intersecting")
+        edges = [np.hstack([r.vertices, np.roll(r.vertices, -1, axis=0)]) for r in self.rooms]
+        self._edges = np.concatenate(edges) if edges else np.zeros((0, 4))
+        # (R, V, 4) table of each room's edges, padded to the longest room
+        # with copies of the room's first edge
+        counts = np.array([len(r.vertices) for r in self.rooms], dtype=int)
+        k = np.arange(counts.max(initial=1))
+        padded = self._edges[(np.cumsum(counts) - counts)[:, None] + np.where(k < counts[:, None], k, 0)]
+        bad = np.flatnonzero(_rooms_not_simple(padded, counts))
+        if len(bad):
+            raise FloorplanError(f"room {bad[0]} polygon is self-intersecting")
+        d = padded[..., 2:] - padded[..., :2]
+        self._edge_angles = np.arctan2(d[..., 1], d[..., 0]) % math.pi  # (R, V), mod pi
         xs = np.concatenate([self.walls[:, 0], self.walls[:, 2]]
                             + [r.vertices[:, 0] for r in self.rooms])
         ys = np.concatenate([self.walls[:, 1], self.walls[:, 3]]
@@ -187,19 +146,10 @@ class Floorplan:
             ],
             axis=1,
         ) if len(self.walls) else np.zeros((0, 4))
-        self._edge_angle_cache: dict[int, np.ndarray] = {}
         self._grid_index: _GridIndex | None = None
 
     def __repr__(self):
         return f"Floorplan(walls={len(self.walls)}, rooms={len(self.rooms)}, bounds={self.bounds})"
-
-    def room_edge_angles(self, room_id: int) -> np.ndarray:
-        """Directions (mod pi) of the polygon edges of one room."""
-        if room_id not in self._edge_angle_cache:
-            vs = self.rooms[room_id].vertices
-            d = np.roll(vs, -1, axis=0) - vs
-            self._edge_angle_cache[room_id] = np.arctan2(d[:, 1], d[:, 0]) % math.pi
-        return self._edge_angle_cache[room_id]
 
     def walls_near(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Indices of walls whose bbox meets the axis-aligned box [lo, hi]."""
@@ -238,8 +188,7 @@ class _GridIndex:
             cell *= 2.0
         self.cell = cell
         self.nx, self.ny = max(1, math.ceil(w / cell)), max(1, math.ceil(h / cell))
-        edges = [np.hstack([r.vertices, np.roll(r.vertices, -1, axis=0)]) for r in fp.rooms]
-        edges = np.concatenate(edges) if edges else np.zeros((0, 4))
+        edges = fp._edges
         edge_boxes = np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
                                 np.maximum(edges[:, :2], edges[:, 2:])])
         free = np.flatnonzero(~self._near(edge_boxes).ravel())
@@ -334,22 +283,26 @@ def load_floorplan(path) -> Floorplan:
 
 
 def segments_cross_walls(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) -> np.ndarray:
-    """Crossing test of N motion segments against W walls.
+    """Crossing test of N motion segments against W walls: a length-N
+    bool array, True where the segment meets any of the walls."""
+    return segment_wall_crossings(np.asarray(p0s, dtype=float).reshape(-1, 2),
+                                  np.asarray(p1s, dtype=float).reshape(-1, 2),
+                                  np.asarray(walls, dtype=float).reshape(-1, 4)).any(axis=1)
 
-    Returns a length-N bool array, True where the segment meets any of
-    the walls.  Deliberately conservative: touching a wall endpoint or
-    running collinearly along a wall count as crossing.  A pair whose
-    bounding boxes do not meet never crosses.
+
+def segment_wall_crossings(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) -> np.ndarray:
+    """(N, W) bool matrix, True where segment p0s[i] -> p1s[i] meets
+    walls[j] (rows x0, y0, x1, y1).  Leading batch dimensions pair up:
+    (R, N, 2) segments against (R, W, 4) walls give (R, N, W).
+
+    Deliberately conservative: touching a wall endpoint or running
+    collinearly along a wall count as crossing.  A pair whose bounding
+    boxes do not meet never crosses.
     """
-    p0s = np.asarray(p0s, dtype=float)
-    p1s = np.asarray(p1s, dtype=float)
-    n = len(p0s)
-    if n == 0 or len(walls) == 0:
-        return np.zeros(n, dtype=bool)
-    ax, ay = p0s[:, 0:1], p0s[:, 1:2]
-    bx, by = p1s[:, 0:1], p1s[:, 1:2]
-    cx, cy = walls[None, :, 0], walls[None, :, 1]
-    dx, dy = walls[None, :, 2], walls[None, :, 3]
+    ax, ay = p0s[..., 0:1], p0s[..., 1:2]
+    bx, by = p1s[..., 0:1], p1s[..., 1:2]
+    cx, cy = walls[..., None, :, 0], walls[..., None, :, 1]
+    dx, dy = walls[..., None, :, 2], walls[..., None, :, 3]
 
     o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
@@ -377,7 +330,21 @@ def segments_cross_walls(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) ->
 
     touch = ((o1 == 0) & on_ab(cx, cy)) | ((o2 == 0) & on_ab(dx, dy)) \
         | ((o3 == 0) & on_cd(ax, ay)) | ((o4 == 0) & on_cd(bx, by))
-    return (proper | touch).any(axis=1)
+    return proper | touch
+
+
+def _rooms_not_simple(edges: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Bool per room of the padded (R, V, 4) edge table, with counts[r]
+    real edges each: True where the polygon has a degenerate edge or two
+    non-adjacent edges that meet."""
+    k = np.arange(edges.shape[1])
+    n = counts[:, None, None]
+    gap = (k[None, :] - k[:, None]) % n
+    real = k < counts[:, None]
+    pairs = real[:, :, None] & real[:, None, :] & (gap > 1) & (gap < n - 1)
+    meet = segment_wall_crossings(edges[..., :2], edges[..., 2:], edges)
+    degenerate = np.isclose(edges[..., :2], edges[..., 2:]).all(axis=-1)
+    return degenerate.any(axis=1) | (meet & pairs).any(axis=(1, 2))
 
 
 def containing_room(fp: Floorplan, p) -> int | None:
@@ -442,11 +409,7 @@ def acute_angles_to_room_walls(fp: Floorplan, pts: np.ndarray, headings: np.ndar
     headings = np.asarray(headings, dtype=float)
     out = np.full(len(pts), np.nan)
     rooms = containing_rooms(fp, pts)
-    for room_id in np.unique(rooms):
-        if room_id < 0:
-            continue
-        mask = rooms == room_id
-        angles = fp.room_edge_angles(int(room_id))
-        d = (headings[mask, None] - angles[None, :] + math.pi / 2.0) % math.pi - math.pi / 2.0
-        out[mask] = np.abs(d).min(axis=1)
+    ok = rooms >= 0
+    d = (headings[ok, None] - fp._edge_angles[rooms[ok]] + math.pi / 2.0) % math.pi - math.pi / 2.0
+    out[ok] = np.abs(d).min(axis=1)
     return out

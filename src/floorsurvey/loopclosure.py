@@ -18,6 +18,8 @@ from scipy.spatial.distance import cdist
 
 from .sensors import MagSample
 
+RESAMPLE_HZ = 10.0  # uniform magnitude rate of each matched window before warping
+
 
 @dataclass(frozen=True)
 class StepLoopClosure:
@@ -272,14 +274,14 @@ def _magnitude_series(mags: list[MagSample]) -> tuple[np.ndarray, np.ndarray]:
     return t[order], v[order]
 
 
-def _resample_window(t: np.ndarray, v: np.ndarray, t0: float, t1: float,
-                     hz: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _resample_window(t: np.ndarray, v: np.ndarray, t0: float,
+                     t1: float) -> tuple[np.ndarray, np.ndarray] | None:
     t0 = max(t0, float(t[0]))
     t1 = min(t1, float(t[-1]))
-    count = int(math.floor((t1 - t0) * hz)) + 1
+    count = int(math.floor((t1 - t0) * RESAMPLE_HZ)) + 1
     if count < 2:
         return None
-    grid = t0 + np.arange(count) / hz
+    grid = t0 + np.arange(count) / RESAMPLE_HZ
     return grid, np.interp(grid, t, v)
 
 
@@ -290,8 +292,8 @@ def _arc_lengths(traj) -> np.ndarray:
 
 
 def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | None = None,
-                         validation: ValidationParams | None = None, validate: bool = True,
-                         resample_hz: float = 10.0) -> LoopClosureResult:
+                         validation: ValidationParams | None = None,
+                         validate: bool = True) -> LoopClosureResult:
     """Full detection pipeline over a trajectory and its magnetometer log.
 
     traj needs .positions and .times (first-pass filter output or a
@@ -316,10 +318,10 @@ def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | No
                          np.interp(ts, times, traj.positions[:, 1])], axis=1)
 
     for pair in pairs:
-        qa = _resample_window(mt, mv, times[pair.a_start], times[pair.a_end], resample_hz)
+        qa = _resample_window(mt, mv, times[pair.a_start], times[pair.a_end])
         blo = min(pair.b_start, pair.b_end)
         bhi = max(pair.b_start, pair.b_end)
-        rb = _resample_window(mt, mv, times[blo], times[bhi], resample_hz)
+        rb = _resample_window(mt, mv, times[blo], times[bhi])
         if qa is None or rb is None:
             continue
         grid_a, vals_a = qa

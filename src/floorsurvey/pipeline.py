@@ -22,7 +22,7 @@ from .filtering import (
     pf2_kld_config,
     run_filter,
 )
-from .geometry import Floorplan, containing_room
+from .geometry import Floorplan, containing_rooms
 from .loopclosure import LoopClosureResult, MspParams, ValidationParams, detect_loop_closures
 from .sensors import PdrTrajectory, StepNoiseModel, SurveyLog
 # fit_signal_map stays importable here: perfbench's traced mode swaps it by name
@@ -53,12 +53,6 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> Pipeli
     type.  Unknown keys raise ValueError.
     """
     def coerce(cur, text: str):
-        if isinstance(cur, bool):
-            if text.lower() in ("1", "true", "yes"):
-                return True
-            if text.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(f"expected a boolean, got {text!r}")
         if isinstance(cur, int):
             return int(text)
         if isinstance(cur, float):
@@ -135,7 +129,6 @@ def build_survey_points(result: FilterResult, log: SurveyLog) -> list[SurveyPoin
 
 @dataclass
 class SurveyResult:
-    mode: str
     pf1: FilterResult
     pf2: FilterResult | None
     straight_flags: np.ndarray
@@ -170,7 +163,7 @@ def run_survey(log: SurveyLog, fp: Floorplan, config: PipelineConfig | None = No
         rng=rng, label="pf1",
     )
     if mode == "pf1":
-        return SurveyResult("pf1", pf1, None, flags, None, build_survey_points(pf1, log))
+        return SurveyResult(pf1, None, flags, None, build_survey_points(pf1, log))
     closures = detect_loop_closures(pf1, log.mags, config.msp, config.validation)
     c2 = ConstraintSet(
         floorplan=fp,
@@ -184,7 +177,7 @@ def run_survey(log: SurveyLog, fp: Floorplan, config: PipelineConfig | None = No
         start_room=log.start_room, start_pose=log.start_pose,
         rng=rng, label="pf2",
     )
-    return SurveyResult("full", pf1, pf2, flags, closures, build_survey_points(pf2, log))
+    return SurveyResult(pf1, pf2, flags, closures, build_survey_points(pf2, log))
 
 
 def build_signal_maps(points: list[SurveyPoint],
@@ -222,11 +215,13 @@ class EvalReport:
     room_mismatches: int | None
 
 
-def evaluate_trajectory(result: FilterResult, truth: PdrTrajectory,
+def evaluate_trajectory(positions: np.ndarray, rooms, truth: PdrTrajectory,
                         fp: Floorplan | None = None) -> EvalReport:
-    """Per-epoch position error statistics against a truth walk, plus
-    room-assignment accuracy when a floorplan is supplied."""
-    est = result.positions
+    """Per-epoch position error statistics of (T, 2) estimated positions
+    against a truth walk, plus room-assignment accuracy when a floorplan
+    is supplied.  rooms holds the estimated room id per epoch, None or -1
+    where none; it is read only with a floorplan."""
+    est = np.asarray(positions, dtype=float)
     ref = truth.positions
     if len(est) != len(ref):
         raise ValueError(f"epoch count mismatch: {len(est)} vs {len(ref)}")
@@ -234,11 +229,8 @@ def evaluate_trajectory(result: FilterResult, truth: PdrTrajectory,
     acc = None
     mism = None
     if fp is not None:
-        mism = 0
-        for e in range(len(ref)):
-            truth_room = containing_room(fp, ref[e])
-            if result.rooms[e] != truth_room:
-                mism += 1
+        est_rooms = np.array([-1 if r is None else r for r in rooms], dtype=int)
+        mism = int(np.count_nonzero(est_rooms != containing_rooms(fp, ref)))
         acc = 1.0 - mism / len(ref)
     return EvalReport(
         n_epochs=len(err),

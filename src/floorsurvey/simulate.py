@@ -77,10 +77,10 @@ def generate_walk(script: WalkScript) -> tuple[PdrTrajectory, list[StepEvent]]:
 
 def corrupt_steps(steps: list[StepEvent], theta_sigma: float = math.radians(0.5),
                   len_sigma: float = 0.04, bias_deg_per_min: float = 0.0,
-                  rng: np.random.Generator | None = None,
-                  min_length: float = 0.05) -> list[StepEvent]:
+                  rng: np.random.Generator | None = None) -> list[StepEvent]:
     """Logged steps: truth plus Gaussian stride/heading noise plus a
-    linear gyro bias drift (degrees per minute of walk time).
+    linear gyro bias drift (degrees per minute of walk time).  Strides
+    are clamped to at least 5 cm.
 
     Stride jitter here is the physical kind (a few cm); the much wider
     filter-side stride model is a robustness margin, not a generative
@@ -98,7 +98,7 @@ def corrupt_steps(steps: list[StepEvent], theta_sigma: float = math.radians(0.5)
     bias = math.radians(bias_deg_per_min) / 60.0 * dts
     out = []
     for i, s in enumerate(steps):
-        out.append(StepEvent(s.t, max(min_length, s.length + e_len[i]),
+        out.append(StepEvent(s.t, max(0.05, s.length + e_len[i]),
                              s.dtheta + e_theta[i] + bias[i]))
     return out
 

@@ -12,8 +12,43 @@ import math
 import numpy as np
 
 from floorsurvey.filtering import ConstraintSet, folded_normal_density
-from floorsurvey.geometry import Floorplan, _orient, _segments_touch, _within_bbox
+from floorsurvey.geometry import Floorplan
 from floorsurvey.sensors import PdrTrajectory
+
+
+def _orient(ax, ay, bx, by, cx, cy):
+    # twice the signed area of triangle abc; sign gives the turn direction
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _within_bbox(ax, ay, bx, by, px, py):
+    return (
+        min(ax, bx) <= px <= max(ax, bx)
+        and min(ay, by) <= py <= max(ay, by)
+    )
+
+
+def _segments_touch(p0, p1, q0, q1) -> bool:
+    """Closed-segment intersection: touches and collinear overlap count.
+    Segments whose bounding boxes do not meet never touch."""
+    if min(q0[0], q1[0]) > max(p0[0], p1[0]) or max(q0[0], q1[0]) < min(p0[0], p1[0]) \
+            or min(q0[1], q1[1]) > max(p0[1], p1[1]) or max(q0[1], q1[1]) < min(p0[1], p1[1]):
+        return False
+    o1 = _orient(p0[0], p0[1], p1[0], p1[1], q0[0], q0[1])
+    o2 = _orient(p0[0], p0[1], p1[0], p1[1], q1[0], q1[1])
+    o3 = _orient(q0[0], q0[1], q1[0], q1[1], p0[0], p0[1])
+    o4 = _orient(q0[0], q0[1], q1[0], q1[1], p1[0], p1[1])
+    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
+        return True
+    if o1 == 0 and _within_bbox(p0[0], p0[1], p1[0], p1[1], q0[0], q0[1]):
+        return True
+    if o2 == 0 and _within_bbox(p0[0], p0[1], p1[0], p1[1], q1[0], q1[1]):
+        return True
+    if o3 == 0 and _within_bbox(q0[0], q0[1], q1[0], q1[1], p0[0], p0[1]):
+        return True
+    if o4 == 0 and _within_bbox(q0[0], q0[1], q1[0], q1[1], p1[0], p1[1]):
+        return True
+    return False
 
 
 def segment_crosses_wall(fp: Floorplan, p0, p1) -> bool:
@@ -23,17 +58,24 @@ def segment_crosses_wall(fp: Floorplan, p0, p1) -> bool:
     collinearly along a wall count as crossing.  A wall whose bounding
     box does not meet the segment's is never crossed.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    lo = np.minimum(p0, p1)
-    hi = np.maximum(p0, p1)
-    for w in fp.walls:
-        if min(w[0], w[2]) > hi[0] or max(w[0], w[2]) < lo[0] \
-                or min(w[1], w[3]) > hi[1] or max(w[1], w[3]) < lo[1]:
-            continue
-        if _segments_touch(p0, p1, w[:2], w[2:]):
-            return True
-    return False
+    return any(_segments_touch(p0, p1, w[:2], w[2:]) for w in fp.walls)
+
+
+def polygon_is_simple(vertices) -> bool:
+    """False iff the closed polygon has an edge whose ends are np.allclose,
+    or two non-adjacent edges that touch (as _segments_touch)."""
+    vs = np.asarray(vertices, dtype=float)
+    n = len(vs)
+    for i in range(n):
+        a0, a1 = vs[i], vs[(i + 1) % n]
+        if np.allclose(a0, a1):
+            return False
+        for j in range(i + 1, n):
+            if j == (i + 1) % n or (j + 1) % n == i:
+                continue
+            if _segments_touch(a0, a1, vs[j], vs[(j + 1) % n]):
+                return False
+    return True
 
 
 def _point_on_polygon_boundary(vs: np.ndarray, x: float, y: float) -> bool:
@@ -81,9 +123,12 @@ def acute_angle_to_best_wall(fp: Floorplan, p, heading: float) -> float | None:
     room_id = containing_room(fp, p)
     if room_id is None:
         return None
-    angles = fp.room_edge_angles(room_id)
-    d = (heading - angles + math.pi / 2.0) % math.pi - math.pi / 2.0
-    return float(np.abs(d).min())
+    best = math.inf
+    vs = fp.rooms[room_id].vertices
+    for (x0, y0), (x1, y1) in zip(vs, np.roll(vs, -1, axis=0)):
+        wall = math.atan2(y1 - y0, x1 - x0) % math.pi
+        best = min(best, abs((heading - wall + math.pi / 2.0) % math.pi - math.pi / 2.0))
+    return float(best)
 
 
 def reweight(prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
@@ -103,7 +148,7 @@ def reweight(prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
     fp = constraints.floorplan
     new_xy = new_pose[:2]
     w = 1.0
-    if constraints.use_walls and segment_crosses_wall(fp, prev_pos, new_xy):
+    if segment_crosses_wall(fp, prev_pos, new_xy):
         return 0.0
     flags = constraints.straight_flags
     if flags is not None and 0 <= step_index < len(flags) and flags[step_index]:

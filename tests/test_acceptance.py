@@ -248,8 +248,8 @@ def test_c05_loop_closure_precision(capsys):
 
 def test_c06_corridor_accuracy_with_bias(capsys, corridor_run):
     truth, res = corridor_run["truth"], corridor_run["res"]
-    full = evaluate_trajectory(res.final, truth)
-    base = evaluate_trajectory(res.pf1, truth)
+    full = evaluate_trajectory(res.final.positions, res.final.rooms, truth)
+    base = evaluate_trajectory(res.pf1.positions, res.pf1.rooms, truth)
     seconds = corridor_run["build_seconds"]
     ok = full.p90_error <= 1.5 and full.p90_error < base.p90_error and seconds < 180.0
     _verdict(capsys, 6, ok,
@@ -265,8 +265,8 @@ def test_c07_room_accuracy_five_seeds(capsys):
     for seed in (1, 2, 3, 4, 5):
         log, truth = simulate_scenario(sc, fp, seed=seed)
         res = run_survey(log, fp, seed=seed, mode="full")
-        full_mism.append(evaluate_trajectory(res.final, truth, fp).room_mismatches)
-        base_mism.append(evaluate_trajectory(res.pf1, truth, fp).room_mismatches)
+        for out, fres in ((full_mism, res.final), (base_mism, res.pf1)):
+            out.append(evaluate_trajectory(fres.positions, fres.rooms, truth, fp).room_mismatches)
         epochs += len(truth)
     seconds = time.perf_counter() - t0
     full_ok = all(m == 0 for m in full_mism)
@@ -333,7 +333,7 @@ def test_c10_runtime_on_long_walk(capsys):
     )
     t0 = time.perf_counter()
     run_filter(log.steps, fp, pf2_kld_config(), StepNoiseModel(), constraints,
-               start_pose=log.start_pose, seed=6, label="pf2")
+               rng=np.random.default_rng(6), start_pose=log.start_pose, label="pf2")
     pf2_s = time.perf_counter() - t0
     ok = pf1_s <= 30.0 and pf2_s <= 150.0
     _verdict(capsys, 10, ok,

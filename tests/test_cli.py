@@ -6,7 +6,9 @@ import pytest
 from floorsurvey import fileio
 from floorsurvey.cli import main
 from floorsurvey.filtering import FilterLostError
-from floorsurvey.sensors import LogError, parse_survey_log
+from floorsurvey.geometry import containing_room, load_floorplan
+from floorsurvey.pipeline import evaluate_trajectory
+from floorsurvey.sensors import LogError, PdrTrajectory, parse_survey_log
 from floorsurvey.simulate import corridor_scenario, office_floorplan, simulate_scenario
 
 SCENARIO = """\
@@ -67,14 +69,17 @@ def test_pf1_command(ws, tmp_path):
 
 def test_straight_command_and_config_override(ws, tmp_path, capsys):
     log = str(ws["sim"] / "log.txt")
+    steps = parse_survey_log((ws["sim"] / "log.txt").read_text()).steps
     f1 = tmp_path / "a.str"
     assert main(["straight", "--log", log, "--out", str(f1)]) == 0
-    flags = fileio.read_straight_flags(f1)
-    assert flags.sum() > 0
+    rows = f1.read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [str(i) for i in range(len(steps))]
+    flags = [r.split(",")[1] for r in rows]
+    assert set(flags) <= {"0", "1"} and "1" in flags
     f2 = tmp_path / "b.str"
     assert main(["straight", "--log", log, "--out", str(f2),
                  "--config", "straight.min_run=50"]) == 0
-    assert fileio.read_straight_flags(f2).sum() == 0
+    assert f2.read_text().splitlines()[1:] == [f"{i},0" for i in range(len(steps))]
 
 
 def test_loops_command(ws, tmp_path):
@@ -116,8 +121,16 @@ def test_eval_command(ws, tmp_path, capsys):
                  "--truth", str(ws["sim"] / "truth.traj"),
                  "--floorplan", str(ws["sim"] / "floorplan.txt"),
                  "--out", str(out)]) == 0
-    text = out.read_text()
-    assert "p90_error," in text and "room_accuracy," in text
+    fp = load_floorplan(ws["sim"] / "floorplan.txt")
+    _, est = fileio.read_trajectory(ws["srv"] / "pf2.traj")
+    truth_t, truth = fileio.read_trajectory(ws["sim"] / "truth.traj")
+    rooms = [containing_room(fp, p) for p in est[:, :2]]
+    want = evaluate_trajectory(est[:, :2], rooms, PdrTrajectory(truth, truth_t), fp)
+    lines = out.read_text().splitlines()
+    assert f"p90_error,{fileio.fmt(want.p90_error)}" in lines
+    assert f"room_accuracy,{fileio.fmt(want.room_accuracy)}" in lines
+    assert f"room_mismatches,{want.room_mismatches}" in lines
+    assert f"p90_error,{fileio.fmt(want.p90_error)}" in capsys.readouterr().out
     out2 = tmp_path / "eval2.csv"
     assert main(["eval", "--traj", str(ws["srv"] / "pf2.traj"),
                  "--truth", str(ws["sim"] / "truth.traj"),

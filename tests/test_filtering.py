@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floorsurvey import filtering
 from floorsurvey.filtering import (
     AncestorTree,
     ConstraintSet,
@@ -140,8 +141,7 @@ def test_reweight_straight_factor(square_plan):
     w = _reweight_one((5.0, 5.0), (5.5, 5.0, heading), 0, c)
     assert math.isclose(w, folded_normal_density(heading, c.sigma_alpha))
     # outside every room there is no wall to compare against
-    w_out = _reweight_one((50.0, 50.0), (50.5, 50.0, heading), 0,
-                          ConstraintSet(square_plan, use_walls=False, straight_flags=flags))
+    w_out = _reweight_one((50.0, 50.0), (50.5, 50.0, heading), 0, c)
     assert w_out == 1.0
 
 
@@ -389,9 +389,9 @@ def test_run_filter_shapes_and_determinism(square_plan):
     steps = _straight_steps(6)
     kld = KldConfig(n_min=300)
     noise = StepNoiseModel()
-    kw = dict(start_pose=Pose2D(2.0, 5.0, 0.0), seed=3)
-    a = run_filter(steps, square_plan, kld, noise, ConstraintSet(square_plan), **kw)
-    b = run_filter(steps, square_plan, kld, noise, ConstraintSet(square_plan), **kw)
+    a, b = (run_filter(steps, square_plan, kld, noise, ConstraintSet(square_plan),
+                       np.random.default_rng(3), start_pose=Pose2D(2.0, 5.0, 0.0))
+            for _ in range(2))
     assert a.poses.shape == (7, 3)
     assert len(a.times) == 7 and len(a.rooms) == 7
     assert np.array_equal(a.poses, b.poses)
@@ -406,8 +406,8 @@ def test_run_filter_raises_when_lost(square_plan):
     noise = StepNoiseModel(sigma_dtheta=1e-9, length_lambda=1e-9)
     with pytest.raises(FilterLostError) as info:
         run_filter(steps, square_plan, KldConfig(n_min=200), noise,
-                   ConstraintSet(square_plan), start_pose=Pose2D(5.0, 5.0, 0.0),
-                   seed=0, label="pf1")
+                   ConstraintSet(square_plan), np.random.default_rng(0),
+                   start_pose=Pose2D(5.0, 5.0, 0.0), label="pf1")
     assert info.value.epoch == 1
     assert "pf1" in str(info.value)
 
@@ -416,27 +416,28 @@ def test_run_filter_walls_confine_cloud(square_plan):
     # long walk east: the far wall stops the surviving mass inside
     steps = _straight_steps(30)
     res = run_filter(steps, square_plan, KldConfig(n_min=400), StepNoiseModel(),
-                     ConstraintSet(square_plan), start_pose=Pose2D(1.0, 5.0, 0.0), seed=1)
+                     ConstraintSet(square_plan), np.random.default_rng(1),
+                     start_pose=Pose2D(1.0, 5.0, 0.0))
     assert res.positions[:, 0].max() <= 10.0 + 1e-9
     assert res.positions[:, 0].min() >= 0.0 - 1e-9
 
 
-def test_run_filter_closure_anchors_survive_compaction(square_plan):
+def test_run_filter_closure_anchors_survive_compaction(square_plan, monkeypatch):
     # out east and back west, so closures tie the return leg to the outbound one
     steps = [StepEvent(0.5 * (i + 1), 0.75, math.pi if i == 5 else 0.0) for i in range(11)]
     closures = [StepLoopClosure(a, b) for a, b in
                 [(0, 11), (1, 10), (2, 9), (4, 7), (6, 7), (10, 11)]]
-    kw = dict(start_pose=Pose2D(2.0, 5.0, 0.0), seed=5)
 
-    def run(closures, **extra):
+    def run(closures):
         c = ConstraintSet(square_plan, closures=closures)
         return run_filter(steps, square_plan, KldConfig(n_min=300), StepNoiseModel(), c,
-                          **kw, **extra)
+                          np.random.default_rng(5), start_pose=Pose2D(2.0, 5.0, 0.0))
 
     ref = run(closures)
     assert not np.array_equal(ref.poses, run([]).poses)
     for every in (0, 2):
-        got = run(closures, compact_every=every)
+        monkeypatch.setattr(filtering, "COMPACT_EVERY", every)
+        got = run(closures)
         # the smoother's mean sums over arrays that compaction shortens, so
         # only its rounding may differ; every other output is exact
         assert np.allclose(got.poses, ref.poses, rtol=0.0, atol=1e-12)

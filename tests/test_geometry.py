@@ -64,6 +64,39 @@ def test_floorplan_rejects_self_intersecting_polygon():
         Floorplan(np.zeros((0, 4)), [Room(0, "bow", bowtie)])
 
 
+def _random_polygon(rng, on_grid: bool) -> np.ndarray:
+    """3-7 vertices: on a 4 x 4 integer grid, so that repeated vertices,
+    collinear and touching edges are common; or floats, as a star-shaped
+    polygon (simple) with two vertices swapped half of the time."""
+    n = int(rng.integers(3, 8))
+    if on_grid:
+        return rng.integers(0, 4, size=(n, 2)).astype(float)
+    angles = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+    vs = rng.uniform(0.5, 3.0, n)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    if rng.random() < 0.5:
+        i, j = rng.choice(n, size=2, replace=False)
+        vs[[i, j]] = vs[[j, i]]
+    return vs + rng.uniform(-5.0, 5.0, 2)
+
+
+@pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "float"])
+def test_floorplan_validation_matches_polygon_oracle(on_grid):
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for _ in range(500):
+        polys = [_random_polygon(rng, on_grid) for _ in range(int(rng.integers(1, 4)))]
+        rooms = [Room(i, f"r{i}", vs) for i, vs in enumerate(polys)]
+        bad = [i for i, vs in enumerate(polys) if not oracles.polygon_is_simple(vs)]
+        if bad:
+            with pytest.raises(FloorplanError, match=f"^room {bad[0]} polygon is self-intersecting$"):
+                Floorplan(np.zeros((0, 4)), rooms)
+        else:
+            Floorplan(np.zeros((0, 4)), rooms)
+        verdicts.append(bad[:1])
+    # both verdicts, and a bad room other than the first, are exercised
+    assert verdicts.count([]) > 25 and verdicts.count([1]) + verdicts.count([2]) > 25
+
+
 def test_floorplan_bounds(two_room_plan):
     assert two_room_plan.bounds == (0.0, 0.0, 10.0, 10.0)
 
@@ -220,13 +253,23 @@ def test_acute_angle_outside_rooms(square_plan):
 
 
 def test_acute_angles_vector_matches_scalar(square_plan):
+    # the second plan's rooms have 5, 5 and 3 edges, so the angle table
+    # is padded for the triangle
+    diagonal = _diagonal_plan()
+    triangle = Room(2, "tri", [(8.5, 0.5), (11.0, 0.5), (9.0, 4.0)])
+    mixed = Floorplan(diagonal.walls, diagonal.rooms + [triangle])
     rng = np.random.default_rng(1)
-    pts = rng.uniform(1, 9, size=(50, 2))
-    heads = rng.uniform(-math.pi, math.pi, 50)
-    out = acute_angles_to_room_walls(square_plan, pts, heads)
-    for i in range(50):
-        want = oracles.acute_angle_to_best_wall(square_plan, pts[i], heads[i])
-        assert math.isclose(out[i], want, abs_tol=1e-9)
+    for fp, lo, hi, n in ((square_plan, 1, 9, 50), (mixed, (0.0, 0.0), (11.5, 5.5), 400)):
+        pts = rng.uniform(lo, hi, size=(n, 2))
+        heads = rng.uniform(-math.pi, math.pi, n)
+        out = acute_angles_to_room_walls(fp, pts, heads)
+        for i in range(n):
+            want = oracles.acute_angle_to_best_wall(fp, pts[i], heads[i])
+            if want is None:
+                assert np.isnan(out[i])
+            else:
+                assert math.isclose(out[i], want, abs_tol=1e-9)
+    assert set(containing_rooms(mixed, pts)) == {-1, 0, 1, 2}
 
 
 # ------------------------------------------------------------ grid index

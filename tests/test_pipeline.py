@@ -114,27 +114,22 @@ def test_evaluate_trajectory_hand_stats(two_room_plan):
     ref = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
     est = ref + np.array([[0.0, 0], [1.0, 0], [0, 2.0], [0, -3.0]])
     n = len(ref)
-    res = FilterResult(
-        np.column_stack([est, np.zeros(n)]), None, np.arange(n, dtype=float),
-        [0, 0, 1, 0], np.ones(n), np.ones(n), None,
-    )
     truth = PdrTrajectory(np.column_stack([ref, np.zeros(n)]), np.arange(n, dtype=float))
-    rep = evaluate_trajectory(res, truth, two_room_plan)
+    rep = evaluate_trajectory(est, [0, 0, 1, 0], truth, two_room_plan)
     assert rep.n_epochs == 4
     assert math.isclose(rep.mean_error, 1.5)
     assert math.isclose(rep.median_error, 1.5)
     assert math.isclose(rep.p90_error, 2.7)
     assert rep.max_error == 3.0 and rep.final_error == 3.0
     assert rep.room_mismatches == 1 and rep.room_accuracy == 0.75
-    rep2 = evaluate_trajectory(res, truth)
+    rep2 = evaluate_trajectory(est, None, truth)
     assert rep2.room_accuracy is None and rep2.room_mismatches is None
 
 
 def test_evaluate_trajectory_length_mismatch():
-    res = _fake_result([0.0, 1.0])
     truth = PdrTrajectory(np.zeros((3, 3)), np.arange(3.0))
     with pytest.raises(ValueError, match="mismatch"):
-        evaluate_trajectory(res, truth)
+        evaluate_trajectory(np.zeros((2, 2)), None, truth)
 
 
 # -------------------------------------------------------------- map builds
@@ -237,13 +232,12 @@ def test_run_survey_modes_share_pf1():
     # one generator drives both passes in order, so the first pass is
     # bit-identical whether or not a second pass follows
     assert np.array_equal(full.pf1.poses, only.pf1.poses)
-    assert full.mode == "full" and only.mode == "pf1"
     assert only.pf2 is None and only.closures is None
     assert full.pf2 is not None
     assert full.final is full.pf2 and only.final is only.pf1
     assert len(full.points) == len(log.steps) + 1
     assert np.allclose([p.x for p in full.points], full.pf2.poses[:, 0])
-    rep = evaluate_trajectory(full.final, truth, fp)
+    rep = evaluate_trajectory(full.final.positions, full.final.rooms, truth, fp)
     assert rep.p90_error < 1.5
     assert rep.room_accuracy == 1.0
 
