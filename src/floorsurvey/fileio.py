@@ -106,14 +106,22 @@ def read_signal_map(path) -> SignalMap:
                 source = parts[1]
             elif parts[0] == "grid":
                 grid = (*finite_floats(parts[1:4]), int(parts[4]), int(parts[5]))
+                if grid[2] <= 0:
+                    raise ValueError(f"grid pitch {grid[2]} is not positive")
+                if grid[3] <= 0 or grid[4] <= 0:
+                    raise ValueError(f"grid of {grid[3]} x {grid[4]} cells is empty")
                 mu = np.full(grid[3] * grid[4], np.nan)
                 sigma = np.full(grid[3] * grid[4], np.nan)
             elif parts[0] == "cell":
                 if grid is None:
                     raise ValueError("cell row before grid row")
                 ix, iy = int(parts[1]), int(parts[2])
+                if not (0 <= ix < grid[3] and 0 <= iy < grid[4]):
+                    raise ValueError(f"cell ({ix}, {iy}) outside the {grid[3]} x {grid[4]} grid")
                 c = iy * grid[3] + ix
                 mu[c], sigma[c] = finite_floats(parts[3:5])
+                if sigma[c] <= 0:
+                    raise ValueError(f"sigma {sigma[c]} is not positive")
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
         except (ValueError, IndexError) as exc:

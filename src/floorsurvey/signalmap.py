@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,12 +23,15 @@ class GpParams:
     cell: float = 0.5           # grid pitch, m
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SignalMap:
     """Posterior mean and predictive std on a row-major grid.
 
     Cells are indexed iy * nx + ix; centres sit at half-cell offsets
     from the origin.  sigma includes the observation noise floor.
+    mu and sigma are read-only copies of the arrays given, so a map
+    never changes and positioning may cache what it derives from it;
+    a map compares equal only to itself.
     """
 
     ap_id: str
@@ -40,14 +43,17 @@ class SignalMap:
     mu: np.ndarray
     sigma: np.ndarray
 
+    def __post_init__(self):
+        for name in ("mu", "sigma"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != (self.nx * self.ny,):
+                raise ValueError(f"{name} has shape {arr.shape}, grid has {self.nx} x {self.ny} cells")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     @property
     def centers(self) -> np.ndarray:
-        ix = np.arange(self.nx)
-        iy = np.arange(self.ny)
-        gx = self.x0 + (ix + 0.5) * self.cell
-        gy = self.y0 + (iy + 0.5) * self.cell
-        xx, yy = np.meshgrid(gx, gy)
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return _grid_centers(self.x0, self.y0, self.cell, self.nx, self.ny)
 
     def cell_index(self, x: float, y: float) -> int:
         ix = int((x - self.x0) // self.cell)
@@ -60,6 +66,13 @@ class SignalMap:
         return (self.nx == other.nx and self.ny == other.ny
                 and math.isclose(self.x0, other.x0) and math.isclose(self.y0, other.y0)
                 and math.isclose(self.cell, other.cell))
+
+
+def _grid_centers(x0: float, y0: float, cell: float, nx: int, ny: int) -> np.ndarray:
+    gx = x0 + (np.arange(nx) + 0.5) * cell
+    gy = y0 + (np.arange(ny) + 0.5) * cell
+    xx, yy = np.meshgrid(gx, gy)
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def grid_shape(bounds: tuple[float, float, float, float], cell: float) -> tuple[int, int]:
@@ -116,11 +129,11 @@ def fit_signal_maps(bounds: tuple[float, float, float, float], positions: np.nda
     positions.  K, its Cholesky factor and the variance solve depend
     only on the positions, so they are built once for all sources."""
     params = params or GpParams()
+    x0, y0 = bounds[0], bounds[1]
     nx, ny = grid_shape(bounds, params.cell)
-    grid = SignalMap("", bounds[0], bounds[1], params.cell, nx, ny, np.empty(0), np.empty(0))
     ys = np.column_stack([np.asarray(v, dtype=float) for v in values_by_source.values()])
-    mu, sigma = gp_predict(positions, ys, grid.centers, params)
-    return {ap_id: dataclasses.replace(grid, ap_id=ap_id, mu=col, sigma=sigma.copy())
+    mu, sigma = gp_predict(positions, ys, _grid_centers(x0, y0, params.cell, nx, ny), params)
+    return {ap_id: SignalMap(ap_id, x0, y0, params.cell, nx, ny, col, sigma)
             for ap_id, col in zip(values_by_source, mu.T)}
 
 
@@ -157,29 +170,136 @@ def compare_maps(map_a: SignalMap, map_b: SignalMap,
     return scores, float(np.median(sel))
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """Higham's bound k u / (1 - k u) on the relative error of k roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
+class _Block:
+    """The k maps of one grid shape from one list, in list order, with
+    the terms of their log-likelihoods cached column by column.
+
+    With c = -log(2 pi sigma^2) / 2 and v2 = 2 sigma^2, the exact score
+    of a cell from these floats, for the M maps a scan heard, is a
+    quadratic in each reading r:
+        s = sum_m c - (r - mu)^2 / v2 = sum_m a + r b + r^2 e,
+        a = c - mu^2 / v2,  b = 2 mu / v2,  e = -1 / v2.
+    So q = [h, r, r^2] @ W, with W the 3k x cells matrix of a, b and e
+    and h = 1 for a heard map (h = r = 0 for the rest), screens every
+    cell in one product.  Let u = 2^-53, gamma_n = n u / (1 - n u), and
+    G = sum over heard maps of P + B |r| + E r^2, where P, B and E are
+    the maxima over cells of |c| + mu^2 / v2, |b| and |e|.  Then, by
+    Higham 2002, Accuracy and Stability of Numerical Algorithms, ch. 3:
+    - the float score of the dense expression (as in best_cell) sits
+      within gamma_{M+5} G of s: four roundings per term, then M - 1 in
+      the running sum;
+    - q sits within gamma_{3k+6} G of s: a, b, e and r^2 carry one to
+      three roundings, then the product sums 3k terms in some order,
+      with fused multiply-adds or without.
+    So the best cell by the dense score has q >= max q - 2 (gamma_{M+5}
+    + gamma_{3k+6}) G, and rescoring every cell within that margin of
+    max q, in index order, finds it and its lowest-index ties.  The
+    margin used is 4 gamma_{4k+16} G', where G' adds 1 to P, B, E and
+    r^2: the excess covers the rounding of G' and of the threshold, and
+    the absolute error of results below the normal range.  The bound
+    needs finite terms and no overflow ((r - mu)^2 is at most v2 G), so
+    when a heard map has a term that is not finite, or G' (1 + max v2)
+    exceeds 2^1000, every cell is rescored.
+    """
+
+    def __init__(self, maps: list[SignalMap]):
+        var = [m.sigma ** 2 for m in maps]
+        self.c = np.column_stack([-0.5 * np.log(2.0 * math.pi * v) for v in var])
+        self.v2 = np.column_stack([2.0 * v for v in var])
+        self.mu = np.column_stack([m.mu for m in maps])
+        with np.errstate(all="ignore"):
+            mu2 = self.mu * self.mu / self.v2
+            terms = (self.c - mu2, 2.0 * self.mu / self.v2, -1.0 / self.v2)
+            self.finite = np.isfinite(np.stack((self.c, *terms))).all(axis=(0, 1))
+            peaks = [np.abs(self.c) + mu2, np.abs(terms[1]), np.abs(terms[2])]
+        keep = np.tile(self.finite, 3)
+        self.w = np.ascontiguousarray(np.where(keep[:, None], np.hstack(terms).T, 0.0))
+        self.scale = np.where(keep, np.concatenate([p.max(axis=0) for p in peaks]) + 1.0, 0.0)
+        self.v2_max = float(np.max(self.v2[:, self.finite], initial=0.0))
+
+    def best_cell(self, cols: list[int], r: np.ndarray) -> tuple[int, float]:
+        """Lowest-index best cell, and its score, for readings r of the
+        maps in columns cols (in list order)."""
+        k = len(self.w) // 3
+        h = np.zeros(k)
+        rk = np.zeros(k)
+        h[cols] = 1.0
+        rk[cols] = r
+        q = np.concatenate([h, rk, rk * rk]) @ self.w
+        g = float(self.scale @ np.concatenate([h, np.abs(rk), rk * rk + h]))
+        if self.finite[cols].all() and g * (1.0 + self.v2_max) <= 2.0 ** 1000:
+            cells = np.flatnonzero(q >= q.max() - 4.0 * _gamma(4 * k + 16) * g)
+        else:
+            cells = np.arange(len(q))
+        at = (cells[:, None], cols)
+        terms = self.c[at] - (r - self.mu[at]) ** 2 / self.v2[at]
+        score = np.zeros(len(cells))
+        for t in terms.T:
+            score += t
+        i = int(np.argmax(score))
+        return int(cells[i]), float(score[i])
+
+
+@dataclass(frozen=True)
+class _Screen:
+    ap_ids: tuple[str, ...]
+    congruent: np.ndarray           # (M, M) bool: maps[i].congruent(maps[j])
+    placed: tuple[tuple[_Block, int], ...]  # each map's block and column
+
+
+@functools.lru_cache(maxsize=4)
+def _screen(maps: tuple[SignalMap, ...]) -> _Screen:
+    """Blocks for one list of maps, keyed by the identity of its maps
+    (a SignalMap hashes by identity and never changes).  The cache keeps
+    the last four lists, and their maps, alive."""
+    by_shape: dict[tuple[int, int], list[SignalMap]] = {}
+    where = []
+    for m in maps:
+        members = by_shape.setdefault((m.nx, m.ny), [])
+        where.append(((m.nx, m.ny), len(members)))
+        members.append(m)
+    blocks = {shape: _Block(ms) for shape, ms in by_shape.items()}
+    placed = tuple((blocks[shape], col) for shape, col in where)
+    congruent = np.array([[a.congruent(b) for b in maps] for a in maps])
+    return _Screen(tuple(m.ap_id for m in maps), congruent, placed)
+
+
 def position_one_shot(maps: list[SignalMap],
                       observation: dict[str, float]) -> tuple[float, float, float]:
     """Most likely cell centre for a single scan.
 
     Scores every cell by the summed Gaussian log-likelihood of the
-    observed values under each per-source map; ties go to the lowest
-    cell index.  Returns (x, y, best log-likelihood).
+    observed values under each per-source map, summed in the order of
+    maps; ties go to the lowest cell index.  Sources the maps lack are
+    ignored.  Returns (x, y, best log-likelihood).  The terms that
+    depend only on the maps are cached per list of map objects (see
+    _Block), so repeated calls with the same maps are cheap.
     """
-    used = [m for m in maps if m.ap_id in observation]
+    maps = tuple(maps)
+    screen = _screen(maps)
+    used = [i for i, ap in enumerate(screen.ap_ids) if ap in observation]
     if not used:
         raise ValueError("observation shares no sources with the maps")
-    first = used[0]
-    score = np.zeros(first.nx * first.ny)
-    for m in used:
-        if not m.congruent(first):
-            raise ValueError("maps are not on the same grid")
-        r = observation[m.ap_id]
-        var = m.sigma ** 2
-        score += -0.5 * np.log(2.0 * math.pi * var) - (r - m.mu) ** 2 / (2.0 * var)
-    best = int(np.argmax(score))
+    if not screen.congruent[used[0], used].all():
+        raise ValueError("maps are not on the same grid")
+    r = np.array([float(observation[screen.ap_ids[i]]) for i in used])
+    if not np.isfinite(r).all():
+        j = int(np.argmin(np.isfinite(r)))
+        raise ValueError(f"reading {r[j]} for source {screen.ap_ids[used[j]]!r} is not finite")
+    block = screen.placed[used[0]][0]
+    best, ll = block.best_cell([screen.placed[i][1] for i in used], r)
+    first = maps[used[0]]
     cx = first.x0 + (best % first.nx + 0.5) * first.cell
     cy = first.y0 + (best // first.nx + 0.5) * first.cell
-    return cx, cy, float(score[best])
+    return cx, cy, ll
 
 
 def error_cdf(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

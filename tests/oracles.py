@@ -1,7 +1,7 @@
 """Brute-force scalar references for the library's batch kernels.
 
-Each function answers one question for one point, one move or one time,
-by plain loops over every wall and room where it needs them, so tests
+Each function answers one question for one point, move, time or scan,
+by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 from floorsurvey.filtering import ConstraintSet, folded_normal_density
 from floorsurvey.geometry import Floorplan
 from floorsurvey.sensors import PdrTrajectory
+from floorsurvey.signalmap import SignalMap
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -175,3 +176,25 @@ def interpolate_position(traj: PdrTrajectory, t: float) -> np.ndarray:
     x = np.interp(t, times, traj.poses[:, 0])
     y = np.interp(t, times, traj.poses[:, 1])
     return np.array([x, y])
+
+
+def position_one_shot(maps: list[SignalMap],
+                      observation: dict[str, float]) -> tuple[float, float, float]:
+    """Most likely cell centre for a single scan, scoring every cell of
+    every map the scan heard: the summed Gaussian log-likelihood, in the
+    order of maps, with ties to the lowest cell index."""
+    used = [m for m in maps if m.ap_id in observation]
+    if not used:
+        raise ValueError("observation shares no sources with the maps")
+    first = used[0]
+    score = np.zeros(first.nx * first.ny)
+    for m in used:
+        if not m.congruent(first):
+            raise ValueError("maps are not on the same grid")
+        r = observation[m.ap_id]
+        var = m.sigma ** 2
+        score += -0.5 * np.log(2.0 * math.pi * var) - (r - m.mu) ** 2 / (2.0 * var)
+    best = int(np.argmax(score))
+    cx = first.x0 + (best % first.nx + 0.5) * first.cell
+    cy = first.y0 + (best // first.nx + 0.5) * first.cell
+    return cx, cy, float(score[best])

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,10 @@ from floorsurvey.filtering import FilterLostError
 from floorsurvey.geometry import containing_room, load_floorplan
 from floorsurvey.pipeline import evaluate_trajectory
 from floorsurvey.sensors import LogError, PdrTrajectory, parse_survey_log
+from floorsurvey.signalmap import SignalMap
 from floorsurvey.simulate import corridor_scenario, office_floorplan, simulate_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SCENARIO = """\
 waypoint, 2.0, 14.625
@@ -115,6 +122,40 @@ def test_position_command(ws, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == n + 1
 
 
+def test_position_output_does_not_depend_on_blas_threads(tmp_path):
+    # three 80 x 50 maps: the screening product is large enough for
+    # OpenBLAS to split it over two threads
+    rng = np.random.default_rng(8)
+    nx, ny = 80, 50
+    grid = SignalMap("", 0.0, 0.0, 0.5, nx, ny, np.zeros(nx * ny), np.zeros(nx * ny))
+    cmd = [sys.executable, "-c", "import sys; from floorsurvey.cli import main; sys.exit(main())",
+           "position", "--log", str(tmp_path / "log.txt")]
+    maps = []
+    for i in range(3):
+        d = np.hypot(*(grid.centers - rng.uniform([0, 0], [40, 25])).T)
+        m = SignalMap(f"ap{i}", 0.0, 0.0, 0.5, nx, ny, -40.0 - 20.0 * np.log10(d + 1.0),
+                      rng.uniform(3.0, 6.0, nx * ny))
+        fileio.write_signal_map(tmp_path / f"ap{i}.map", m)
+        cmd += ["--map", str(tmp_path / f"ap{i}.map")]
+        maps.append(m)
+    lines = []
+    for k in range(300):
+        c = rng.integers(nx * ny)
+        lines += [f"wifi,{k * 0.5:.6f},{m.ap_id},{m.mu[c] + rng.normal(0.0, 4.0):.6f}"
+                  for m in maps if rng.random() < 0.8]
+    (tmp_path / "log.txt").write_text("\n".join(lines) + "\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"pos{threads}.csv"
+        done = subprocess.run(cmd + ["--out", str(out)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append((done.stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith("fixes,")
+
+
 def test_eval_command(ws, tmp_path, capsys):
     out = tmp_path / "eval.csv"
     assert main(["eval", "--traj", str(ws["srv"] / "pf2.traj"),
@@ -193,6 +234,12 @@ def test_exit_code_data_errors(ws, tmp_path, capsys):
     assert main(["eval", "--traj", str(nantraj), "--truth", str(ws["sim"] / "truth.traj"),
                  "--out", str(tmp_path / "o5")]) == 2
     assert f"line {at + 1}: non-finite" in capsys.readouterr().err
+    badmap = tmp_path / "bad.map"
+    for cell in ("-1,0,-50.0,1.0", "0,0,-50.0,0.0"):
+        badmap.write_text(f"source,ap0\ngrid,0,0,1.0,2,1\ncell,1,0,-60.0,2.0\ncell,{cell}\n")
+        assert main(["position", "--map", str(badmap), "--log", str(ws["sim"] / "log.txt"),
+                     "--out", str(tmp_path / "o6")]) == 2
+        assert "line 4: " in capsys.readouterr().err
 
 
 def test_survey_rejects_nan_stride(tmp_path, capsys):

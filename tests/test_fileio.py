@@ -112,6 +112,21 @@ def test_signal_map_read_errors(tmp_path):
         f.write_text(f"source,a\ngrid,{grid},1,1\ncell,0,0,{cell}\n")
         with pytest.raises(ValueError, match="non-finite"):
             fileio.read_signal_map(f)
+    # a cell outside the grid, a sigma that is not positive, an empty grid
+    # and a pitch that is not positive
+    for grid, cell, match in (("0,0,1.0,2,1", "-1,0,-50.0,1.0", "outside"),
+                              ("0,0,1.0,2,1", "2,0,-50.0,1.0", "outside"),
+                              ("0,0,1.0,2,1", "0,1,-50.0,1.0", "outside"),
+                              ("0,0,1.0,2,1", "0,0,-50.0,0.0", "sigma"),
+                              ("0,0,1.0,2,1", "0,0,-50.0,-1.0", "sigma"),
+                              ("0,0,0.0,2,1", "0,0,-50.0,1.0", "pitch"),
+                              ("0,0,-1.0,2,1", "0,0,-50.0,1.0", "pitch"),
+                              ("0,0,1.0,0,1", "0,0,-50.0,1.0", "empty"),
+                              ("0,0,1.0,2,-1", "0,0,-50.0,1.0", "empty")):
+        f.write_text(f"source,a\n# map\ngrid,{grid}\ncell,1,0,-50.0,1.0\ncell,{cell}\n")
+        line = 5 if match in ("outside", "sigma") else 3
+        with pytest.raises(ValueError, match=f"line {line}: .*{match}"):
+            fileio.read_signal_map(f)
 
 
 def test_signal_map_cell_order_irrelevant(tmp_path):

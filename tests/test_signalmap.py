@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from floorsurvey.signalmap import (
     GpParams,
@@ -139,6 +142,22 @@ def test_signal_map_centers_and_index():
     assert m.cell_index(2.5, 1.5) == 5
 
 
+def test_signal_map_is_frozen_and_read_only():
+    given_mu = np.zeros(4)
+    m = SignalMap("a", 0.0, 0.0, 1.0, 2, 2, given_mu, np.ones(4))
+    given_mu[0] = 5.0  # the map holds its own copy
+    assert m.mu[0] == 0.0
+    for name in ("mu", "sigma"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, np.ones(4))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m, name)[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m, name)[:] += 1.0
+    with pytest.raises(ValueError, match="shape"):
+        SignalMap("a", 0.0, 0.0, 1.0, 2, 2, np.zeros(3), np.ones(4))
+
+
 def test_fit_signal_map_grid_matches_params(two_room_plan):
     p = GpParams(cell=1.0)
     m = fit_signal_map("ap0", two_room_plan.bounds, np.array([[5.0, 5.0]]),
@@ -246,6 +265,97 @@ def test_position_one_shot_ignores_unknown_sources():
     assert maps[0].cell_index(x, y) == 7
     with pytest.raises(ValueError):
         position_one_shot(maps, {"other": -50.0})
+
+
+def _bits(fix) -> bytes:
+    return np.array(fix, dtype=float).tobytes()
+
+
+@st.composite
+def _positioning_case(draw):
+    """Congruent random maps, some flat (prior only), maybe with an exact
+    or near two-cell tie and an extra map on another grid that no scan hears,
+    plus scans that hear different subsets of the maps, some with
+    readings far outside the mu range."""
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n = nx * ny
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    maps = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            mu, sigma = np.full(n, -90.0), np.full(n, 7.2)
+        else:
+            mu, sigma = rng.uniform(-100.0, -30.0, n), rng.uniform(0.5, 9.0, n)
+        maps.append(SignalMap(f"ap{i}", 1.0, -2.0, 0.5, nx, ny, mu, sigma))
+    ulps = draw(st.sampled_from([None, 0, 1, 2, 64]))
+    if n > 1 and ulps is not None:
+        # cell b copies cell a, then moves mu a few ulps: an exact tie at 0
+        a, b = rng.choice(n, 2, replace=False)
+        for i, m in enumerate(maps):
+            mu, sigma = m.mu.copy(), m.sigma.copy()
+            mu[b], sigma[b] = mu[a], sigma[a]
+            for _ in range(ulps):
+                mu[b] = np.nextafter(mu[b], -np.inf if rng.random() < 0.5 else np.inf)
+            maps[i] = dataclasses.replace(m, mu=mu, sigma=sigma)
+    if draw(st.booleans()):
+        other = SignalMap("unheard", 0.0, 0.0, 1.0, nx + 1, ny, np.zeros(n + ny), np.ones(n + ny))
+        maps.insert(draw(st.integers(0, len(maps))), other)
+    scans = []
+    for _ in range(draw(st.integers(1, 4))):
+        obs = {}
+        for m in maps:
+            if m.ap_id != "unheard" and draw(st.booleans()):
+                obs[m.ap_id] = draw(st.one_of(st.floats(-110.0, -20.0),
+                                              st.floats(-1e6, 1e6),
+                                              st.sampled_from(list(m.mu))))
+        scans.append(obs)
+    return maps, scans
+
+
+@settings(max_examples=150, deadline=None)
+@given(_positioning_case())
+def test_position_one_shot_equals_dense_oracle(case):
+    maps, scans = case
+    for ms in (maps, maps[::-1]):
+        for obs in scans:
+            if not obs:
+                for fn in (position_one_shot, oracles.position_one_shot):
+                    with pytest.raises(ValueError, match="no sources"):
+                        fn(ms, obs)
+                continue
+            assert _bits(position_one_shot(ms, obs)) == _bits(oracles.position_one_shot(ms, obs))
+
+
+def test_position_one_shot_equals_dense_oracle_on_gp_maps():
+    fp = office_floorplan()
+    pts, mag, wifi = grid_survey(corridor_scenario(), fp, spacing=1.0, seed=404)
+    maps = list(fit_signal_maps(fp.bounds, pts, {"mag": mag, **wifi}, GpParams(cell=0.7)).values())
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        c = int(rng.integers(maps[0].nx * maps[0].ny))
+        heard = [m for m in maps if rng.random() < 0.8] or maps[:1]
+        obs = {m.ap_id: float(m.mu[c] + rng.normal(0.0, 4.0)) for m in heard}
+        assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
+
+
+@pytest.mark.parametrize("sigma0, reading", [(0.0, -60.0), (1e-170, -60.0), (3.0, 1e200)])
+def test_position_one_shot_equals_dense_oracle_beyond_the_screen_bound(sigma0, reading):
+    # a zero or underflowing variance, or a reading whose square
+    # overflows, leaves the screen no finite bound: every cell is rescored
+    maps = _maps_for_positioning()
+    sigma = maps[1].sigma.copy()
+    sigma[4] = sigma0
+    maps[1] = dataclasses.replace(maps[1], sigma=sigma)
+    obs = {"ap0": -55.0, "ap1": reading}
+    with np.errstate(all="ignore"):
+        assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_position_one_shot_rejects_non_finite_reading(bad):
+    maps = _maps_for_positioning()
+    with pytest.raises(ValueError, match="'ap1' is not finite"):
+        position_one_shot(maps, {"ap0": -50.0, "ap1": bad})
 
 
 # ------------------------------------------------------------------- CDFs
