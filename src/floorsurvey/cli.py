@@ -194,6 +194,9 @@ def cmd_compare(args) -> int:
 
 def cmd_position(args) -> int:
     maps = [fileio.read_signal_map(p) for p in args.map]
+    for path, m in zip(args.map, maps):
+        if not m.congruent(maps[0]):
+            raise ValueError(f"{path}: map is not on the grid of {args.map[0]}")
     log = load_survey_log(args.log)
     by_t: dict[float, dict[str, float]] = {}
     for ob in log.wifi:
@@ -206,13 +209,12 @@ def cmd_position(args) -> int:
             sel = np.abs(mt - t) <= 0.5
             if sel.any():
                 obs["mag"] = float(mv[sel].mean())
+    sources = {m.ap_id for m in maps}
     rows = []
     for t in sorted(by_t):
-        try:
-            x, y, ll = position_one_shot(maps, by_t[t])
-        except ValueError:
+        if sources.isdisjoint(by_t[t]):
             continue
-        rows.append((t, x, y, ll))
+        rows.append((t, *position_one_shot(maps, by_t[t])))
     fileio.write_positions(args.out, rows)
     print(f"fixes,{len(rows)}")
     return 0

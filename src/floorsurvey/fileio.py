@@ -119,6 +119,8 @@ def read_signal_map(path) -> SignalMap:
                 if not (0 <= ix < grid[3] and 0 <= iy < grid[4]):
                     raise ValueError(f"cell ({ix}, {iy}) outside the {grid[3]} x {grid[4]} grid")
                 c = iy * grid[3] + ix
+                if not np.isnan(mu[c]):
+                    raise ValueError(f"cell ({ix}, {iy}) repeats an earlier row")
                 mu[c], sigma[c] = finite_floats(parts[3:5])
                 if sigma[c] <= 0:
                     raise ValueError(f"sigma {sigma[c]} is not positive")

@@ -195,6 +195,49 @@ def _bin_ids(poses: np.ndarray, cfg: KldConfig) -> np.ndarray:
     return ((bx + _BOFF) * (2 * _BOFF) + (by + _BOFF)) * (n_theta + 1) + bt
 
 
+_GUIDE_STEPS = 4  # subset advances before the last draws fall back to searchsorted
+
+
+def _buckets(x: np.ndarray, n: int) -> np.ndarray:
+    """Guide bucket min(floor(x * n), n - 1) of each x in [0, 1].
+    Rounding x * n is monotone in x, and so is the bucket."""
+    return np.minimum((x * n).astype(np.intp), n - 1)
+
+
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """Guide table of a cumulative distribution (Chen & Asau 1974):
+    guide[j] counts the entries of cum whose bucket lies below j."""
+    n = len(cum)
+    guide = np.zeros(n, dtype=np.intp)
+    np.cumsum(np.bincount(_buckets(cum, n), minlength=n)[:-1], out=guide[1:])
+    return guide
+
+
+def _guide_draws(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cum, u, side="right") through the guide table, for
+    uniforms u in [0, 1).
+
+    Each uniform starts at guide[j] for its own bucket j.  The same
+    monotone bucket function maps u and every cum entry, so an entry
+    before the start, whose bucket is below j, has cum < u: no rounding
+    can skip the answer.  Exact comparisons then advance past every
+    cum <= u, and cum[-1] = 1 > u stops them inside the array.  Draws
+    still short after a few advances (a bucket crowded with tiny
+    weights) take the binary search.
+    """
+    idx = guide[_buckets(u, len(cum))]
+    # about half the draws pass one entry: one whole-vector step first
+    idx += cum[idx] <= u
+    todo = np.flatnonzero(cum[idx] <= u)
+    for _ in range(_GUIDE_STEPS):
+        if not len(todo):
+            return idx
+        idx[todo] += 1
+        todo = todo[cum[idx[todo]] <= u[todo]]
+    idx[todo] = np.searchsorted(cum, u[todo], side="right")
+    return idx
+
+
 def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
                  rng: np.random.Generator) -> np.ndarray:
     """Weighted resampling until the KLD bound for the bins occupied so
@@ -203,28 +246,30 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
     Returns draw indices into the input cloud; the resampled cloud is
     poses[draws] with uniform weights and the draws double as parent
     pointers.  Draw count never drops below n_min and is capped at
-    n_max; zero-weight particles are never drawn.
+    n_max; zero-weight particles are never drawn.  Occupied bins are
+    counted as draws arrive (Fox 2003) and each draw goes through a
+    guide table, so a call is linear in the particles and draws.
     """
     poses = np.asarray(poses, dtype=float)
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
-    if not total > 0:
-        raise ValueError("total particle weight is zero")
+    if not 0 < total < math.inf:
+        raise ValueError(f"total particle weight {total} is not positive and finite")
     cum = np.cumsum(weights / total)
     cum[-1] = 1.0
-    bins = _bin_ids(poses, cfg)
+    guide = _guide_table(cum)
+    bins, bin_of = np.unique(_bin_ids(poses, cfg), return_inverse=True)
+    seen = np.zeros(len(bins), dtype=bool)
     target = cfg.n_min
     cap = cfg.n_max
     parts: list[np.ndarray] = []
     drawn = 0
     while True:
-        u = rng.random(target - drawn)
-        idx = np.searchsorted(cum, u, side="right")
-        np.clip(idx, 0, len(cum) - 1, out=idx)
+        idx = _guide_draws(cum, guide, rng.random(target - drawn))
         parts.append(idx)
         drawn = target
-        k = np.unique(bins[np.concatenate(parts)]).size
-        need = max(cfg.n_min, kld_required_particles(k, cfg.epsilon))
+        seen[bin_of[idx]] = True
+        need = max(cfg.n_min, kld_required_particles(np.count_nonzero(seen), cfg.epsilon))
         target = min(cap, need)
         if drawn >= target:
             return np.concatenate(parts)

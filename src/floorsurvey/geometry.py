@@ -65,13 +65,16 @@ def wrap_angle(theta):
 
 @dataclass(frozen=True)
 class Pose2D:
-    """Planar pose; heading is normalised to [-pi, pi) on construction."""
+    """Planar pose; heading is normalised to [-pi, pi) on construction.
+    Every field must be finite."""
 
     x: float
     y: float
     theta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.theta))):
+            raise ValueError(f"pose ({self.x}, {self.y}, {self.theta}) is not finite")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
     def as_array(self) -> np.ndarray:

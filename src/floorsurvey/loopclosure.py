@@ -76,6 +76,26 @@ class LoopClosureResult:
     msps: list[SegmentPair]
 
 
+def _uncontained(keys: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """The keys (a0, a1, b0, b1) not contained in another key, in order.
+
+    Key r lies in key c when a0_c <= a0_r, a1_r <= a1_c and the b range
+    of r, taken in either direction, lies inside that of c.  One K x K
+    mask holds every pair's test.
+    """
+    if not keys:
+        return []
+    k = np.array(keys, dtype=np.int64)
+    a0, a1 = k[:, 0], k[:, 1]
+    b0, b1 = k[:, 2:].min(axis=1), k[:, 2:].max(axis=1)
+    inside = a0[None, :] <= a0[:, None]
+    inside &= a1[:, None] <= a1[None, :]
+    inside &= b0[None, :] <= b0[:, None]
+    inside &= b1[:, None] <= b1[None, :]
+    np.fill_diagonal(inside, False)
+    return [key for key, contained in zip(keys, inside.any(axis=1)) if not contained]
+
+
 def find_msps(positions: np.ndarray, params: MspParams | None = None) -> list[SegmentPair]:
     """Maximal segment pairs of a trajectory's position sequence.
 
@@ -119,21 +139,7 @@ def find_msps(positions: np.ndarray, params: MspParams | None = None) -> list[Se
                     key = (j, int(j0), i, i0)
                 found[key] = None
 
-    keys = list(found)
-
-    def contained(a, b) -> bool:
-        # both index ranges of a lie inside those of b
-        alo, ahi = a[0], a[1]
-        blo, bhi = min(a[2], a[3]), max(a[2], a[3])
-        olo, ohi = b[0], b[1]
-        plo, phi = min(b[2], b[3]), max(b[2], b[3])
-        return olo <= alo and ahi <= ohi and plo <= blo and bhi <= phi
-
-    out = []
-    for key in keys:
-        if any(other != key and contained(key, other) for other in keys):
-            continue
-        out.append(SegmentPair(*key))
+    out = [SegmentPair(*key) for key in _uncontained(list(found))]
     out.sort(key=lambda s: (s.a_start, s.a_end, s.b_start, s.b_end))
     return out
 

@@ -30,6 +30,8 @@ class StepEvent:
     dtheta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t, self.length, self.dtheta))):
+            raise ValueError(f"step ({self.t}, {self.length}, {self.dtheta}) is not finite")
         if self.length <= 0:
             raise ValueError(f"step length must be positive, got {self.length}")
 

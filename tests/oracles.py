@@ -1,8 +1,10 @@
-"""Brute-force scalar references for the library's batch kernels.
+"""Brute-force references for the library's batch kernels.
 
-Each function answers one question for one point, move, time or scan,
+Most functions answer one question for one point, move, time or scan,
 by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
+The last two are the straightforward forms of KLD resampling and of the
+MSP containment filter.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ import math
 
 import numpy as np
 
-from floorsurvey.filtering import ConstraintSet, folded_normal_density
+from floorsurvey.filtering import (
+    ConstraintSet,
+    KldConfig,
+    _bin_ids,
+    folded_normal_density,
+    kld_required_particles,
+)
 from floorsurvey.geometry import Floorplan
 from floorsurvey.sensors import PdrTrajectory
 from floorsurvey.signalmap import SignalMap
@@ -198,3 +206,45 @@ def position_one_shot(maps: list[SignalMap],
     cx = first.x0 + (best % first.nx + 0.5) * first.cell
     cy = first.y0 + (best // first.nx + 0.5) * first.cell
     return cx, cy, float(score[best])
+
+
+def kld_resample(poses, weights, cfg: KldConfig, rng: np.random.Generator) -> np.ndarray:
+    """KLD resampling by binary search, recounting the occupied bins of
+    all draws so far from scratch after every round of draws."""
+    poses = np.asarray(poses, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum()
+    if not total > 0:
+        raise ValueError("total particle weight is zero")
+    cum = np.cumsum(weights / total)
+    cum[-1] = 1.0
+    bins = _bin_ids(poses, cfg)
+    target = cfg.n_min
+    parts: list[np.ndarray] = []
+    drawn = 0
+    while True:
+        u = rng.random(target - drawn)
+        idx = np.searchsorted(cum, u, side="right")
+        np.clip(idx, 0, len(cum) - 1, out=idx)
+        parts.append(idx)
+        drawn = target
+        k = np.unique(bins[np.concatenate(parts)]).size
+        target = min(cfg.n_max, max(cfg.n_min, kld_required_particles(k, cfg.epsilon)))
+        if drawn >= target:
+            return np.concatenate(parts)
+
+
+def uncontained(keys: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """The segment-pair keys (a0, a1, b0, b1) that lie inside no other
+    key, testing every ordered pair of keys in turn."""
+
+    def contained(a, b) -> bool:
+        # both index ranges of a lie inside those of b
+        alo, ahi = a[0], a[1]
+        blo, bhi = min(a[2], a[3]), max(a[2], a[3])
+        olo, ohi = b[0], b[1]
+        plo, phi = min(b[2], b[3]), max(b[2], b[3])
+        return olo <= alo and ahi <= ohi and plo <= blo and bhi <= phi
+
+    return [key for key in keys
+            if not any(other != key and contained(key, other) for other in keys)]

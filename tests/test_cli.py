@@ -122,6 +122,26 @@ def test_position_command(ws, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == n + 1
 
 
+def test_position_rejects_maps_on_different_grids(tmp_path, capsys):
+    # two 2 x 1 maps of pitch 1.0 and 0.5 share no cell centres
+    for name, cell in (("a", 1.0), ("b", 0.5)):
+        (tmp_path / f"{name}.map").write_text(
+            f"source,ap{name}\ngrid,0,0,{cell},2,1\ncell,0,0,-50.0,2.0\ncell,1,0,-60.0,2.0\n")
+    log = tmp_path / "log.txt"
+    log.write_text("wifi,0.0,apa,-50.0\nwifi,0.0,apb,-55.0\nwifi,1.0,apa,-60.0\n"
+                   "wifi,2.0,apz,-60.0\n")
+    a, b, out = str(tmp_path / "a.map"), str(tmp_path / "b.map"), tmp_path / "pos.csv"
+    assert main(["position", "--map", a, "--map", b, "--log", str(log),
+                 "--out", str(out)]) == 2
+    assert f"{b}: map is not on the grid of {a}" in capsys.readouterr().err
+    assert not out.exists()
+    # on one grid, only the scan that hears none of the maps' sources is skipped
+    assert main(["position", "--map", a, "--log", str(log), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "fixes,2\n"
+    assert [line.split(",")[1:3] for line in out.read_text().splitlines()[1:]] == \
+        [["0.500000", "0.500000"], ["1.500000", "0.500000"]]
+
+
 def test_position_output_does_not_depend_on_blas_threads(tmp_path):
     # three 80 x 50 maps: the screening product is large enough for
     # OpenBLAS to split it over two threads
@@ -235,7 +255,7 @@ def test_exit_code_data_errors(ws, tmp_path, capsys):
                  "--out", str(tmp_path / "o5")]) == 2
     assert f"line {at + 1}: non-finite" in capsys.readouterr().err
     badmap = tmp_path / "bad.map"
-    for cell in ("-1,0,-50.0,1.0", "0,0,-50.0,0.0"):
+    for cell in ("-1,0,-50.0,1.0", "0,0,-50.0,0.0", "1,0,-70.0,2.0"):
         badmap.write_text(f"source,ap0\ngrid,0,0,1.0,2,1\ncell,1,0,-60.0,2.0\ncell,{cell}\n")
         assert main(["position", "--map", str(badmap), "--log", str(ws["sim"] / "log.txt"),
                      "--out", str(tmp_path / "o6")]) == 2

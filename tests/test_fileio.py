@@ -95,6 +95,14 @@ def test_signal_map_roundtrip(tmp_path):
     assert np.allclose(back.sigma, sm.sigma, atol=1e-6)
 
 
+def test_signal_map_rejects_repeated_cell(tmp_path):
+    f = tmp_path / "m.map"
+    f.write_text("source,a\ngrid,0,0,1.0,2,1\ncell,0,0,-50.0,2.0\ncell,0,0,-70.0,2.0\n"
+                 "cell,1,0,-60.0,2.0\n")
+    with pytest.raises(ValueError, match=r"line 4: cell \(0, 0\) repeats"):
+        fileio.read_signal_map(f)
+
+
 def test_signal_map_read_errors(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("source,a\ncell,0,0,1.0,1.0\n")

@@ -227,6 +227,73 @@ def test_kld_resample_deterministic():
     assert np.array_equal(a, b)
 
 
+def _same_as_oracle(poses, weights, cfg, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = kld_resample(poses, weights, cfg, rng)
+    ref = oracles.kld_resample(poses, weights, cfg, ref_rng)
+    assert draws.dtype == ref.dtype
+    assert np.array_equal(draws, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return draws
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+       spread=st.sampled_from([0.1, 3.0, 40.0]), zeros=st.floats(0.0, 0.9),
+       fine=st.booleans())
+def test_kld_resample_matches_oracle(seed, n, spread, zeros, fine):
+    gen = np.random.default_rng(seed)
+    poses = gen.normal(0.0, spread, size=(n, 3))
+    poses[:, 2] = np.remainder(poses[:, 2], 2 * math.pi) - math.pi
+    weights = gen.exponential(size=n) ** 3
+    weights[gen.random(n) < zeros] = 0.0
+    weights[gen.integers(n)] += 1e-3
+    cfg = pf2_kld_config() if fine else pf1_kld_config()
+    _same_as_oracle(poses, weights, cfg, seed + 1)
+
+
+def test_kld_resample_edge_clouds_match_oracle():
+    gen = np.random.default_rng(11)
+    poses = gen.uniform(0, 30, size=(400, 3))
+    cfg = KldConfig(n_min=504)
+    # zero-weight plateaus, also at both ends
+    plateaus = np.ones(400)
+    for lo, hi in ((0, 37), (90, 200), (250, 251), (390, 400)):
+        plateaus[lo:hi] = 0.0
+    draws = _same_as_oracle(poses, plateaus, cfg, 1)
+    assert np.all(plateaus[draws] > 0)
+    # one particle holds all the weight, at the start, middle and end
+    for at in (0, 123, 399):
+        single = np.zeros(400)
+        single[at] = 2.5
+        assert np.all(_same_as_oracle(poses, single, cfg, at) == at)
+    # one particle in all
+    assert np.array_equal(_same_as_oracle(poses[:1], np.ones(1), cfg, 2), np.zeros(504))
+    # a dispersed cloud on fine bins stops at the cap
+    wide = gen.uniform(0, 2000, size=(20000, 3))
+    fine = KldConfig(bin_x=0.5, bin_y=0.5, bin_theta=math.radians(1.0), n_min=504)
+    assert len(_same_as_oracle(wide, np.ones(20000), fine, 3)) == fine.n_max
+
+
+def test_guide_draws_equal_searchsorted_at_cumulative_values():
+    w = np.array([0.0, 0.1, 0.0, 0.0, 0.2, 1e-17, 0.3, 0.0, 0.4, 0.0])
+    cum = np.cumsum(w / w.sum())
+    cum[-1] = 1.0
+    guide = filtering._guide_table(cum)
+    below_one = np.nextafter(1.0, 0.0)
+    u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                        [0.0, below_one, np.nextafter(below_one, 0.0)]])
+    u = u[u < 1.0]  # uniforms lie in [0, 1)
+    assert np.array_equal(filtering._guide_draws(cum, guide, u),
+                          np.searchsorted(cum, u, side="right"))
+    # a bucket crowded with tiny weights runs past the vector steps
+    tiny = np.cumsum(np.r_[np.full(500, 1e-12), 1.0])
+    tiny /= tiny[-1]
+    u = np.r_[np.linspace(0.0, 5e-10, 101), below_one]
+    assert np.array_equal(filtering._guide_draws(tiny, filtering._guide_table(tiny), u),
+                          np.searchsorted(tiny, u, side="right"))
+
+
 # ------------------------------------------------------- pruning smoother
 
 def _random_tree(rng, max_epochs=10, max_particles=10):

@@ -51,6 +51,14 @@ def test_pose2d_fields():
     assert (p.x, p.y, p.theta) == (1.0, 2.0, 0.5)
 
 
+@pytest.mark.parametrize("fields", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                    (0.0, 0.0, math.nan), (0.0, 0.0, -math.inf),
+                                    tuple(np.array([1.0, np.nan, 0.0]))])
+def test_pose2d_rejects_non_finite_fields(fields):
+    with pytest.raises(ValueError, match="not finite"):
+        Pose2D(*fields)
+
+
 # ---------------------------------------------------------------- floorplan
 
 def test_floorplan_requires_contiguous_ids():

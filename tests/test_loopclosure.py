@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from floorsurvey import loopclosure
 from floorsurvey.loopclosure import (
     LoopClosureResult,
     MspParams,
@@ -19,6 +21,8 @@ from floorsurvey.loopclosure import (
     validate_closure,
 )
 from floorsurvey.sensors import MagSample, PdrTrajectory
+
+import oracles
 
 
 def test_step_loop_closure_ordering():
@@ -137,6 +141,35 @@ def test_find_msps_same_direction_pair():
 
 def test_find_msps_short_input():
     assert find_msps(np.zeros((1, 2))) == []
+
+
+_index = st.integers(0, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.tuples(_index, _index, _index, _index), max_size=40, unique=True))
+def test_uncontained_matches_pairwise_oracle(keys):
+    # small indices make equal, nested and reversed ranges common
+    assert loopclosure._uncontained(keys) == oracles.uncontained(keys)
+
+
+def test_uncontained_equal_nested_and_reversed_ranges():
+    # equal ranges with the b side reversed contain each other: both go
+    assert loopclosure._uncontained([(0, 5, 10, 15), (0, 5, 15, 10)]) == []
+    # a nested pair goes, whichever way its b side runs; the outer one stays
+    keys = [(1, 3, 14, 12), (0, 5, 10, 15), (2, 4, 11, 13), (6, 9, 0, 2)]
+    assert loopclosure._uncontained(keys) == [(0, 5, 10, 15), (6, 9, 0, 2)]
+    assert loopclosure._uncontained([]) == []
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_find_msps_matches_pairwise_filter_on_random_walks(seed, monkeypatch):
+    steps = np.random.default_rng(seed).normal(0.0, 1.0, size=(200, 2))
+    pos = np.cumsum(steps, axis=0) * 0.6
+    fast = find_msps(pos)
+    monkeypatch.setattr(loopclosure, "_uncontained", oracles.uncontained)
+    assert fast == find_msps(pos)
+    assert len(fast) > 10
 
 
 # ------------------------------------------------------------- validation

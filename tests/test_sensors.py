@@ -28,6 +28,14 @@ def test_step_event_rejects_nonpositive_length():
         StepEvent(0.0, -0.5, 0.0)
 
 
+@pytest.mark.parametrize("fields", [(math.nan, 0.75, 0.0), (0.0, math.nan, 0.0),
+                                    (0.0, math.inf, 0.0), (0.0, 0.75, math.nan),
+                                    (-math.inf, 0.75, 0.0), (0.0, 0.75, np.float64(-np.inf))])
+def test_step_event_rejects_non_finite_fields(fields):
+    with pytest.raises(ValueError, match="not finite"):
+        StepEvent(*fields)
+
+
 def test_mag_magnitude():
     assert math.isclose(MagSample(0.0, (3.0, 4.0, 12.0)).magnitude, 13.0)
 
