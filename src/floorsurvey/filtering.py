@@ -21,6 +21,7 @@ from .geometry import (
     containing_room,
     containing_rooms,
     points_in_polygon,
+    rooms_in_cells,
     segments_cross_walls,
     wrap_angle,
 )
@@ -139,10 +140,12 @@ class ConstraintSet:
         return self._by_b.get(epoch_b, [])
 
 
-def _reweight_batch(prev_xy: np.ndarray, new_poses: np.ndarray, step_index: int,
-                    constraints: ConstraintSet, anchors: dict[int, np.ndarray]) -> np.ndarray:
+def _reweight_batch(prev_xy: np.ndarray, prev_cells: np.ndarray, new_poses: np.ndarray,
+                    new_cells: np.ndarray, step_index: int, constraints: ConstraintSet,
+                    anchors: dict[int, np.ndarray]) -> np.ndarray:
     """Constraint weight of each particle's move prev_xy -> new_poses at
-    the given step.
+    the given step; prev_cells and new_cells are the grid cells of the
+    two ends (Floorplan.cells).
 
     Order: start at 1; a wall crossing zeroes the weight; a straight-line
     step multiplies by the folded-normal density of the acute angle to
@@ -157,7 +160,7 @@ def _reweight_batch(prev_xy: np.ndarray, new_poses: np.ndarray, step_index: int,
     new_xy = new_poses[:, :2]
     if len(fp.walls):
         # moves the grid index clears cannot touch a wall; test the rest
-        test = np.flatnonzero(~fp.clear_of_walls(prev_xy, new_xy))
+        test = np.flatnonzero(~fp.clear_between_cells(prev_cells, new_cells))
         if len(test):
             p0s, p1s = prev_xy[test], new_xy[test]
             lo = np.minimum(p0s.min(axis=0), p1s.min(axis=0))
@@ -167,13 +170,10 @@ def _reweight_batch(prev_xy: np.ndarray, new_poses: np.ndarray, step_index: int,
                 w[test[segments_cross_walls(p0s, p1s, fp.walls[near])]] = 0.0
     flags = constraints.straight_flags
     if flags is not None and 0 <= step_index < len(flags) and flags[step_index]:
-        live = w > 0
-        if live.any():
-            alphas = acute_angles_to_room_walls(fp, new_xy[live], new_poses[live, 2])
-            factor = np.ones(live.sum())
-            ok = ~np.isnan(alphas)
-            factor[ok] = folded_normal_density(alphas[ok], constraints.sigma_alpha)
-            w[live] *= factor
+        # dead weights stay 0.0 * factor = 0.0
+        alphas = acute_angles_to_room_walls(fp, rooms_in_cells(fp, new_xy, new_cells), new_poses[:, 2])
+        ok = ~np.isnan(alphas)
+        w[ok] *= folded_normal_density(alphas[ok], constraints.sigma_alpha)
     for epoch_a in constraints.closures_at(step_index + 1):
         anchor = anchors[epoch_a]
         d = np.hypot(new_xy[:, 0] - anchor[:, 0], new_xy[:, 1] - anchor[:, 1])
@@ -256,7 +256,9 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
     if not 0 < total < math.inf:
         raise ValueError(f"total particle weight {total} is not positive and finite")
     cum = np.cumsum(weights / total)
-    cum[-1] = 1.0
+    # from the last positive weight on, so no trailing zero weight holds
+    # an interval below 1
+    cum[np.flatnonzero(weights > 0)[-1]:] = 1.0
     guide = _guide_table(cum)
     bins, bin_of = np.unique(_bin_ids(poses, cfg), return_inverse=True)
     seen = np.zeros(len(bins), dtype=bool)
@@ -467,6 +469,7 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
     poses0 = seed_particles(fp, n0, rng, start_room=start_room, start_pose=start_pose)
     tree = AncestorTree()
     tree.append(poses0, np.full(n0, 1.0 / n0), np.full(n0, -1, dtype=np.int64))
+    cells = fp.cells(poses0[:, :2])  # grid cells of the latest cloud
     counts = [n0]
     for i, step in enumerate(steps):
         epoch = i + 1
@@ -475,7 +478,8 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         anchors = {a: tree.ancestor_positions(draws, a) for a in constraints.closures_at(epoch)}
         selected = prev.poses[draws]
         new_poses = propagate(selected, step, noise, rng)
-        w = _reweight_batch(selected[:, :2], new_poses, i, constraints, anchors)
+        prev_cells, cells = cells[draws], fp.cells(new_poses[:, :2])
+        w = _reweight_batch(selected[:, :2], prev_cells, new_poses, cells, i, constraints, anchors)
         total = w.sum()
         if not total > 0:
             raise FilterLostError(epoch, label)

@@ -6,31 +6,40 @@ independent on purpose: walls need not close off a room (doorways are
 plain gaps in the wall set), and room polygons may share edges.
 
 Each floorplan builds a uniform grid index over its bounds on first use
-(0.5 m cells, coarser when that would exceed _MAX_CELLS cells).  The
-index answers most room and wall queries by a cell lookup and leaves the
-rest to the exact loops, with the same answers.  A point's cell is
-floor((p - origin) / cell) in floats, which is monotone in p; a box
-"comes near" a cell when the cell range of the box grown by a pad
-(1e-9 of the plan's largest coordinate, at least 1e-9 m) contains it.
+(0.25 m cells, coarser when that would exceed _MAX_CELLS cells), padded
+with one ring of cells.  The index answers most room and wall queries by
+a cell lookup and leaves the rest to the exact loops, with the same
+answers.  A point's cell is floor((p - origin) / cell) + 1 in floats,
+then clamped with fmax and fmin to the ring; fmax maps NaN to 0, so
+every NaN and off-grid point lands in the ring with no mask.  The map
+from p to its cell is monotone in each coordinate of p; a box "comes
+near" a cell when the cell range of the box grown by a pad (1e-9 of the
+plan's largest coordinate, at least 1e-9 m) contains it.
 
 - Exact room test: a point outside every edge's grown box gets the
   answer of real arithmetic.  It lies on no edge's box, and any crossing
   abscissa of the even-odd test lies farther from it than float rounding
   (a few ulps, far below the pad).  So a point outside a room's grown
   box is outside the room, and the exact loop skips that room for it.
-- Room lookup: a cell that no room edge's box comes near is decided.
-  By monotonicity, every point looked up in it lies outside each edge's
-  grown box on the same side as the cell centre, so the segment between
-  them meets no edge and both get the same answer of real arithmetic.
-  The index stores the centre's exact answer.
+- Room lookup: an inner cell that no room edge's box comes near is
+  decided.  By monotonicity, every point looked up in it lies outside
+  each edge's grown box on the same side as the cell centre, so the
+  segment between them meets no edge and both get the same answer of
+  real arithmetic.  The index stores the centre's exact answer; ring
+  cells and the other inner cells are undecided and take the exact loop.
 - Walls: a move whose cell rectangle (the cells of its bounding box)
   contains no cell that a wall's box comes near has a bounding box
   disjoint from every wall's, by the same monotonicity.
   segments_cross_walls reports a crossing only for boxes that meet, so
-  the move crosses nothing.
+  the move crosses nothing.  The ring counts as near a wall, so a move
+  with a NaN or off-grid end is never cleared and takes the exact test.
 
-Points and moves that are NaN, off the grid or in undecided cells take
-the exact loops.
+Monotonicity also lets a move's cell rectangle come from the cells of
+its two ends: for finite points, the cell of min(p0, p1) is the
+coordinate-wise minimum of their cells, and likewise for the maximum.
+So the particle filter computes each particle's cell once, when the
+particle is made, and reuses it for its children's moves.  A NaN end
+has cell 0 in that coordinate, which keeps the ring in the rectangle.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import numpy as np
 
 TAU = 2.0 * math.pi
 
-_CELL = 0.5           # grid index cell size, metres
+_CELL = 0.25          # grid index cell size, metres
 _MAX_CELLS = 1 << 16  # larger plans get coarser cells
 _MIXED = -2           # grid index room mark: some room edge comes near
 
@@ -126,7 +135,13 @@ class Floorplan:
         if len(bad):
             raise FloorplanError(f"room {bad[0]} polygon is self-intersecting")
         d = padded[..., 2:] - padded[..., :2]
-        self._edge_angles = np.arctan2(d[..., 1], d[..., 0]) % math.pi  # (R, V), mod pi
+        # (R, U) table of each room's distinct edge angles mod pi, padded
+        # with the room's first one; a minimum over it is the minimum
+        # over every edge
+        distinct = [np.unique(a) for a in np.arctan2(d[..., 1], d[..., 0]) % math.pi]
+        width = max(map(len, distinct), default=1)
+        self._edge_angles = np.array([np.r_[u, np.full(width - len(u), u[0])] for u in distinct]
+                                     ).reshape(len(distinct), width)
         xs = np.concatenate([self.walls[:, 0], self.walls[:, 2]]
                             + [r.vertices[:, 0] for r in self.rooms])
         ys = np.concatenate([self.walls[:, 1], self.walls[:, 3]]
@@ -162,10 +177,16 @@ class Floorplan:
         hit = (bb[:, 0] <= hi[0]) & (bb[:, 2] >= lo[0]) & (bb[:, 1] <= hi[1]) & (bb[:, 3] >= lo[1])
         return np.nonzero(hit)[0]
 
-    def clear_of_walls(self, p0s: np.ndarray, p1s: np.ndarray) -> np.ndarray:
-        """Bool per move p0 -> p1: True where the grid index shows that
-        the move cannot touch a wall, False where it cannot tell."""
-        return self._grid().clear_of_walls(np.asarray(p0s, dtype=float), np.asarray(p1s, dtype=float))
+    def cells(self, xy) -> np.ndarray:
+        """(N, 2) grid index cells (column, row) of an (N, 2) array of
+        points; NaN and off-grid points get cells of the outer ring."""
+        return self._grid().cells(np.asarray(xy, dtype=float))
+
+    def clear_between_cells(self, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+        """Bool per move between points with cells c0 and c1 (rows of
+        cells()): True where the grid index shows that the move cannot
+        touch a wall, False where it cannot tell."""
+        return self._grid().clear_between(c0, c1)
 
     def _grid(self) -> _GridIndex:
         if self._grid_index is None:
@@ -174,10 +195,12 @@ class Floorplan:
 
 
 class _GridIndex:
-    """Uniform grid over a floorplan's bounds: the room of every cell
-    that no room edge comes near (lowest id, -1 for none, _MIXED for
-    the other cells), and a summed-area table of the cells that some
-    wall comes near.  The module docstring says why lookups are exact."""
+    """Uniform grid over a floorplan's bounds, padded with one ring of
+    cells: the room of every inner cell that no room edge comes near
+    (lowest id, -1 for none, _MIXED for the other cells and the ring),
+    and a summed-area table (Crow 1984) of the cells that some wall
+    comes near, where the ring counts as near.  Both tables are flat,
+    row by row.  The module docstring says why lookups are exact."""
 
     def __init__(self, fp: Floorplan):
         x0, y0, x1, y1 = fp.bounds
@@ -191,55 +214,55 @@ class _GridIndex:
             cell *= 2.0
         self.cell = cell
         self.nx, self.ny = max(1, math.ceil(w / cell)), max(1, math.ceil(h / cell))
+        self.width = self.nx + 2
+        self.top = np.array([self.nx + 1.0, self.ny + 1.0])
         edges = fp._edges
         edge_boxes = np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
                                 np.maximum(edges[:, :2], edges[:, 2:])])
-        free = np.flatnonzero(~self._near(edge_boxes).ravel())
-        centres = self.origin + (np.column_stack([free % self.nx, free // self.nx]) + 0.5) * cell
-        self.rooms = np.full(self.nx * self.ny, _MIXED, dtype=int)
+        free = np.flatnonzero(~self._near(edge_boxes))
+        centres = self.origin + (np.column_stack([free % self.width, free // self.width]) - 0.5) * cell
+        self.rooms = np.full((self.ny + 2) * self.width, _MIXED, dtype=int)
         self.rooms[free] = _rooms_by_polygon(fp, centres)
-        self.wall_sat = np.zeros((self.ny + 1, self.nx + 1), dtype=np.int64)
-        self.wall_sat[1:, 1:] = self._near(fp._wall_bbox).cumsum(axis=0).cumsum(axis=1)
+        sat = np.zeros((self.ny + 3, self.width + 1), dtype=np.intp)
+        sat[1:, 1:] = self._near(fp._wall_bbox).reshape(self.ny + 2, self.width).cumsum(axis=0).cumsum(axis=1)
+        self.wall_sat = sat.ravel()
 
-    def _cells(self, xy: np.ndarray) -> np.ndarray:
-        """Cell coordinates (column, row) as floats; NaN stays NaN."""
-        return np.floor((xy - self.origin) / self.cell)
+    def cells(self, xy: np.ndarray) -> np.ndarray:
+        """Padded cell (column, row) per point: floor((xy - origin) / cell)
+        + 1, clamped to the ring; fmax sends NaN to 0."""
+        c = np.floor((xy - self.origin) / self.cell)
+        c += 1.0
+        np.fmax(c, 0.0, out=c)
+        np.fmin(c, self.top, out=c)
+        return c.astype(np.intp)
 
     def _near(self, boxes: np.ndarray) -> np.ndarray:
-        """(ny, nx) mask of the cells that some box, grown by the pad,
-        comes near; boxes are rows of x0, y0, x1, y1."""
-        near = np.zeros((self.ny, self.nx), dtype=bool)
-        top = [self.nx - 1, self.ny - 1]
-        lo = np.clip(self._cells(boxes[:, :2] - self.pad), 0, top).astype(int)
-        hi = np.clip(self._cells(boxes[:, 2:] + self.pad), 0, top).astype(int)
+        """Flat mask of the ring and of the cells that some box, grown by
+        the pad, comes near; boxes are rows of x0, y0, x1, y1."""
+        near = np.ones((self.ny + 2, self.width), dtype=bool)
+        near[1:-1, 1:-1] = False
+        lo = self.cells(boxes[:, :2] - self.pad)
+        hi = self.cells(boxes[:, 2:] + self.pad)
         for (i0, j0), (i1, j1) in zip(lo, hi):
             near[j0:j1 + 1, i0:i1 + 1] = True
-        return near
+        return near.ravel()
 
-    def _on_grid(self, c: np.ndarray) -> np.ndarray:
-        return (c[:, 0] >= 0) & (c[:, 0] < self.nx) & (c[:, 1] >= 0) & (c[:, 1] < self.ny)
+    def rooms_at(self, c: np.ndarray) -> np.ndarray:
+        """Room id per cell; _MIXED where the cell is undecided."""
+        return self.rooms[c[:, 1] * self.width + c[:, 0]]
 
-    def rooms_at(self, pts: np.ndarray) -> np.ndarray:
-        """Room id per point from its cell; _MIXED where the cell is
-        undecided, off the grid, or the point is NaN."""
-        c = self._cells(pts)
-        on = self._on_grid(c)
-        out = np.full(len(pts), _MIXED, dtype=int)
-        i = c[on].astype(np.intp)
-        out[on] = self.rooms[i[:, 1] * self.nx + i[:, 0]]
-        return out
-
-    def clear_of_walls(self, p0s: np.ndarray, p1s: np.ndarray) -> np.ndarray:
-        lo = self._cells(np.minimum(p0s, p1s))
-        hi = self._cells(np.maximum(p0s, p1s))
-        on = self._on_grid(lo) & self._on_grid(hi)
-        out = np.zeros(len(p0s), dtype=bool)
-        a = lo[on].astype(np.intp)
-        b = hi[on].astype(np.intp) + 1
+    def clear_between(self, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+        """True per cell pair whose rectangle holds no cell near a wall:
+        four gathers from the summed-area table."""
+        lo = np.minimum(c0, c1)
+        hi = np.maximum(c0, c1)
+        hi += 1
+        w = self.width + 1
+        lo_row = lo[:, 1] * w
+        hi_row = hi[:, 1] * w
         s = self.wall_sat
-        walls = s[b[:, 1], b[:, 0]] - s[a[:, 1], b[:, 0]] - s[b[:, 1], a[:, 0]] + s[a[:, 1], a[:, 0]]
-        out[on] = walls == 0
-        return out
+        walls = s[hi_row + hi[:, 0]] - s[lo_row + hi[:, 0]] - s[hi_row + lo[:, 0]] + s[lo_row + lo[:, 0]]
+        return walls == 0
 
 
 def parse_floorplan(text: str) -> Floorplan:
@@ -360,10 +383,16 @@ def containing_rooms(fp: Floorplan, pts: np.ndarray) -> np.ndarray:
     """Room id containing each point of an (N, 2) array; -1 where none.
 
     Boundary points belong to every room they touch; the lowest room id
-    wins the tie.  The grid index answers points in cells that no room
-    edge comes near; the others run the exact polygon loop."""
+    wins the tie."""
     pts = np.asarray(pts, dtype=float)
-    out = fp._grid().rooms_at(pts)
+    return rooms_in_cells(fp, pts, fp.cells(pts))
+
+
+def rooms_in_cells(fp: Floorplan, pts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """containing_rooms for points whose grid cells (fp.cells(pts)) are
+    known.  The grid index answers points in cells that no room edge
+    comes near; the others run the exact polygon loop."""
+    out = fp._grid().rooms_at(cells)
     slow = np.flatnonzero(out == _MIXED)
     if len(slow):
         out[slow] = _rooms_by_polygon(fp, pts[slow])
@@ -405,13 +434,13 @@ def points_in_polygon(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside | boundary
 
 
-def acute_angles_to_room_walls(fp: Floorplan, pts: np.ndarray, headings: np.ndarray) -> np.ndarray:
+def acute_angles_to_room_walls(fp: Floorplan, rooms: np.ndarray, headings: np.ndarray) -> np.ndarray:
     """Acute angle in [0, pi/2] between each heading and the most
-    parallel wall of its point's room; NaN where the point has no room."""
-    pts = np.asarray(pts, dtype=float)
+    parallel wall of its room (ids as containing_rooms gives them); NaN
+    where the room id is -1."""
+    rooms = np.asarray(rooms)
     headings = np.asarray(headings, dtype=float)
-    out = np.full(len(pts), np.nan)
-    rooms = containing_rooms(fp, pts)
+    out = np.full(len(rooms), np.nan)
     ok = rooms >= 0
     d = (headings[ok, None] - fp._edge_angles[rooms[ok]] + math.pi / 2.0) % math.pi - math.pi / 2.0
     out[ok] = np.abs(d).min(axis=1)

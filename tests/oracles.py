@@ -217,7 +217,7 @@ def kld_resample(poses, weights, cfg: KldConfig, rng: np.random.Generator) -> np
     if not total > 0:
         raise ValueError("total particle weight is zero")
     cum = np.cumsum(weights / total)
-    cum[-1] = 1.0
+    cum[np.flatnonzero(weights > 0)[-1]:] = 1.0
     bins = _bin_ids(poses, cfg)
     target = cfg.n_min
     parts: list[np.ndarray] = []

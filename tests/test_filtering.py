@@ -122,10 +122,16 @@ def test_propagate_consumes_stream_even_with_zero_sigmas():
 
 # --------------------------------------------------------------- reweight
 
+def _reweight(prev_xy, new_poses, step_index, c, anchors):
+    fp = c.floorplan
+    return _reweight_batch(prev_xy, fp.cells(prev_xy), new_poses, fp.cells(new_poses[:, :2]),
+                           step_index, c, anchors)
+
+
 def _reweight_one(prev_xy, new_pose, step_index, c, anchors=None):
     anchors = {a: np.array([xy], dtype=float) for a, xy in (anchors or {}).items()}
-    return _reweight_batch(np.array([prev_xy], dtype=float), np.array([new_pose], dtype=float),
-                           step_index, c, anchors)[0]
+    return _reweight(np.array([prev_xy], dtype=float), np.array([new_pose], dtype=float),
+                     step_index, c, anchors)[0]
 
 
 def test_reweight_wall_crossing_zeroes(two_room_plan):
@@ -170,7 +176,7 @@ def test_reweight_batch_matches_scalar(two_room_plan):
         c = ConstraintSet(fp, straight_flags=flags,
                           closures=[StepLoopClosure(0, 2), StepLoopClosure(1, 2)])
         for step_index in (0, 1):
-            got = _reweight_batch(prev, new, step_index, c, anchors)
+            got = _reweight(prev, new, step_index, c, anchors)
             want = np.array([oracles.reweight(prev[i], new[i], step_index, c,
                                               {a: xy[i] for a, xy in anchors.items()})
                              for i in range(2 * n)])
@@ -292,6 +298,30 @@ def test_guide_draws_equal_searchsorted_at_cumulative_values():
     u = np.r_[np.linspace(0.0, 5e-10, 101), below_one]
     assert np.array_equal(filtering._guide_draws(tiny, filtering._guide_table(tiny), u),
                           np.searchsorted(tiny, u, side="right"))
+
+
+class _TopUniforms:
+    """A generator stand-in whose uniforms all equal nextafter(1, 0),
+    the largest value Generator.random returns."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_kld_resample_never_draws_trailing_zero_weights_at_top_uniform():
+    # the normalised cumulative sum often ends just below 1; the interval
+    # above it must go to the last positive weight, not a zero-weight tail
+    gen = np.random.default_rng(23)
+    cfg = KldConfig(n_min=50, cap_factor=1)
+    below_one = 0
+    for _ in range(200):
+        weights = gen.random(50)
+        weights[-3:] = 0.0
+        poses = gen.uniform(0, 10, size=(50, 3))
+        below_one += np.cumsum(weights / weights.sum())[46] < 1.0
+        for resample in (kld_resample, oracles.kld_resample):
+            assert np.all(resample(poses, weights, cfg, _TopUniforms()) == 46)
+    assert below_one > 20
 
 
 # ------------------------------------------------------- pruning smoother

@@ -16,6 +16,7 @@ from floorsurvey.geometry import (
     containing_rooms,
     parse_floorplan,
     points_in_polygon,
+    rooms_in_cells,
     segments_cross_walls,
     wrap_angle,
 )
@@ -248,7 +249,7 @@ def test_acute_angle_square_room(square_plan):
     # heading parallel to a wall -> 0; 30 deg off -> 30 deg; nearly
     # perpendicular -> distance to the other wall family
     heads = np.radians([0.0, 30.0, 80.0])
-    out = acute_angles_to_room_walls(square_plan, np.full((3, 2), 5.0), heads)
+    out = acute_angles_to_room_walls(square_plan, np.zeros(3, dtype=int), heads)
     assert math.isclose(out[0], 0.0, abs_tol=1e-12)
     assert math.isclose(out[1], math.radians(30), abs_tol=1e-9)
     assert math.isclose(out[2], math.radians(10), abs_tol=1e-9)
@@ -256,7 +257,8 @@ def test_acute_angle_square_room(square_plan):
 
 def test_acute_angle_outside_rooms(square_plan):
     assert oracles.acute_angle_to_best_wall(square_plan, (50, 50), 0.3) is None
-    out = acute_angles_to_room_walls(square_plan, np.array([[50.0, 50.0]]), np.array([0.3]))
+    rooms = containing_rooms(square_plan, np.array([[50.0, 50.0]]))
+    out = acute_angles_to_room_walls(square_plan, rooms, np.array([0.3]))
     assert np.isnan(out[0])
 
 
@@ -270,7 +272,7 @@ def test_acute_angles_vector_matches_scalar(square_plan):
     for fp, lo, hi, n in ((square_plan, 1, 9, 50), (mixed, (0.0, 0.0), (11.5, 5.5), 400)):
         pts = rng.uniform(lo, hi, size=(n, 2))
         heads = rng.uniform(-math.pi, math.pi, n)
-        out = acute_angles_to_room_walls(fp, pts, heads)
+        out = acute_angles_to_room_walls(fp, containing_rooms(fp, pts), heads)
         for i in range(n):
             want = oracles.acute_angle_to_best_wall(fp, pts[i], heads[i])
             if want is None:
@@ -280,11 +282,56 @@ def test_acute_angles_vector_matches_scalar(square_plan):
     assert set(containing_rooms(mixed, pts)) == {-1, 0, 1, 2}
 
 
+def _angle_plan():
+    """Rooms whose edge directions repeat mod pi, or nearly do: a
+    triangle; an L-shape; a box whose bottom edge runs from y = 0.0 to
+    y = -0.0, so that arctan2 sees -0.0 there and pi on the top edge; and
+    a staircase whose two treads differ in slope by one ulp."""
+    ulp = np.nextafter(1.0, 2.0) - 1.0
+    rooms = [
+        Room(0, "tri", [(0.0, 0.0), (3.0, 0.0), (1.0, 2.5)]),
+        Room(1, "ell", [(4.0, 0.0), (8.0, 0.0), (8.0, 2.0), (6.0, 2.0), (6.0, 4.0), (4.0, 4.0)]),
+        Room(2, "box", [(9.0, 0.0), (12.0, -0.0), (12.0, 3.0), (9.0, 3.0)]),
+        Room(3, "stair", [(13.0, 0.0), (16.0, 0.0), (16.0, 1.0), (19.0, 1.0 + 3.0 * ulp),
+                          (19.0, 3.0), (13.0, 3.0)]),
+    ]
+    return Floorplan(np.zeros((0, 4)), rooms)
+
+
+def _edge_angles_mod_pi(vs):
+    return [math.atan2(y1 - y0, x1 - x0) % math.pi
+            for (x0, y0), (x1, y1) in zip(vs, np.roll(vs, -1, axis=0))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(room=st.integers(0, 3),
+       heading=st.one_of(st.floats(-4 * math.pi, 4 * math.pi),
+                         st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                                          np.nextafter(0.0, 1.0), 2.220446049250313e-16])))
+def test_acute_angles_over_distinct_angles_match_every_edge(room, heading):
+    fp = _angle_plan()
+    vs = fp.rooms[room].vertices
+    inside = np.array([vs[:, 0].min() + 0.5, vs[:, 1].min() + 0.5])
+    assert containing_rooms(fp, inside[None, :])[0] == room
+    got = acute_angles_to_room_walls(fp, np.array([room]), np.array([heading]))[0]
+    assert got == oracles.acute_angle_to_best_wall(fp, inside, heading)
+
+
+def test_angle_table_holds_each_rooms_distinct_angles():
+    fp = _angle_plan()
+    distinct = [set(_edge_angles_mod_pi(r.vertices)) for r in fp.rooms]
+    # the stair's treads stay apart, the box's bottom and top merge
+    assert [len(d) for d in distinct] == [3, 2, 2, 3]
+    assert fp._edge_angles.shape == (4, 3)
+    for row, want in zip(fp._edge_angles, distinct):
+        assert set(row) == want
+
+
 # ------------------------------------------------------------ grid index
 
 def _diagonal_plan():
     """Two rooms split by a bent diagonal wall; no bound is a multiple
-    of the 0.5 m grid cell."""
+    of the 0.25 m grid cell."""
     x0, y0, x1, y1 = 0.37, 0.21, 7.93, 5.11
     walls = [[x0, y0, x1, y0], [x1, y0, x1, y1], [x1, y1, x0, y1], [x0, y1, x0, y0],
              [3.3, y0, 4.1, 2.9], [4.1, 2.9, 3.05, 4.12]]
@@ -293,17 +340,32 @@ def _diagonal_plan():
     return Floorplan(np.array(walls), rooms)
 
 
-GRID_PLANS = {"office": office_floorplan(), "diagonal": _diagonal_plan()}
+def _random_plan(seed):
+    """One to three random simple rooms, with their edges as walls."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    while len(polys) < 1 + seed % 3:
+        vs = _random_polygon(rng, on_grid=False)
+        if oracles.polygon_is_simple(vs):
+            polys.append(vs)
+    walls = np.concatenate([np.hstack([vs, np.roll(vs, -1, axis=0)]) for vs in polys])
+    return Floorplan(walls, [Room(i, f"r{i}", vs) for i, vs in enumerate(polys)])
+
+
+GRID_PLANS = {"office": office_floorplan(), "diagonal": _diagonal_plan(),
+              **{f"random{seed}": _random_plan(seed) for seed in range(4)}}
 
 
 def _plan_points(fp):
-    """Random points, points on grid lines, on room edges and vertices,
-    far outside the bounds, and NaN points."""
+    """Random points, points on cell edges, on room edges and vertices,
+    far outside the bounds, huge and infinite points, and NaN points."""
     x0, y0, x1, y1 = fp.bounds
-    grid_x = st.integers(-3, int((x1 - x0) / 0.5) + 3).map(lambda k: x0 + 0.5 * k)
-    grid_y = st.integers(-3, int((y1 - y0) / 0.5) + 3).map(lambda k: y0 + 0.5 * k)
-    xs = st.one_of(st.floats(x0 - 2, x1 + 2), grid_x)
-    ys = st.one_of(st.floats(y0 - 2, y1 + 2), grid_y)
+    cell = fp._grid().cell
+    grid_x = st.integers(-3, int((x1 - x0) / cell) + 3).map(lambda k: x0 + cell * k)
+    grid_y = st.integers(-3, int((y1 - y0) / cell) + 3).map(lambda k: y0 + cell * k)
+    huge = st.sampled_from([1e300, -1e300, math.inf, -math.inf])
+    xs = st.one_of(st.floats(x0 - 2, x1 + 2), grid_x, huge)
+    ys = st.one_of(st.floats(y0 - 2, y1 + 2), grid_y, huge)
     edges = [(r.vertices[i], r.vertices[(i + 1) % len(r.vertices)])
              for r in fp.rooms for i in range(len(r.vertices))]
     on_edge = st.tuples(st.sampled_from(edges), st.floats(0, 1)).map(
@@ -337,13 +399,15 @@ def _plan_moves(fp):
     )
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # infinite points
 @pytest.mark.parametrize("name", sorted(GRID_PLANS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_containing_rooms_grid_matches_scalar(name, data):
     fp = GRID_PLANS[name]
     pts = np.array(data.draw(st.lists(_plan_points(fp), min_size=1, max_size=60)), dtype=float)
-    got = containing_rooms(fp, pts)
+    got = rooms_in_cells(fp, pts, fp.cells(pts))
+    assert np.array_equal(got, containing_rooms(fp, pts))
     for i, p in enumerate(pts):
         scalar = oracles.containing_room(fp, p)
         assert got[i] == (-1 if scalar is None else scalar), p
@@ -357,7 +421,7 @@ def test_wall_free_moves_never_cross(name, data):
     moves = data.draw(st.lists(_plan_moves(fp), min_size=1, max_size=60))
     p0s = np.array([m[0] for m in moves], dtype=float)
     p1s = np.array([m[1] for m in moves], dtype=float)
-    clear = fp.clear_of_walls(p0s, p1s)
+    clear = fp.clear_between_cells(fp.cells(p0s), fp.cells(p1s))
     batch = segments_cross_walls(p0s, p1s, fp.walls)
     for i in range(len(moves)):
         scalar = oracles.segment_crosses_wall(fp, p0s[i], p1s[i])
@@ -368,10 +432,65 @@ def test_wall_free_moves_never_cross(name, data):
 def test_grid_decides_most_cells_and_clears_stride_moves():
     fp = GRID_PLANS["office"]
     grid = fp._grid()
-    assert np.mean(grid.rooms != _MIXED) > 0.5
+    inner = grid.rooms.reshape(grid.ny + 2, grid.width)[1:-1, 1:-1]
+    assert np.mean(inner != _MIXED) > 0.5
+
+    def clear(p0, p1):
+        return fp.clear_between_cells(fp.cells([p0]), fp.cells([p1]))[0]
+
     # a stride along the corridor centre line is clear of every wall
-    assert fp.clear_of_walls(np.array([[10.0, 14.6]]), np.array([[10.7, 14.7]]))[0]
-    assert not fp.clear_of_walls(np.array([[10.0, 13.0]]), np.array([[10.0, 14.0]]))[0]
+    assert clear((10.0, 14.6), (10.7, 14.7))
+    # a stride through an office doorway (the wall ends at x = 10.375)
+    # is clear; one through the wall at x = 12 is not
+    assert not segments_cross_walls([(10.0, 13.0)], [(10.0, 14.0)], fp.walls)[0]
+    assert clear((10.0, 13.0), (10.0, 14.0))
+    assert segments_cross_walls([(12.0, 13.0)], [(12.0, 14.0)], fp.walls)[0]
+    assert not clear((12.0, 13.0), (12.0, 14.0))
+    # nor is a move with a NaN or off-grid end, even one that meets no wall
+    for p0 in ((math.nan, 14.6), (10.0, math.nan), (1e300, 14.6), (-math.inf, 14.6)):
+        assert not clear(p0, (10.7, 14.7))
+    assert not segments_cross_walls([(-5.0, -5.0)], [(-4.0, -5.0)], fp.walls)[0]
+    assert not clear((-5.0, -5.0), (-4.0, -5.0))
+
+
+def _point_pairs(data):
+    """A plan and two (N, 2) arrays of its _plan_points, every other
+    second point one stride from the first."""
+    fp = data.draw(st.sampled_from(list(GRID_PLANS.values())))
+    pairs = data.draw(st.lists(st.tuples(_plan_points(fp), _plan_points(fp)), min_size=1, max_size=40))
+    p0s = np.array([a for a, _ in pairs], dtype=float)
+    p1s = np.array([b for _, b in pairs], dtype=float)
+    strides = data.draw(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                                 min_size=len(pairs), max_size=len(pairs)))
+    p1s[1::2] = p0s[1::2] + np.array(strides, dtype=float).reshape(-1, 2)[1::2]
+    return fp, p0s, p1s
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cells_of_coordinate_extremes_are_extremes_of_cells(data):
+    # what lets the filter carry a particle's cell to its children
+    fp, p0s, p1s = _point_pairs(data)
+    finite = np.isfinite(p0s).all(axis=1) & np.isfinite(p1s).all(axis=1)
+    p0s, p1s = p0s[finite], p1s[finite]
+    c0, c1 = fp.cells(p0s), fp.cells(p1s)
+    assert np.array_equal(np.minimum(c0, c1), fp.cells(np.minimum(p0s, p1s)))
+    assert np.array_equal(np.maximum(c0, c1), fp.cells(np.maximum(p0s, p1s)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # infinite points
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cell_screen_clears_no_crossing_and_no_move_off_the_grid(data):
+    fp, p0s, p1s = _point_pairs(data)
+    clear = fp.clear_between_cells(fp.cells(p0s), fp.cells(p1s))
+    crossing = segments_cross_walls(p0s, p1s, fp.walls)
+    assert not (clear & crossing).any()
+    # a cleared move has both ends finite and within a cell of the bounds
+    x0, y0, x1, y1 = fp.bounds
+    cell = fp._grid().cell
+    for p in (p0s[clear], p1s[clear]):
+        assert np.all((p >= (x0 - cell, y0 - cell)) & (p <= (x1 + cell, y1 + cell))), p
 
 
 def test_grid_cell_count_is_capped():
