@@ -52,6 +52,15 @@ class KldConfig:
     n_min: int = 504
     cap_factor: int = 10
 
+    def __post_init__(self):
+        for name in ("bin_x", "bin_y", "bin_theta", "epsilon"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.n_min < 1 or self.cap_factor < 1:
+            raise ValueError(f"n_min and cap_factor must be at least 1, "
+                             f"got {self.n_min} and {self.cap_factor}")
+
     @property
     def n_max(self) -> int:
         return self.cap_factor * self.n_min
@@ -277,6 +286,20 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
             return np.concatenate(parts)
 
 
+_DEDUP_LEVELS = 16  # parent gathers between deduplications in an ancestor walk
+
+
+def _distinct(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(idx, return_inverse=True) for indices in [0, n), from a
+    mask of the values present and a scatter of their ranks: no sort."""
+    present = np.zeros(n, dtype=bool)
+    present[idx] = True
+    values = np.flatnonzero(present)
+    rank = np.empty(n, dtype=np.intp)
+    rank[values] = np.arange(len(values))
+    return values, rank[idx]
+
+
 @dataclass
 class EpochCloud:
     poses: np.ndarray     # (n, 3)
@@ -303,33 +326,47 @@ class AncestorTree:
             np.asarray(parents, dtype=np.int64),
         ))
 
-    def ancestor_positions(self, idx: np.ndarray, epoch: int) -> np.ndarray:
-        """(x, y) at the given epoch of the ancestors of final-epoch
-        particles idx, one row per entry of idx.
+    def ancestor_positions(self, idx: np.ndarray, epochs) -> dict[int, np.ndarray]:
+        """(x, y) at each of the given epochs of the ancestors of
+        final-epoch particles idx: {epoch: one row per entry of idx}.
 
-        The walk back through the parent arrays visits only the distinct
-        ancestors at each level, which shrink fast as lineages coalesce;
-        the per-level inverse maps are then composed from the far end.
+        One walk back through the parent arrays serves every epoch.  It
+        follows only the distinct ancestors, which shrink fast as
+        lineages coalesce, and deduplicates them every _DEDUP_LEVELS
+        levels; between dedups the gathered array keeps its alignment,
+        so a single map from idx into it is composed at each dedup.
         """
-        cur, inv = np.unique(idx, return_inverse=True)
-        invs = [inv]
-        for e in range(len(self.epochs) - 1, epoch, -1):
-            cur, inv = np.unique(self.epochs[e].parents[cur], return_inverse=True)
-            invs.append(inv)
-        where = invs.pop()
-        for inv in reversed(invs):
-            where = where[inv]
-        return self.epochs[epoch].poses[cur, :2][where]
+        wanted = set(epochs)
+        low = min(wanted)
+        last = len(self.epochs) - 1
+        cur, where = _distinct(idx, len(self.epochs[last].poses))
+        out: dict[int, np.ndarray] = {}
+        for e in range(last, low, -1):
+            if e in wanted:
+                out[e] = self.epochs[e].poses[cur, :2][where]
+            cur = self.epochs[e].parents[cur]
+            if (last - e + 1) % _DEDUP_LEVELS == 0:
+                cur, inv = _distinct(cur, len(self.epochs[e - 1].poses))
+                where = inv[where]
+        out[low] = self.epochs[low].poses[cur, :2][where]
+        return out
+
+    def _survivors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """surviving(), plus per epoch from 1 on each survivor's parent
+        as an index into the previous epoch's survivors."""
+        last = len(self.epochs) - 1
+        keep: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(self.epochs)
+        up = list(keep)
+        keep[last] = np.arange(len(self.epochs[last].poses), dtype=np.int64)
+        for e in range(last, 0, -1):
+            keep[e - 1], up[e] = _distinct(self.epochs[e].parents[keep[e]],
+                                           len(self.epochs[e - 1].poses))
+        return keep, up
 
     def surviving(self) -> list[np.ndarray]:
         """Per-epoch sorted indices of particles with a descendant in the
         final epoch (every final particle counts)."""
-        last = len(self.epochs) - 1
-        keep: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(self.epochs)
-        keep[last] = np.arange(len(self.epochs[last].poses), dtype=np.int64)
-        for e in range(last - 1, -1, -1):
-            keep[e] = np.unique(self.epochs[e + 1].parents[keep[e + 1]])
-        return keep
+        return self._survivors()[0]
 
     def compact(self):
         """Drop particles with no surviving descendants and remap parent
@@ -337,14 +374,14 @@ class AncestorTree:
         arrays aligned with it stay valid."""
         if len(self.epochs) < 2:
             return
-        keep = self.surviving()
+        keep, up = self._survivors()
         for e, cloud in enumerate(self.epochs):
             idx = keep[e]
+            parents = up[e] if e else cloud.parents[idx]
             if len(idx) == len(cloud.poses):
-                continue
-            self.epochs[e] = EpochCloud(cloud.poses[idx], cloud.weights[idx], cloud.parents[idx])
-        for e in range(1, len(self.epochs)):
-            self.epochs[e].parents = np.searchsorted(keep[e - 1], self.epochs[e].parents)
+                cloud.parents = parents
+            else:
+                self.epochs[e] = EpochCloud(cloud.poses[idx], cloud.weights[idx], parents)
 
 
 @dataclass
@@ -475,7 +512,8 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         epoch = i + 1
         prev = tree[len(tree) - 1]
         draws = kld_resample(prev.poses, prev.weights, kld, rng)
-        anchors = {a: tree.ancestor_positions(draws, a) for a in constraints.closures_at(epoch)}
+        anchor_epochs = constraints.closures_at(epoch)
+        anchors = tree.ancestor_positions(draws, anchor_epochs) if anchor_epochs else {}
         selected = prev.poses[draws]
         new_poses = propagate(selected, step, noise, rng)
         prev_cells, cells = cells[draws], fp.cells(new_poses[:, :2])

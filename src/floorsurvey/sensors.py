@@ -64,6 +64,13 @@ class StepNoiseModel:
     sigma_dtheta: float = math.radians(0.5)
     length_lambda: float = 0.5
 
+    def __post_init__(self):
+        # a NaN scale would give NaN poses, which no wall test rejects
+        for name in ("sigma_dtheta", "length_lambda"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
     def sigma_length(self, length: float) -> float:
         return self.length_lambda * length
 

@@ -3,8 +3,8 @@
 Most functions answer one question for one point, move, time or scan,
 by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
-The last two are the straightforward forms of KLD resampling and of the
-MSP containment filter.
+The last four are the straightforward forms of KLD resampling, of the
+MSP containment filter and of two ancestor-tree walks.
 """
 
 from __future__ import annotations
@@ -248,3 +248,31 @@ def uncontained(keys: list[tuple[int, int, int, int]]) -> list[tuple[int, int, i
 
     return [key for key in keys
             if not any(other != key and contained(key, other) for other in keys)]
+
+
+def ancestor_positions(tree, idx, epochs) -> dict[int, np.ndarray]:
+    """(x, y) at each of the given epochs of the ancestors of final-epoch
+    particles idx, tracing each particle's parent chain back one epoch
+    at a time."""
+    last = len(tree) - 1
+    out = {}
+    for epoch in epochs:
+        rows = np.empty((len(idx), 2))
+        for j, i in enumerate(idx):
+            i = int(i)
+            for e in range(last, epoch, -1):
+                i = int(tree[e].parents[i])
+            rows[j] = tree[epoch].poses[i, :2]
+        out[int(epoch)] = rows
+    return out
+
+
+def surviving(tree) -> list[np.ndarray]:
+    """Per-epoch sorted indices of particles with a final-epoch
+    descendant: np.unique of the survivors' parents, level by level."""
+    last = len(tree) - 1
+    keep = [np.zeros(0, dtype=np.int64)] * len(tree)
+    keep[last] = np.arange(len(tree[last].poses), dtype=np.int64)
+    for e in range(last - 1, -1, -1):
+        keep[e] = np.unique(tree[e + 1].parents[keep[e + 1]])
+    return keep

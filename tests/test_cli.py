@@ -227,6 +227,10 @@ def test_exit_code_usage_errors(ws, tmp_path, capsys):
     # config keys are checked after the log loads, so use a real log
     assert main(["straight", "--log", str(ws["sim"] / "log.txt"),
                  "--out", str(tmp_path / "y"), "--config", "bogus.key=1"]) == 1
+    # so are config values that the config classes reject
+    for bad in ("pf1.n_min=0", "noise.sigma_dtheta=nan"):
+        assert main(["pf1", "--log", str(ws["sim"] / "log.txt"),
+                     "--out", str(tmp_path / "z"), "--config", bad]) == 1
     capsys.readouterr()
 
 

@@ -59,6 +59,25 @@ def test_kld_configs():
     assert c2.n_max == 164330
 
 
+@pytest.mark.parametrize("field", ["bin_x", "bin_y", "bin_theta", "epsilon"])
+@pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
+def test_kld_config_rejects_bad_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        KldConfig(**{field: value})
+
+
+@pytest.mark.parametrize("kw", [{"n_min": 0}, {"n_min": -3}, {"cap_factor": 0}])
+def test_kld_config_rejects_counts_below_one(kw):
+    with pytest.raises(ValueError, match="at least 1"):
+        KldConfig(**kw)
+
+
+def test_kld_config_smallest_counts_draw():
+    cfg = KldConfig(n_min=1, cap_factor=1)
+    draws = kld_resample(np.zeros((3, 3)), np.ones(3), cfg, np.random.default_rng(0))
+    assert len(draws) == 1
+
+
 # ------------------------------------------------------------- densities
 
 def test_folded_normal_density_normalises():
@@ -326,12 +345,12 @@ def test_kld_resample_never_draws_trailing_zero_weights_at_top_uniform():
 
 # ------------------------------------------------------- pruning smoother
 
-def _random_tree(rng, max_epochs=10, max_particles=10):
+def _random_tree(rng, max_epochs=10, max_particles=10, min_epochs=2):
     t = AncestorTree()
     n0 = int(rng.integers(1, max_particles + 1))
     w0 = rng.random(n0) + 0.05
     t.append(rng.normal(size=(n0, 3)), w0 / w0.sum(), np.full(n0, -1))
-    epochs = int(rng.integers(2, max_epochs + 1))
+    epochs = int(rng.integers(min_epochs, max_epochs + 1))
     for _ in range(epochs - 1):
         prev_n = len(t[len(t) - 1].poses)
         n = int(rng.integers(1, max_particles + 1))
@@ -428,36 +447,55 @@ def test_surviving_counts_every_final_particle():
 
 # -------------------------------------------------------- ancestor lookup
 
-def _ancestor_oracle(tree, idx, epoch):
-    """Trace each particle's parent chain back one epoch at a time."""
-    out = np.empty((len(idx), 2))
-    for j, i in enumerate(idx):
-        i = int(i)
-        for e in range(len(tree) - 1, epoch, -1):
-            i = int(tree[e].parents[i])
-        out[j] = tree[epoch].poses[i, :2]
-    return out
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 400), st.integers(0, 10_000))
+def test_distinct_equals_unique_with_inverse(n, size, seed):
+    idx = np.random.default_rng(seed).integers(0, n, size=size)
+    values, inverse = filtering._distinct(idx, n)
+    want_values, want_inverse = np.unique(idx, return_inverse=True)
+    assert values.dtype == want_values.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(inverse, want_inverse)
+
+
+def test_surviving_matches_per_level_unique_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        tree = _random_tree(rng, max_epochs=55, max_particles=25, min_epochs=40)
+        for _ in range(2):  # before and after compaction
+            got, want = tree.surviving(), oracles.surviving(tree)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            tree.compact()
 
 
 def test_ancestor_positions_match_parent_chain_oracle():
     rng = np.random.default_rng(31)
     dropped = 0
-    for _ in range(60):
-        tree = _random_tree(rng, max_epochs=12, max_particles=25)
+    for _ in range(30):
+        # deep enough that the walk deduplicates several times
+        tree = _random_tree(rng, max_epochs=55, max_particles=25, min_epochs=40)
         last = len(tree) - 1
         size_before = sum(len(c.poses) for c in tree.epochs)
         # repeated indices, as resampling draws produce
         idx = rng.integers(0, len(tree[last].poses), size=int(rng.integers(1, 50)))
-        # every anchor epoch, from 0 through the final one
-        want = [_ancestor_oracle(tree, idx, a) for a in range(last + 1)]
-        for a in range(last + 1):
-            assert np.array_equal(tree.ancestor_positions(idx, a), want[a])
-        tree.compact()
-        dropped += size_before - sum(len(c.poses) for c in tree.epochs)
-        for a in range(last + 1):
-            got = tree.ancestor_positions(idx, a)
-            assert np.array_equal(got, _ancestor_oracle(tree, idx, a))
-            assert np.array_equal(got, want[a])
+        # every epoch at once in shuffled order, then a repeated,
+        # unsorted handful that includes the final epoch
+        queries = [rng.permutation(last + 1).tolist(),
+                   [*rng.integers(0, last + 1, size=5).tolist(), last, 0, last]]
+        want = oracles.ancestor_positions(tree, idx, range(last + 1))
+        for compacted in (False, True):
+            if compacted:
+                tree.compact()
+                dropped += size_before - sum(len(c.poses) for c in tree.epochs)
+                assert all(np.array_equal(got, want[a]) for a, got in
+                           oracles.ancestor_positions(tree, idx, range(last + 1)).items())
+            for epochs in queries:
+                got = tree.ancestor_positions(idx, epochs)
+                assert sorted(got) == sorted(set(epochs))
+                for a in epochs:
+                    assert np.array_equal(got[a], want[a])
     assert dropped > 0
 
 
@@ -542,3 +580,29 @@ def test_run_filter_closure_anchors_survive_compaction(square_plan, monkeypatch)
         assert np.array_equal(got.counts, ref.counts)
         assert np.array_equal(got.survivor_counts, ref.survivor_counts)
         assert got.rooms == ref.rooms
+
+
+@pytest.mark.parametrize("every", [0, 2, filtering.COMPACT_EVERY])
+def test_run_filter_long_span_closures_match_parent_chain_oracle(square_plan, monkeypatch, every):
+    # five legs across the room and back: closures span up to 32 epochs,
+    # and two pairs share one epoch_b
+    steps = [StepEvent(0.5 * (i + 1), 0.75, math.pi if i % 8 == 7 else 0.0) for i in range(40)]
+    closures = [StepLoopClosure(a, b) for a, b in
+                [(0, 16), (0, 32), (16, 32), (2, 30), (8, 24), (8, 40), (24, 40), (4, 36)]]
+    constraints = ConstraintSet(square_plan, closures=closures)
+    assert len(constraints.closures_at(32)) == 2 and len(constraints.closures_at(40)) == 2
+    monkeypatch.setattr(filtering, "COMPACT_EVERY", every)
+
+    def run():
+        return run_filter(steps, square_plan, KldConfig(n_min=200), StepNoiseModel(),
+                          constraints, np.random.default_rng(9),
+                          start_pose=Pose2D(2.0, 5.0, 0.0))
+
+    got = run()
+    monkeypatch.setattr(AncestorTree, "ancestor_positions", oracles.ancestor_positions)
+    want = run()
+    assert np.array_equal(got.poses, want.poses)
+    assert np.array_equal(got.map_poses, want.map_poses)
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.survivor_counts, want.survivor_counts)
+    assert got.rooms == want.rooms

@@ -65,6 +65,13 @@ def test_apply_overrides_bad_number():
         apply_overrides(PipelineConfig(), {"pf1.n_min": "many"})
 
 
+@pytest.mark.parametrize("key, text", [("pf1.n_min", "0"), ("pf2.bin_x", "nan"),
+                                       ("noise.sigma_dtheta", "-1")])
+def test_apply_overrides_rejects_invalid_values(key, text):
+    with pytest.raises(ValueError, match=key.partition(".")[2]):
+        apply_overrides(PipelineConfig(), {key: text})
+
+
 # ----------------------------------------------------------- survey points
 
 def _fake_result(times, rooms=None):

@@ -55,6 +55,13 @@ def test_noise_model_defaults():
     assert math.isclose(m.sigma_length(1.0), 0.5)
 
 
+@pytest.mark.parametrize("field", ["sigma_dtheta", "length_lambda"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-9])
+def test_noise_model_rejects_non_finite_or_negative(field, value):
+    with pytest.raises(ValueError, match=field):
+        StepNoiseModel(**{field: value})
+
+
 # ----------------------------------------------------------------- parsing
 
 GOOD = """

@@ -47,7 +47,7 @@ def test_traced_survey_matches_untraced_and_uninstalls():
     totals = tracer.totals()
     for span in ("filtering.pf1", "filtering.pf2", "filtering.kld_resample",
                  "geometry.containing_rooms", "geometry.segments_cross_walls",
-                 "loopclosure.find_msps"):
+                 "loopclosure.find_msps", "filtering.ancestor_positions"):
         assert totals[span][2] > 0, span
     assert len(plain.closures.closures) > 0
     assert tracer.counts["filtering.anchor_lookups"] > 0
