@@ -59,7 +59,6 @@ from .sensors import (
     StepNoiseModel,
     SurveyLog,
     WifiObservation,
-    dead_reckon,
     load_survey_log,
     parse_survey_log,
     step_epoch_times,
@@ -69,7 +68,6 @@ from .signalmap import (
     SignalMap,
     bucket_fractions,
     compare_maps,
-    error_cdf,
     fit_signal_map,
     gp_predict,
     interval_overlap,
@@ -88,73 +86,3 @@ from .simulate import (
 from .straightline import StraightLineParams, detect_straight_steps
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccessPoint",
-    "ConstraintSet",
-    "FilterLostError",
-    "FilterResult",
-    "Floorplan",
-    "FloorplanError",
-    "GpParams",
-    "KldConfig",
-    "LoopClosureResult",
-    "MagFieldModel",
-    "MagSample",
-    "MspParams",
-    "PdrTrajectory",
-    "PipelineConfig",
-    "Pose2D",
-    "Room",
-    "Scenario",
-    "SegmentPair",
-    "SignalMap",
-    "StepEvent",
-    "StepLoopClosure",
-    "StepNoiseModel",
-    "StraightLineParams",
-    "SurveyLog",
-    "SurveyPoint",
-    "SurveyResult",
-    "ValidationParams",
-    "WalkScript",
-    "WifiObservation",
-    "bucket_fractions",
-    "build_signal_maps",
-    "build_survey_points",
-    "compare_maps",
-    "containing_room",
-    "corrupt_steps",
-    "dead_reckon",
-    "detect_loop_closures",
-    "detect_straight_steps",
-    "error_cdf",
-    "evaluate_trajectory",
-    "find_msps",
-    "fit_signal_map",
-    "generate_walk",
-    "gp_predict",
-    "interval_overlap",
-    "kld_required_particles",
-    "kld_resample",
-    "load_floorplan",
-    "load_survey_log",
-    "obe_dtw",
-    "office_floorplan",
-    "parse_floorplan",
-    "parse_survey_log",
-    "pf1_kld_config",
-    "pf2_kld_config",
-    "position_one_shot",
-    "propagate",
-    "prune_smooth",
-    "run_filter",
-    "run_survey",
-    "seed_particles",
-    "simulate_scenario",
-    "split_warping_path",
-    "step_epoch_times",
-    "thin_to_steps",
-    "validate_closure",
-    "wrap_angle",
-]

@@ -109,7 +109,7 @@ def propagate(poses, step: StepEvent, noise: StepNoiseModel, rng: np.random.Gene
 
     poses is (N, 3); heading noise and stride noise are drawn even when
     their sigmas are zero so the random stream stays aligned across
-    configurations.
+    configurations.  Returns the (N, 3) view of a (3, N) block.
     """
     poses = np.atleast_2d(np.asarray(poses, dtype=float))
     n = len(poses)
@@ -117,11 +117,14 @@ def propagate(poses, step: StepEvent, noise: StepNoiseModel, rng: np.random.Gene
     e_len = rng.normal(0.0, noise.sigma_length(step.length), n)
     theta = poses[:, 2] + step.dtheta + e_theta
     length = step.length + e_len
-    out = np.empty_like(poses)
-    out[:, 0] = poses[:, 0] + length * np.cos(theta)
-    out[:, 1] = poses[:, 1] + length * np.sin(theta)
-    out[:, 2] = wrap_angle(theta)
-    return out
+    out = np.empty((3, n))
+    np.cos(theta, out=out[0])
+    np.sin(theta, out=out[1])
+    out[:2] *= length
+    out[0] += poses[:, 0]
+    out[1] += poses[:, 1]
+    out[2] = wrap_angle(theta)
+    return out.T
 
 
 @dataclass
@@ -171,7 +174,7 @@ def _reweight_batch(prev_xy: np.ndarray, prev_cells: np.ndarray, new_poses: np.n
         # moves the grid index clears cannot touch a wall; test the rest
         test = np.flatnonzero(~fp.clear_between_cells(prev_cells, new_cells))
         if len(test):
-            p0s, p1s = prev_xy[test], new_xy[test]
+            p0s, p1s = _take(prev_xy, test), _take(new_xy, test)
             lo = np.minimum(p0s.min(axis=0), p1s.min(axis=0))
             hi = np.maximum(p0s.max(axis=0), p1s.max(axis=0))
             near = fp.walls_near(lo, hi)
@@ -286,6 +289,15 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
             return np.concatenate(parts)
 
 
+def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[idx] for an (n, k) array, gathered column by column into a
+    (k, len(idx)) block and returned as its (len(idx), k) view."""
+    out = np.empty((a.shape[1], len(idx)), dtype=a.dtype)
+    for col, dst in zip(a.T, out):
+        np.take(col, idx, out=dst)
+    return out.T
+
+
 _DEDUP_LEVELS = 16  # parent gathers between deduplications in an ancestor walk
 
 
@@ -302,7 +314,7 @@ def _distinct(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EpochCloud:
-    poses: np.ndarray     # (n, 3)
+    poses: np.ndarray     # (n, 3), the view of a (3, n) block once resampled
     weights: np.ndarray   # (n,), sums to 1
     parents: np.ndarray   # (n,) indices into the previous epoch; -1 at epoch 0
 
@@ -343,12 +355,12 @@ class AncestorTree:
         out: dict[int, np.ndarray] = {}
         for e in range(last, low, -1):
             if e in wanted:
-                out[e] = self.epochs[e].poses[cur, :2][where]
+                out[e] = _take(self.epochs[e].poses[:, :2], cur[where])
             cur = self.epochs[e].parents[cur]
             if (last - e + 1) % _DEDUP_LEVELS == 0:
                 cur, inv = _distinct(cur, len(self.epochs[e - 1].poses))
                 where = inv[where]
-        out[low] = self.epochs[low].poses[cur, :2][where]
+        out[low] = _take(self.epochs[low].poses[:, :2], cur[where])
         return out
 
     def _survivors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -381,7 +393,7 @@ class AncestorTree:
             if len(idx) == len(cloud.poses):
                 cloud.parents = parents
             else:
-                self.epochs[e] = EpochCloud(cloud.poses[idx], cloud.weights[idx], parents)
+                self.epochs[e] = EpochCloud(_take(cloud.poses, idx), cloud.weights[idx], parents)
 
 
 @dataclass
@@ -421,7 +433,10 @@ def prune_smooth(tree: AncestorTree) -> SmoothResult:
         if not total > 0:
             raise ValueError(f"surviving mass is zero at epoch {e}")
         w = mass[e] / total
-        poses = tree[e].poses
+        # BLAS rounds a dot product over a contiguous column differently
+        # from one over a strided column; a row-major copy keeps the
+        # means independent of how the cloud is laid out
+        poses = np.ascontiguousarray(tree[e].poses)
         mean_poses[e, 0] = w @ poses[:, 0]
         mean_poses[e, 1] = w @ poses[:, 1]
         mean_poses[e, 2] = math.atan2(w @ np.sin(poses[:, 2]), w @ np.cos(poses[:, 2]))
@@ -514,9 +529,9 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         draws = kld_resample(prev.poses, prev.weights, kld, rng)
         anchor_epochs = constraints.closures_at(epoch)
         anchors = tree.ancestor_positions(draws, anchor_epochs) if anchor_epochs else {}
-        selected = prev.poses[draws]
+        selected = _take(prev.poses, draws)
         new_poses = propagate(selected, step, noise, rng)
-        prev_cells, cells = cells[draws], fp.cells(new_poses[:, :2])
+        prev_cells, cells = _take(cells, draws), fp.cells(new_poses[:, :2])
         w = _reweight_batch(selected[:, :2], prev_cells, new_poses, cells, i, constraints, anchors)
         total = w.sum()
         if not total > 0:
@@ -532,7 +547,7 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
     for e in range(len(smooth.mean_poses)):
         idx = smooth.survivors[e]
         cloud = tree[e]
-        votes = containing_rooms(fp, cloud.poses[idx][:, :2])
+        votes = containing_rooms(fp, _take(cloud.poses[:, :2], idx))
         mass = np.bincount(votes + 1, weights=smooth.mass[e][idx],
                            minlength=len(fp.rooms) + 1)
         mode = int(np.argmax(mass)) - 1

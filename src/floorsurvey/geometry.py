@@ -40,6 +40,17 @@ coordinate-wise minimum of their cells, and likewise for the maximum.
 So the particle filter computes each particle's cell once, when the
 particle is made, and reuses it for its children's moves.  A NaN end
 has cell 0 in that coordinate, which keeps the ring in the rectangle.
+Cells are computed on a (2, N) block, and returned as its (N, 2) view.
+
+segments_cross_walls screens before the exact test (broad phase, then
+narrow phase; Ericson 2004, ch. 7).  It compares each segment's box
+with each wall's box, then runs segment_wall_crossings only on the
+pairs whose boxes meet.  That gives the same booleans: the kernel's
+proper crossing requires meeting boxes, and each of its touch cases
+puts a finite end of one segment inside the other segment's box, so
+that end lies in both boxes.  The screen's boxes come from fmin and
+fmax, which skip a NaN coordinate, so a finite end lies in its own
+segment's box even when the other end is NaN.
 """
 
 from __future__ import annotations
@@ -219,22 +230,37 @@ class _GridIndex:
         edges = fp._edges
         edge_boxes = np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
                                 np.maximum(edges[:, :2], edges[:, 2:])])
-        free = np.flatnonzero(~self._near(edge_boxes))
-        centres = self.origin + (np.column_stack([free % self.width, free // self.width]) - 0.5) * cell
         self.rooms = np.full((self.ny + 2) * self.width, _MIXED, dtype=int)
-        self.rooms[free] = _rooms_by_polygon(fp, centres)
+        self.rooms[~self._near(edge_boxes)] = -1
+        # cell centres by column and by row; they increase, so the
+        # centres in a room's grown box form one block of the grid
+        xs = self.origin[0] + (np.arange(self.width) - 0.5) * cell
+        ys = self.origin[1] + (np.arange(self.ny + 2) - 0.5) * cell
+        table = self.rooms.reshape(self.ny + 2, self.width)
+        for room, (lo, hi) in zip(fp.rooms, fp._room_box):
+            cols = np.flatnonzero((xs >= lo[0]) & (xs <= hi[0]))
+            rows = np.flatnonzero((ys >= lo[1]) & (ys <= hi[1]))
+            if not (len(cols) and len(rows)):
+                continue
+            block = table[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+            j, i = np.nonzero(block == -1)
+            inside = points_in_polygon(room.vertices, np.column_stack([xs[cols[0] + i], ys[rows[0] + j]]))
+            block[j[inside], i[inside]] = room.room_id
         sat = np.zeros((self.ny + 3, self.width + 1), dtype=np.intp)
         sat[1:, 1:] = self._near(fp._wall_bbox).reshape(self.ny + 2, self.width).cumsum(axis=0).cumsum(axis=1)
         self.wall_sat = sat.ravel()
 
     def cells(self, xy: np.ndarray) -> np.ndarray:
         """Padded cell (column, row) per point: floor((xy - origin) / cell)
-        + 1, clamped to the ring; fmax sends NaN to 0."""
-        c = np.floor((xy - self.origin) / self.cell)
+        + 1, clamped to the ring; fmax sends NaN to 0.  Computed on a
+        (2, N) block and returned as its (N, 2) transposed view."""
+        c = np.subtract(xy.T, self.origin[:, None], out=np.empty((2, len(xy))))
+        c /= self.cell
+        np.floor(c, out=c)
         c += 1.0
         np.fmax(c, 0.0, out=c)
-        np.fmin(c, self.top, out=c)
-        return c.astype(np.intp)
+        np.fmin(c, self.top[:, None], out=c)
+        return c.astype(np.intp).T
 
     def _near(self, boxes: np.ndarray) -> np.ndarray:
         """Flat mask of the ring and of the cells that some box, grown by
@@ -254,14 +280,14 @@ class _GridIndex:
     def clear_between(self, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
         """True per cell pair whose rectangle holds no cell near a wall:
         four gathers from the summed-area table."""
-        lo = np.minimum(c0, c1)
-        hi = np.maximum(c0, c1)
-        hi += 1
+        (lo_col, lo_row), (hi_col, hi_row) = np.minimum(c0.T, c1.T), np.maximum(c0.T, c1.T)
+        hi_col += 1
+        hi_row += 1
         w = self.width + 1
-        lo_row = lo[:, 1] * w
-        hi_row = hi[:, 1] * w
+        lo_row *= w
+        hi_row *= w
         s = self.wall_sat
-        walls = s[hi_row + hi[:, 0]] - s[lo_row + hi[:, 0]] - s[hi_row + lo[:, 0]] + s[lo_row + lo[:, 0]]
+        walls = s[hi_row + hi_col] - s[lo_row + hi_col] - s[hi_row + lo_col] + s[lo_row + lo_col]
         return walls == 0
 
 
@@ -310,10 +336,22 @@ def load_floorplan(path) -> Floorplan:
 
 def segments_cross_walls(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) -> np.ndarray:
     """Crossing test of N motion segments against W walls: a length-N
-    bool array, True where the segment meets any of the walls."""
-    return segment_wall_crossings(np.asarray(p0s, dtype=float).reshape(-1, 2),
-                                  np.asarray(p1s, dtype=float).reshape(-1, 2),
-                                  np.asarray(walls, dtype=float).reshape(-1, 4)).any(axis=1)
+    bool array, True where the segment meets any of the walls.
+
+    segment_wall_crossings(...).any(axis=1), run only on the pairs whose
+    boxes meet (module docstring)."""
+    p0s = np.asarray(p0s, dtype=float).reshape(-1, 2)
+    p1s = np.asarray(p1s, dtype=float).reshape(-1, 2)
+    walls = np.asarray(walls, dtype=float).reshape(-1, 4)
+    lo, hi = np.fmin(p0s, p1s), np.fmax(p0s, p1s)
+    wlo, whi = np.fmin(walls[:, :2], walls[:, 2:]), np.fmax(walls[:, :2], walls[:, 2:])
+    meet = (lo[:, 0, None] <= whi[:, 0]) & (wlo[:, 0] <= hi[:, 0, None])
+    meet &= lo[:, 1, None] <= whi[:, 1]
+    meet &= wlo[:, 1] <= hi[:, 1, None]
+    i, j = np.nonzero(meet)
+    out = np.zeros(len(p0s), dtype=bool)
+    out[i[segment_wall_crossings(p0s[i, None], p1s[i, None], walls[j, None]).ravel()]] = True
+    return out
 
 
 def segment_wall_crossings(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) -> np.ndarray:
@@ -441,7 +479,15 @@ def acute_angles_to_room_walls(fp: Floorplan, rooms: np.ndarray, headings: np.nd
     rooms = np.asarray(rooms)
     headings = np.asarray(headings, dtype=float)
     out = np.full(len(rooms), np.nan)
-    ok = rooms >= 0
-    d = (headings[ok, None] - fp._edge_angles[rooms[ok]] + math.pi / 2.0) % math.pi - math.pi / 2.0
-    out[ok] = np.abs(d).min(axis=1)
+    ok = np.flatnonzero(rooms >= 0)
+    h, r = headings[ok], rooms[ok]
+    best = None
+    for angles in fp._edge_angles.T:
+        d = h - angles[r]
+        d += math.pi / 2.0
+        d %= math.pi
+        d -= math.pi / 2.0
+        np.abs(d, out=d)
+        best = d if best is None else np.minimum(best, d, out=best)
+    out[ok] = best
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2D, finite_floats, wrap_angle
+from .geometry import Pose2D, finite_floats
 
 DEFAULT_STEP_LENGTH = 0.75  # metres, fixed nominal stride
 
@@ -179,21 +179,6 @@ def step_epoch_times(steps: list[StepEvent]) -> np.ndarray:
         t0 = steps[0].t - 0.5
     times[0] = min(max(t0, 0.0), steps[0].t)
     return times
-
-
-def dead_reckon(steps: list[StepEvent], start: Pose2D) -> PdrTrajectory:
-    """Integrate step events from a start pose, turn first then stride."""
-    n = len(steps)
-    poses = np.empty((n + 1, 3))
-    poses[0] = start.as_array()
-    theta = start.theta
-    for i, s in enumerate(steps):
-        theta = theta + s.dtheta
-        poses[i + 1, 0] = poses[i, 0] + s.length * math.cos(theta)
-        poses[i + 1, 1] = poses[i, 1] + s.length * math.sin(theta)
-        poses[i + 1, 2] = theta
-    poses[:, 2] = wrap_angle(poses[:, 2])
-    return PdrTrajectory(poses, step_epoch_times(steps))
 
 
 def interpolate_positions(traj: PdrTrajectory, ts: np.ndarray) -> np.ndarray:

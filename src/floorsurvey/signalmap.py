@@ -302,14 +302,6 @@ def position_one_shot(maps: list[SignalMap],
     return cx, cy, ll
 
 
-def error_cdf(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF support points: sorted errors and P(error <= x)."""
-    e = np.sort(np.asarray(errors, dtype=float))
-    if len(e) == 0:
-        raise ValueError("no errors given")
-    return e, np.arange(1, len(e) + 1) / len(e)
-
-
 def bucket_fractions(errors: np.ndarray,
                      edges: tuple[float, float] = (1.0, 2.0)) -> tuple[float, float, float]:
     """Fractions of errors in [0, e0), [e0, e1) and [e1, inf)."""

