@@ -46,6 +46,7 @@ def read_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
         try:
             if len(parts) != 5:
                 raise ValueError("expected epoch,t,x,y,theta")
+            int(parts[0])  # the epoch: checked, not kept
             t, x, y, theta = finite_floats(parts[1:5])
             times.append(t)
             poses.append([x, y, theta])
@@ -70,8 +71,10 @@ def read_closures(path) -> list[StepLoopClosure]:
     out = []
     for lineno, parts in _data_lines(_read(path)):
         try:
+            if len(parts) != 2:
+                raise ValueError("expected epoch_a,epoch_b")
             out.append(StepLoopClosure(int(parts[0]), int(parts[1])))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise _numbered(lineno, exc) from None
     return out
 
@@ -164,6 +167,8 @@ def read_survey_points(path) -> list[SurveyPoint]:
         try:
             if parts[0] == "point":
                 epoch = int(parts[1])
+                if epoch in points:
+                    raise ValueError(f"point epoch {epoch} repeats an earlier row")
                 t, x, y, theta = finite_floats(parts[2:6])
                 room = int(parts[6])
                 mag = None if parts[7] == "nan" else finite_floats(parts[7:8])[0]
@@ -173,6 +178,8 @@ def read_survey_points(path) -> list[SurveyPoint]:
                 epoch = int(parts[1])
                 if epoch not in points:
                     raise ValueError("sig row before its point row")
+                if parts[2] in points[epoch].wifi:
+                    raise ValueError(f"source {parts[2]!r} repeats at epoch {epoch}")
                 points[epoch].wifi[parts[2]] = finite_floats(parts[3:4])[0]
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")

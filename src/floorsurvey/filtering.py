@@ -18,7 +18,7 @@ from .geometry import (
     Floorplan,
     Pose2D,
     acute_angles_to_room_walls,
-    containing_room,
+    containing_room,  # unused here; perfbench/tracing.py swaps this name
     containing_rooms,
     points_in_polygon,
     rooms_in_cells,
@@ -127,7 +127,7 @@ def propagate(poses, step: StepEvent, noise: StepNoiseModel, rng: np.random.Gene
     return out.T
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ConstraintSet:
     """Which constraint classes apply during reweighting, and their scales.
 
@@ -136,7 +136,6 @@ class ConstraintSet:
     particle's own ancestor at its epoch_a.
     """
 
-    floorplan: Floorplan
     straight_flags: np.ndarray | None = None
     closures: list[StepLoopClosure] = field(default_factory=list)
     sigma_alpha: float = math.radians(2.5)
@@ -152,12 +151,12 @@ class ConstraintSet:
         return self._by_b.get(epoch_b, [])
 
 
-def _reweight_batch(prev_xy: np.ndarray, prev_cells: np.ndarray, new_poses: np.ndarray,
-                    new_cells: np.ndarray, step_index: int, constraints: ConstraintSet,
-                    anchors: dict[int, np.ndarray]) -> np.ndarray:
+def _reweight_batch(fp: Floorplan, prev_xy: np.ndarray, prev_cells: np.ndarray,
+                    new_poses: np.ndarray, new_cells: np.ndarray, step_index: int,
+                    constraints: ConstraintSet, anchors: dict[int, np.ndarray]) -> np.ndarray:
     """Constraint weight of each particle's move prev_xy -> new_poses at
-    the given step; prev_cells and new_cells are the grid cells of the
-    two ends (Floorplan.cells).
+    the given step in plan fp; prev_cells and new_cells are the grid
+    cells of the two ends (fp.cells).
 
     Order: start at 1; a wall crossing zeroes the weight; a straight-line
     step multiplies by the folded-normal density of the acute angle to
@@ -167,7 +166,6 @@ def _reweight_batch(prev_xy: np.ndarray, prev_cells: np.ndarray, new_poses: np.n
     anchors maps the anchor epoch of each such closure to per-particle
     (x, y) positions aligned with the cloud.
     """
-    fp = constraints.floorplan
     w = np.ones(len(new_poses))
     new_xy = new_poses[:, :2]
     if len(fp.walls):
@@ -364,8 +362,9 @@ class AncestorTree:
         return out
 
     def _survivors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """surviving(), plus per epoch from 1 on each survivor's parent
-        as an index into the previous epoch's survivors."""
+        """Per-epoch sorted indices of particles with a final-epoch
+        descendant (every final particle counts), and from epoch 1 on each
+        one's parent as an index into the previous epoch's survivors."""
         last = len(self.epochs) - 1
         keep: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(self.epochs)
         up = list(keep)
@@ -374,11 +373,6 @@ class AncestorTree:
             keep[e - 1], up[e] = _distinct(self.epochs[e].parents[keep[e]],
                                            len(self.epochs[e - 1].poses))
         return keep, up
-
-    def surviving(self) -> list[np.ndarray]:
-        """Per-epoch sorted indices of particles with a descendant in the
-        final epoch (every final particle counts)."""
-        return self._survivors()[0]
 
     def compact(self):
         """Drop particles with no surviving descendants and remap parent
@@ -398,11 +392,9 @@ class AncestorTree:
 
 @dataclass
 class SmoothResult:
-    mean_poses: np.ndarray       # (T+1, 3) smoothed weighted mean
-    map_poses: np.ndarray        # (T+1, 3) highest-weight surviving lineage
-    survivor_counts: np.ndarray  # (T+1,)
-    survivors: list              # per-epoch index arrays into the tree
-    mass: list                   # per-epoch smoothing weights, each sums to 1
+    mean_poses: np.ndarray  # (T+1, 3) smoothed weighted mean
+    map_poses: np.ndarray   # (T+1, 3) highest-weight surviving lineage
+    mass: list              # per-epoch smoothing weights, each sums to 1
 
 
 def prune_smooth(tree: AncestorTree) -> SmoothResult:
@@ -416,19 +408,14 @@ def prune_smooth(tree: AncestorTree) -> SmoothResult:
     """
     if len(tree) == 0:
         raise ValueError("empty ancestor tree")
-    keep = tree.surviving()
     t1 = len(tree)
     mass: list[np.ndarray] = [np.empty(0)] * t1
     mass[t1 - 1] = tree[t1 - 1].weights.copy()
     for e in range(t1 - 1, 0, -1):
-        acc = np.zeros(len(tree[e - 1].weights))
-        np.add.at(acc, tree[e].parents, mass[e])
-        mass[e - 1] = acc
+        mass[e - 1] = np.bincount(tree[e].parents, weights=mass[e],
+                                  minlength=len(tree[e - 1].weights))
     mean_poses = np.empty((t1, 3))
-    counts = np.empty(t1, dtype=np.int64)
     for e in range(t1):
-        if len(keep[e]) == 0:
-            raise ValueError(f"no surviving particles at epoch {e}")
         total = mass[e].sum()
         if not total > 0:
             raise ValueError(f"surviving mass is zero at epoch {e}")
@@ -440,7 +427,6 @@ def prune_smooth(tree: AncestorTree) -> SmoothResult:
         mean_poses[e, 0] = w @ poses[:, 0]
         mean_poses[e, 1] = w @ poses[:, 1]
         mean_poses[e, 2] = math.atan2(w @ np.sin(poses[:, 2]), w @ np.cos(poses[:, 2]))
-        counts[e] = len(keep[e])
         mass[e] = w
     with np.errstate(divide="ignore"):
         score = np.log(tree[0].weights)
@@ -451,7 +437,7 @@ def prune_smooth(tree: AncestorTree) -> SmoothResult:
     for e in range(t1 - 1, -1, -1):
         map_poses[e] = tree[e].poses[i]
         i = int(tree[e].parents[i])
-    return SmoothResult(mean_poses, map_poses, counts, keep, mass)
+    return SmoothResult(mean_poses, map_poses, mass)
 
 
 def seed_particles(fp: Floorplan, n: int, rng: np.random.Generator,
@@ -492,12 +478,11 @@ def seed_particles(fp: Floorplan, n: int, rng: np.random.Generator,
 
 @dataclass
 class FilterResult:
-    poses: np.ndarray            # (T+1, 3) smoothed weighted-mean poses
-    map_poses: np.ndarray        # (T+1, 3) highest-weight surviving lineage
-    times: np.ndarray            # (T+1,)
-    rooms: list                  # per-epoch room id or None
-    counts: np.ndarray           # particles per epoch as generated
-    survivor_counts: np.ndarray  # particles per epoch after pruning
+    poses: np.ndarray      # (T+1, 3) smoothed weighted-mean poses
+    map_poses: np.ndarray  # (T+1, 3) highest-weight surviving lineage
+    times: np.ndarray      # (T+1,)
+    rooms: list            # per-epoch room id or None
+    counts: np.ndarray     # particles per epoch as generated
     tree: AncestorTree
 
     @property
@@ -532,7 +517,7 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         selected = _take(prev.poses, draws)
         new_poses = propagate(selected, step, noise, rng)
         prev_cells, cells = _take(cells, draws), fp.cells(new_poses[:, :2])
-        w = _reweight_batch(selected[:, :2], prev_cells, new_poses, cells, i, constraints, anchors)
+        w = _reweight_batch(fp, selected[:, :2], prev_cells, new_poses, cells, i, constraints, anchors)
         total = w.sum()
         if not total > 0:
             raise FilterLostError(epoch, label)
@@ -543,26 +528,20 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
     smooth = prune_smooth(tree)
     # room per epoch: the weighted-mean pose's room, unless the cloud's
     # modal room disagrees, in which case the map lineage arbitrates
+    mean_rooms = containing_rooms(fp, smooth.mean_poses[:, :2])
+    map_rooms = containing_rooms(fp, smooth.map_poses[:, :2])
     rooms = []
-    for e in range(len(smooth.mean_poses)):
-        idx = smooth.survivors[e]
-        cloud = tree[e]
-        votes = containing_rooms(fp, _take(cloud.poses[:, :2], idx))
-        mass = np.bincount(votes + 1, weights=smooth.mass[e][idx],
-                           minlength=len(fp.rooms) + 1)
-        mode = int(np.argmax(mass)) - 1
-        mode_room = None if mode < 0 else mode
-        mean_room = containing_room(fp, smooth.mean_poses[e, :2])
-        if mean_room == mode_room:
-            rooms.append(mean_room)
-        else:
-            rooms.append(containing_room(fp, smooth.map_poses[e, :2]))
+    for e, w in enumerate(smooth.mass):
+        idx = np.flatnonzero(w)  # zero-mass particles would only add +0.0
+        votes = containing_rooms(fp, _take(tree[e].poses[:, :2], idx))
+        mass = np.bincount(votes + 1, weights=w[idx], minlength=len(fp.rooms) + 1)
+        room = mean_rooms[e] if np.argmax(mass) - 1 == mean_rooms[e] else map_rooms[e]
+        rooms.append(None if room < 0 else int(room))
     return FilterResult(
         poses=smooth.mean_poses,
         map_poses=smooth.map_poses,
         times=step_epoch_times(steps),
         rooms=rooms,
         counts=np.asarray(counts, dtype=np.int64),
-        survivor_counts=smooth.survivor_counts,
         tree=tree,
     )

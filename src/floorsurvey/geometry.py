@@ -97,9 +97,6 @@ class Pose2D:
             raise ValueError(f"pose ({self.x}, {self.y}, {self.theta}) is not finite")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
 
 class FloorplanError(ValueError):
     """Raised for unparseable or inconsistent floorplan input."""

@@ -76,24 +76,41 @@ class LoopClosureResult:
     msps: list[SegmentPair]
 
 
-def _uncontained(keys: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
-    """The keys (a0, a1, b0, b1) not contained in another key, in order.
+_SWEEP_BLOCK = 64  # vectors tested together in the containment sweep
 
-    Key r lies in key c when a0_c <= a0_r, a1_r <= a1_c and the b range
-    of r, taken in either direction, lies inside that of c.  One K x K
-    mask holds every pair's test.
+
+def _uncontained(keys: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """The distinct keys (a0, a1, b0, b1) not contained in another key,
+    in order.
+
+    Key r lies in key c when c's vector (-a0, a1, -min b, max b) is >=
+    r's in every component (either direction of a b range counts), so a
+    key survives iff its vector is maximal and no other key shares it.
+    A sweep over the distinct vectors in descending lexicographic order,
+    a block at a time, meets every dominating vector first; each block is
+    tested against itself and the maxima kept so far (Kung, Luccio &
+    Preparata 1975), so memory stays O(K).
     """
     if not keys:
         return []
     k = np.array(keys, dtype=np.int64)
-    a0, a1 = k[:, 0], k[:, 1]
-    b0, b1 = k[:, 2:].min(axis=1), k[:, 2:].max(axis=1)
-    inside = a0[None, :] <= a0[:, None]
-    inside &= a1[:, None] <= a1[None, :]
-    inside &= b0[None, :] <= b0[:, None]
-    inside &= b1[:, None] <= b1[None, :]
-    np.fill_diagonal(inside, False)
-    return [key for key, contained in zip(keys, inside.any(axis=1)) if not contained]
+    vec = np.column_stack([-k[:, 0], k[:, 1], -k[:, 2:].min(axis=1), k[:, 2:].max(axis=1)])
+    vals, inv, count = np.unique(vec, axis=0, return_inverse=True, return_counts=True)
+    vals = np.ascontiguousarray(vals.T)
+    maxima = vals[:, :0]
+    keep = count == 1
+    for hi in range(len(count), 0, -_SWEEP_BLOCK):
+        lo = max(hi - _SWEEP_BLOCK, 0)
+        block = vals[:, lo:hi]
+        tops = np.concatenate([maxima, block], axis=1)
+        inside = tops[0][:, None] >= block[0]
+        for t, v in zip(tops[1:], block[1:]):
+            inside &= t[:, None] >= v
+        np.fill_diagonal(inside[maxima.shape[1]:], False)  # a vector does not contain itself
+        new = ~inside.any(axis=0)
+        maxima = np.concatenate([maxima, block[:, new]], axis=1)
+        keep[lo:hi] &= new
+    return [key for key, ok in zip(keys, keep[inv.ravel()]) if ok]
 
 
 def find_msps(positions: np.ndarray, params: MspParams | None = None) -> list[SegmentPair]:

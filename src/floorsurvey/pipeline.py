@@ -158,7 +158,7 @@ def run_survey(log: SurveyLog, fp: Floorplan, config: PipelineConfig | None = No
     flags = detect_straight_steps(log.steps, config.straight)
     pf1 = run_filter(
         log.steps, fp, config.pf1, config.noise,
-        ConstraintSet(floorplan=fp),
+        ConstraintSet(),
         start_room=log.start_room, start_pose=log.start_pose,
         rng=rng, label="pf1",
     )
@@ -166,7 +166,6 @@ def run_survey(log: SurveyLog, fp: Floorplan, config: PipelineConfig | None = No
         return SurveyResult(pf1, None, flags, None, build_survey_points(pf1, log))
     closures = detect_loop_closures(pf1, log.mags, config.msp, config.validation)
     c2 = ConstraintSet(
-        floorplan=fp,
         straight_flags=flags,
         closures=closures.closures,
         sigma_alpha=config.sigma_alpha,

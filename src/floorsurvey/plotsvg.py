@@ -72,13 +72,12 @@ class SvgCanvas:
         return f"{head}\n{body}\n</svg>\n"
 
 
-def draw_floorplan(canvas: SvgCanvas, fp: Floorplan, label_rooms: bool = True) -> None:
+def draw_floorplan(canvas: SvgCanvas, fp: Floorplan) -> None:
     for x0, y0, x1, y1 in fp.walls:
         canvas.line((x0, y0), (x1, y1), WALL_COLOR, 2.0)
-    if label_rooms:
-        for room in fp.rooms:
-            cx, cy = room.vertices.mean(axis=0)
-            canvas.text((cx, cy), str(room.room_id), 9.0, "gray")
+    for room in fp.rooms:
+        cx, cy = room.vertices.mean(axis=0)
+        canvas.text((cx, cy), str(room.room_id), 9.0, "gray")
 
 
 def draw_closures(canvas: SvgCanvas, positions: np.ndarray, closures) -> None:
@@ -87,10 +86,10 @@ def draw_closures(canvas: SvgCanvas, positions: np.ndarray, closures) -> None:
 
 
 def render_scene(fp: Floorplan, trajectories: list[tuple[np.ndarray, str]],
-                 closures=None, label_rooms: bool = True) -> str:
+                 closures=None) -> str:
     """One SVG with the floorplan plus any number of colored paths."""
     canvas = SvgCanvas(fp.bounds)
-    draw_floorplan(canvas, fp, label_rooms)
+    draw_floorplan(canvas, fp)
     if closures:
         for positions, _ in trajectories[:1]:
             draw_closures(canvas, positions, closures)

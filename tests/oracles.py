@@ -4,9 +4,9 @@ Most functions answer one question for one point, move, time or scan,
 by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
 The others are the straightforward forms of the angle factor, the grid
-index's room table, KLD resampling, the MSP containment filter and two
-ancestor-tree walks, plus dead reckoning and the empirical error CDF,
-which only tests use.
+index's room table, KLD resampling, the MSP containment filter, two
+ancestor-tree walks, the smoothing mass and the per-epoch room labels,
+plus dead reckoning and the empirical error CDF, which only tests use.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from floorsurvey.filtering import (
     _bin_ids,
     folded_normal_density,
     kld_required_particles,
+    prune_smooth,
 )
 from floorsurvey.geometry import _MIXED, Floorplan, Pose2D, _rooms_by_polygon, wrap_angle
 from floorsurvey.sensors import PdrTrajectory, StepEvent, step_epoch_times
@@ -168,9 +169,9 @@ def grid_rooms(fp: Floorplan) -> np.ndarray:
     return rooms
 
 
-def reweight(prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
+def reweight(fp: Floorplan, prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
              anchors: dict[int, tuple[float, float]]) -> float:
-    """Constraint weight of one particle's move at the given step.
+    """Constraint weight of one particle's move at the given step in plan fp.
 
     Order: start at 1; a wall crossing returns 0 immediately; a
     straight-line step multiplies by the folded-normal density of the
@@ -182,7 +183,6 @@ def reweight(prev_pos, new_pose, step_index: int, constraints: ConstraintSet,
     """
     new_pose = np.asarray(new_pose, dtype=float)
     prev_pos = np.asarray(prev_pos, dtype=float)[:2]
-    fp = constraints.floorplan
     new_xy = new_pose[:2]
     w = 1.0
     if segment_crosses_wall(fp, prev_pos, new_xy):
@@ -205,7 +205,7 @@ def dead_reckon(steps: list[StepEvent], start: Pose2D) -> PdrTrajectory:
     """Integrate step events from a start pose, turn first then stride."""
     n = len(steps)
     poses = np.empty((n + 1, 3))
-    poses[0] = start.as_array()
+    poses[0] = start.x, start.y, start.theta
     theta = start.theta
     for i, s in enumerate(steps):
         theta = theta + s.dtheta
@@ -327,3 +327,38 @@ def surviving(tree) -> list[np.ndarray]:
     for e in range(last - 1, -1, -1):
         keep[e] = np.unique(tree[e + 1].parents[keep[e + 1]])
     return keep
+
+
+def smoothing_mass(tree) -> list[np.ndarray]:
+    """Per-epoch smoothing weights: each final weight added into every
+    ancestor with np.add.at, one epoch at a time, then normalised."""
+    mass = [np.empty(0)] * len(tree)
+    mass[-1] = tree[len(tree) - 1].weights.copy()
+    for e in range(len(tree) - 1, 0, -1):
+        mass[e - 1] = np.zeros(len(tree[e - 1].weights))
+        np.add.at(mass[e - 1], tree[e].parents, mass[e])
+    return [m / m.sum() for m in mass]
+
+
+def room_labels(fp: Floorplan, tree) -> tuple[list, list[int]]:
+    """Per-epoch room labels of a filter run, one epoch and one point at
+    a time: the smoothed mean pose's room, unless the modal room of the
+    survivors, weighted by smoothing mass, disagrees; then the map
+    lineage's room.  Also returns the epochs that took the map room."""
+    smooth = prune_smooth(tree)
+    keep = surviving(tree)
+    rooms, arbitrated = [], []
+    for e, idx in enumerate(keep):
+        votes = [-1 if r is None else r
+                 for r in (containing_room(fp, p) for p in tree[e].poses[idx, :2])]
+        mass = np.bincount(np.array(votes, dtype=int) + 1, weights=smooth.mass[e][idx],
+                           minlength=len(fp.rooms) + 1)
+        mode = int(np.argmax(mass)) - 1
+        mode_room = None if mode < 0 else mode
+        mean_room = containing_room(fp, smooth.mean_poses[e, :2])
+        if mean_room == mode_room:
+            rooms.append(mean_room)
+        else:
+            rooms.append(containing_room(fp, smooth.map_poses[e, :2]))
+            arbitrated.append(e)
+    return rooms, arbitrated

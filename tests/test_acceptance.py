@@ -329,7 +329,6 @@ def test_c10_runtime_on_long_walk(capsys):
     pf1_s = time.perf_counter() - t0
     closures = detect_loop_closures(first.pf1, log.mags, MspParams(), ValidationParams())
     constraints = ConstraintSet(
-        floorplan=fp,
         straight_flags=first.straight_flags,
         closures=closures.closures,
     )

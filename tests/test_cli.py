@@ -266,6 +266,29 @@ def test_exit_code_data_errors(ws, tmp_path, capsys):
         assert "line 4: " in capsys.readouterr().err
 
 
+def test_exit_code_rejected_rows(ws, tmp_path, capsys):
+    traj = tmp_path / "bad.traj"
+    traj.write_text("# epoch,t,x,y,theta\n0,0.0,1.0,2.0,0.0\nabc,0.5,1.0,2.0,0.0\n")
+    assert main(["eval", "--traj", str(traj), "--truth", str(ws["sim"] / "truth.traj"),
+                 "--out", str(tmp_path / "o1")]) == 2
+    assert "line 3: " in capsys.readouterr().err
+    closures = tmp_path / "bad.lc"
+    for bad in ("1,2,99", "3"):
+        closures.write_text(f"0,5\n{bad}\n")
+        assert main(["plot", "--traj", str(ws["srv"] / "pf2.traj"), "--closures", str(closures),
+                     "--floorplan", str(ws["sim"] / "floorplan.txt"),
+                     "--out", str(tmp_path / "o2.svg")]) == 2
+        assert "line 2: expected epoch_a,epoch_b" in capsys.readouterr().err
+    points = tmp_path / "bad.spt"
+    point = "0.0,1.0,2.0,0.5,3,nan"
+    for rows, match in ((f"point,0,{point}\npoint,0,{point}", "line 2: point epoch 0 repeats"),
+                        (f"point,0,{point}\nsig,0,ap0,-50.0\nsig,0,ap0,-51.0",
+                         "line 3: source 'ap0' repeats")):
+        points.write_text(rows + "\n")
+        assert main(["map", "--points", str(points), "--out", str(tmp_path / "o3")]) == 2
+        assert match in capsys.readouterr().err
+
+
 def test_survey_rejects_nan_stride(tmp_path, capsys):
     # a 60-step corridor log with the stride of step index 10 set to nan
     log, _ = simulate_scenario(corridor_scenario(repeats=1), office_floorplan(), seed=3)

@@ -49,6 +49,10 @@ def test_trajectory_read_errors(tmp_path):
         f.write_text(f"0,0.0,1.0,2.0,0.0\n1,0.5,{bad},2.0,0.0\n")
         with pytest.raises(ValueError, match="line 2: non-finite"):
             fileio.read_trajectory(f)
+    for epoch in ("abc", "1.5", ""):
+        f.write_text(f"0,0.0,1.0,2.0,0.0\n{epoch},0.5,1.0,2.0,0.0\n")
+        with pytest.raises(ValueError, match="line 2: invalid literal for int"):
+            fileio.read_trajectory(f)
 
 
 def test_empty_trajectory_roundtrip(tmp_path):
@@ -73,6 +77,10 @@ def test_closures_roundtrip(tmp_path):
     f.write_text("1,notanint\n")
     with pytest.raises(ValueError, match="line 1"):
         fileio.read_closures(f)
+    for bad in ("1,2,99", "3"):
+        f.write_text(f"# epoch_a,epoch_b\n1,2\n{bad}\n")
+        with pytest.raises(ValueError, match="line 3: expected epoch_a,epoch_b"):
+            fileio.read_closures(f)
 
 
 def test_rejected_roundtrip(tmp_path):
@@ -166,6 +174,21 @@ def test_survey_points_roundtrip(tmp_path):
         f.write_text(f"point,0,{point}\nsig,0,ap0,{sig}\n")
         with pytest.raises(ValueError, match="non-finite"):
             fileio.read_survey_points(f)
+
+
+def test_survey_points_reject_repeated_epoch_and_source(tmp_path):
+    f = tmp_path / "points.csv"
+    point = "0.0,1.0,2.0,0.5,3,nan"
+    # a second point row for epoch 0 would drop the first one's sig rows
+    f.write_text(f"point,0,{point}\nsig,0,ap0,-50.0\npoint,1,{point}\npoint,0,{point}\n")
+    with pytest.raises(ValueError, match="line 4: point epoch 0 repeats"):
+        fileio.read_survey_points(f)
+    f.write_text(f"point,0,{point}\nsig,0,ap0,-50.0\nsig,0,ap1,-60.0\nsig,0,ap0,-70.0\n")
+    with pytest.raises(ValueError, match="line 4: source 'ap0' repeats at epoch 0"):
+        fileio.read_survey_points(f)
+    # one source at two epochs is fine
+    f.write_text(f"point,0,{point}\nsig,0,ap0,-50.0\npoint,1,{point}\nsig,1,ap0,-70.0\n")
+    assert [p.wifi for p in fileio.read_survey_points(f)] == [{"ap0": -50.0}, {"ap0": -70.0}]
 
 
 def test_positions_format(tmp_path):

@@ -141,39 +141,38 @@ def test_propagate_consumes_stream_even_with_zero_sigmas():
 
 # --------------------------------------------------------------- reweight
 
-def _reweight(prev_xy, new_poses, step_index, c, anchors):
-    fp = c.floorplan
-    return _reweight_batch(prev_xy, fp.cells(prev_xy), new_poses, fp.cells(new_poses[:, :2]),
+def _reweight(fp, prev_xy, new_poses, step_index, c, anchors):
+    return _reweight_batch(fp, prev_xy, fp.cells(prev_xy), new_poses, fp.cells(new_poses[:, :2]),
                            step_index, c, anchors)
 
 
-def _reweight_one(prev_xy, new_pose, step_index, c, anchors=None):
+def _reweight_one(fp, prev_xy, new_pose, step_index, c, anchors=None):
     anchors = {a: np.array([xy], dtype=float) for a, xy in (anchors or {}).items()}
-    return _reweight(np.array([prev_xy], dtype=float), np.array([new_pose], dtype=float),
+    return _reweight(fp, np.array([prev_xy], dtype=float), np.array([new_pose], dtype=float),
                      step_index, c, anchors)[0]
 
 
 def test_reweight_wall_crossing_zeroes(two_room_plan):
-    c = ConstraintSet(two_room_plan)
-    assert _reweight_one((4.0, 2.0), (6.0, 2.0, 0.0), 0, c) == 0.0
-    assert _reweight_one((4.0, 5.0), (6.0, 5.0, 0.0), 0, c) == 1.0
+    c = ConstraintSet()
+    assert _reweight_one(two_room_plan, (4.0, 2.0), (6.0, 2.0, 0.0), 0, c) == 0.0
+    assert _reweight_one(two_room_plan, (4.0, 5.0), (6.0, 5.0, 0.0), 0, c) == 1.0
 
 
 def test_reweight_straight_factor(square_plan):
     flags = np.array([True])
-    c = ConstraintSet(square_plan, straight_flags=flags)
+    c = ConstraintSet(straight_flags=flags)
     heading = math.radians(4.0)
-    w = _reweight_one((5.0, 5.0), (5.5, 5.0, heading), 0, c)
+    w = _reweight_one(square_plan, (5.0, 5.0), (5.5, 5.0, heading), 0, c)
     assert math.isclose(w, folded_normal_density(heading, c.sigma_alpha))
     # outside every room there is no wall to compare against
-    w_out = _reweight_one((50.0, 50.0), (50.5, 50.0, heading), 0, c)
+    w_out = _reweight_one(square_plan, (50.0, 50.0), (50.5, 50.0, heading), 0, c)
     assert w_out == 1.0
 
 
 def test_reweight_closure_factor_uses_own_anchor(square_plan):
-    c = ConstraintSet(square_plan, closures=[StepLoopClosure(2, 3)])
+    c = ConstraintSet(closures=[StepLoopClosure(2, 3)])
     # epoch 3 means step index 2; the anchor is the particle's position at epoch 2
-    w = _reweight_one((4.5, 5.0), (5.0, 5.0, 0.0), 2, c, {2: (4.0, 5.0)})
+    w = _reweight_one(square_plan, (4.5, 5.0), (5.0, 5.0, 0.0), 2, c, {2: (4.0, 5.0)})
     assert math.isclose(w, folded_normal_density(1.0, c.sigma_closure))
 
 
@@ -192,11 +191,11 @@ def test_reweight_batch_matches_scalar(two_room_plan):
         flags = np.array([False, True, True])
         # two closures ending at epoch 2, each with per-particle anchors
         anchors = {a: rng.uniform(lo, hi, size=(2 * n, 2)) for a in (0, 1)}
-        c = ConstraintSet(fp, straight_flags=flags,
+        c = ConstraintSet(straight_flags=flags,
                           closures=[StepLoopClosure(0, 2), StepLoopClosure(1, 2)])
         for step_index in (0, 1):
-            got = _reweight(prev, new, step_index, c, anchors)
-            want = np.array([oracles.reweight(prev[i], new[i], step_index, c,
+            got = _reweight(fp, prev, new, step_index, c, anchors)
+            want = np.array([oracles.reweight(fp, prev[i], new[i], step_index, c,
                                               {a: xy[i] for a, xy in anchors.items()})
                              for i in range(2 * n)])
             assert np.allclose(got, want, atol=1e-12)
@@ -421,7 +420,6 @@ def test_prune_smooth_invariant_under_compaction():
     after = prune_smooth(tree)
     assert np.allclose(before.mean_poses, after.mean_poses, atol=1e-12)
     assert np.allclose(before.map_poses, after.map_poses, atol=1e-12)
-    assert np.array_equal(before.survivor_counts, after.survivor_counts)
 
 
 def test_prune_smooth_means_ignore_cloud_layout():
@@ -447,6 +445,15 @@ def test_prune_smooth_masses_sum_to_one():
         assert math.isclose(m.sum(), 1.0, rel_tol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_prune_smooth_masses_match_add_at_oracle(seed):
+    tree = _random_tree(np.random.default_rng(seed))
+    got = prune_smooth(tree).mass
+    want = oracles.smoothing_mass(tree)
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+
+
 def test_prune_smooth_rejects_empty():
     with pytest.raises(ValueError):
         prune_smooth(AncestorTree())
@@ -456,7 +463,7 @@ def test_surviving_counts_every_final_particle():
     t = AncestorTree()
     t.append(np.zeros((3, 3)), np.full(3, 1 / 3), np.full(3, -1))
     t.append(np.zeros((2, 3)), np.full(2, 0.5), np.array([1, 1]))
-    keep = t.surviving()
+    keep = t._survivors()[0]
     assert np.array_equal(keep[0], [1])
     assert np.array_equal(keep[1], [0, 1])
 
@@ -479,7 +486,7 @@ def test_surviving_matches_per_level_unique_oracle():
     for _ in range(30):
         tree = _random_tree(rng, max_epochs=55, max_particles=25, min_epochs=40)
         for _ in range(2):  # before and after compaction
-            got, want = tree.surviving(), oracles.surviving(tree)
+            got, want = tree._survivors()[0], oracles.surviving(tree)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -540,7 +547,7 @@ def test_run_filter_shapes_and_determinism(square_plan):
     steps = _straight_steps(6)
     kld = KldConfig(n_min=300)
     noise = StepNoiseModel()
-    a, b = (run_filter(steps, square_plan, kld, noise, ConstraintSet(square_plan),
+    a, b = (run_filter(steps, square_plan, kld, noise, ConstraintSet(),
                        np.random.default_rng(3), start_pose=Pose2D(2.0, 5.0, 0.0))
             for _ in range(2))
     assert a.poses.shape == (7, 3)
@@ -559,7 +566,7 @@ def test_run_filter_raises_when_lost(square_plan):
     noise = StepNoiseModel(sigma_dtheta=1e-9, length_lambda=1e-9)
     with pytest.raises(FilterLostError) as info:
         run_filter(steps, square_plan, KldConfig(n_min=200), noise,
-                   ConstraintSet(square_plan), np.random.default_rng(0),
+                   ConstraintSet(), np.random.default_rng(0),
                    start_pose=Pose2D(5.0, 5.0, 0.0), label="pf1")
     assert info.value.epoch == 1
     assert "pf1" in str(info.value)
@@ -569,10 +576,32 @@ def test_run_filter_walls_confine_cloud(square_plan):
     # long walk east: the far wall stops the surviving mass inside
     steps = _straight_steps(30)
     res = run_filter(steps, square_plan, KldConfig(n_min=400), StepNoiseModel(),
-                     ConstraintSet(square_plan), np.random.default_rng(1),
+                     ConstraintSet(), np.random.default_rng(1),
                      start_pose=Pose2D(1.0, 5.0, 0.0))
     assert res.positions[:, 0].max() <= 10.0 + 1e-9
     assert res.positions[:, 0].min() >= 0.0 - 1e-9
+
+
+def test_run_filter_room_labels_match_per_epoch_oracle(two_room_plan):
+    # east through the doorway: near the crossing the mean pose and the
+    # cloud's modal room can disagree, and the map lineage decides; at
+    # seed 12 a vote by particle count instead of mass flips epoch 5
+    steps = _straight_steps(10)
+    arbitrated = 0
+    for seed in (2, 4, 12):
+        res = run_filter(steps, two_room_plan, KldConfig(n_min=300), StepNoiseModel(),
+                         ConstraintSet(), np.random.default_rng(seed),
+                         start_pose=Pose2D(1.5, 5.0, 0.0))
+        rooms, by_map = oracles.room_labels(two_room_plan, res.tree)
+        assert res.rooms == rooms
+        assert rooms[0] == 0 and rooms[-1] == 1
+        arbitrated += len(by_map)
+    assert arbitrated > 0
+
+
+def test_constraint_set_takes_no_positional_plan(square_plan):
+    with pytest.raises(TypeError):
+        ConstraintSet(square_plan)
 
 
 def test_run_filter_closure_anchors_survive_compaction(square_plan, monkeypatch):
@@ -582,7 +611,7 @@ def test_run_filter_closure_anchors_survive_compaction(square_plan, monkeypatch)
                 [(0, 11), (1, 10), (2, 9), (4, 7), (6, 7), (10, 11)]]
 
     def run(closures):
-        c = ConstraintSet(square_plan, closures=closures)
+        c = ConstraintSet(closures=closures)
         return run_filter(steps, square_plan, KldConfig(n_min=300), StepNoiseModel(), c,
                           np.random.default_rng(5), start_pose=Pose2D(2.0, 5.0, 0.0))
 
@@ -596,7 +625,6 @@ def test_run_filter_closure_anchors_survive_compaction(square_plan, monkeypatch)
         assert np.allclose(got.poses, ref.poses, rtol=0.0, atol=1e-12)
         assert np.array_equal(got.map_poses, ref.map_poses)
         assert np.array_equal(got.counts, ref.counts)
-        assert np.array_equal(got.survivor_counts, ref.survivor_counts)
         assert got.rooms == ref.rooms
 
 
@@ -607,7 +635,7 @@ def test_run_filter_long_span_closures_match_parent_chain_oracle(square_plan, mo
     steps = [StepEvent(0.5 * (i + 1), 0.75, math.pi if i % 8 == 7 else 0.0) for i in range(40)]
     closures = [StepLoopClosure(a, b) for a, b in
                 [(0, 16), (0, 32), (16, 32), (2, 30), (8, 24), (8, 40), (24, 40), (4, 36)]]
-    constraints = ConstraintSet(square_plan, closures=closures)
+    constraints = ConstraintSet(closures=closures)
     assert len(constraints.closures_at(32)) == 2 and len(constraints.closures_at(40)) == 2
     monkeypatch.setattr(filtering, "COMPACT_EVERY", every)
 
@@ -622,5 +650,4 @@ def test_run_filter_long_span_closures_match_parent_chain_oracle(square_plan, mo
     assert np.array_equal(got.poses, want.poses)
     assert np.array_equal(got.map_poses, want.map_poses)
     assert np.array_equal(got.counts, want.counts)
-    assert np.array_equal(got.survivor_counts, want.survivor_counts)
     assert got.rooms == want.rooms

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,42 @@ def test_uncontained_equal_nested_and_reversed_ranges():
     keys = [(1, 3, 14, 12), (0, 5, 10, 15), (2, 4, 11, 13), (6, 9, 0, 2)]
     assert loopclosure._uncontained(keys) == [(0, 5, 10, 15), (6, 9, 0, 2)]
     assert loopclosure._uncontained([]) == []
+
+
+@pytest.mark.parametrize("block", [1, 3, loopclosure._SWEEP_BLOCK])
+def test_uncontained_blocks_match_pairwise_oracle(block, monkeypatch):
+    # more keys than one block, so the maxima carry over between blocks
+    monkeypatch.setattr(loopclosure, "_SWEEP_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for high in (6, 12, 40, 6, 12, 40):
+        keys = list(dict.fromkeys(map(tuple, rng.integers(0, high, size=(150, 4)).tolist())))
+        assert loopclosure._uncontained(keys) == oracles.uncontained(keys)
+
+
+def test_uncontained_memory_is_linear_in_keys():
+    # a K x K mask of 8,000 keys would take 64 MB per comparison
+    rng = np.random.default_rng(4)
+    keys = list(dict.fromkeys(map(tuple, rng.integers(0, 3000, size=(8100, 4)).tolist())))[:8000]
+    assert len(keys) == 8000
+    tracemalloc.start()
+    try:
+        kept = loopclosure._uncontained(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    # every dropped key lies in a kept one, and no kept key lies in another
+    k, m = np.array(keys), np.array(kept)
+
+    def vectors(a):
+        return np.column_stack([-a[:, 0], a[:, 1], -a[:, 2:].min(axis=1), a[:, 2:].max(axis=1)])
+
+    kv, mv = vectors(k), vectors(m)
+    covered = np.zeros(len(k), dtype=bool)
+    for v in mv:
+        covered |= (v >= kv).all(axis=1)
+    assert 0 < len(kept) < len(keys) and covered.all()
+    assert [sum((v >= mv).all(axis=1)) for v in mv] == [1] * len(kept)
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -81,7 +81,7 @@ def _fake_result(times, rooms=None):
     if rooms is None:
         rooms = [None] * n
     return FilterResult(poses, poses.copy(), np.asarray(times, dtype=float),
-                        rooms, np.full(n, 1), np.full(n, 1), None)
+                        rooms, np.full(n, 1), None)
 
 
 def test_build_survey_points_window_assignment():

@@ -37,4 +37,3 @@ def test_render_scene_is_valid_xml_and_deterministic():
     assert tags.count("polyline") == 1
     assert tags.count("circle") == 1
     assert tags.count("text") == len(fp.rooms)
-    assert render_scene(fp, [], label_rooms=False).count("<text") == 0
