@@ -41,13 +41,19 @@ def write_trajectory(path, times: np.ndarray, poses: np.ndarray) -> None:
 
 
 def read_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
+    """The k-th data row must carry epoch k, and times never decrease,
+    so that readers can pair two trajectories row by row."""
     times, poses = [], []
     for lineno, parts in _data_lines(_read(path)):
         try:
             if len(parts) != 5:
                 raise ValueError("expected epoch,t,x,y,theta")
-            int(parts[0])  # the epoch: checked, not kept
+            epoch = int(parts[0])
+            if epoch != len(times):
+                raise ValueError(f"epoch {epoch} where epoch {len(times)} was due")
             t, x, y, theta = finite_floats(parts[1:5])
+            if times and t < times[-1]:
+                raise ValueError(f"time {t} is before the previous row's {times[-1]}")
             times.append(t)
             poses.append([x, y, theta])
         except ValueError as exc:

@@ -21,6 +21,7 @@ from .geometry import (
     containing_room,  # unused here; perfbench/tracing.py swaps this name
     containing_rooms,
     points_in_polygon,
+    remainder,
     rooms_in_cells,
     segments_cross_walls,
     wrap_angle,
@@ -64,6 +65,11 @@ class KldConfig:
     @property
     def n_max(self) -> int:
         return self.cap_factor * self.n_min
+
+    @property
+    def n_theta(self) -> int:
+        """Heading bins in a turn."""
+        return max(1, math.ceil(TAU / self.bin_theta))
 
 
 def pf1_kld_config() -> KldConfig:
@@ -192,6 +198,15 @@ def _reweight_batch(fp: Floorplan, prev_xy: np.ndarray, prev_cells: np.ndarray,
 
 
 _BOFF = 1 << 20  # supports |bin index| up to ~10^6
+_BOX_PER_PARTICLE = 16  # dense KLD bin box budget: cells per particle,
+_BOX_SLACK = 1 << 16    # plus this many
+
+
+def _theta_bins(theta: np.ndarray, cfg: KldConfig) -> np.ndarray:
+    """Heading bin per pose, binned modulo 2*pi."""
+    bt = np.floor(remainder(theta, TAU) / cfg.bin_theta).astype(np.int64)
+    np.clip(bt, 0, cfg.n_theta - 1, out=bt)
+    return bt
 
 
 def _bin_ids(poses: np.ndarray, cfg: KldConfig) -> np.ndarray:
@@ -199,10 +214,28 @@ def _bin_ids(poses: np.ndarray, cfg: KldConfig) -> np.ndarray:
     binned modulo 2*pi."""
     bx = np.floor(poses[:, 0] / cfg.bin_x).astype(np.int64)
     by = np.floor(poses[:, 1] / cfg.bin_y).astype(np.int64)
-    n_theta = max(1, int(math.ceil(TAU / cfg.bin_theta)))
-    bt = np.floor((poses[:, 2] % TAU) / cfg.bin_theta).astype(np.int64)
-    np.clip(bt, 0, n_theta - 1, out=bt)
-    return ((bx + _BOFF) * (2 * _BOFF) + (by + _BOFF)) * (n_theta + 1) + bt
+    bt = _theta_bins(poses[:, 2], cfg)
+    return ((bx + _BOFF) * (2 * _BOFF) + (by + _BOFF)) * (cfg.n_theta + 1) + bt
+
+
+def _box_bins(poses: np.ndarray, cfg: KldConfig, budget: int) -> tuple[np.ndarray, int] | None:
+    """Histogram bin per pose as an offset into the cloud's own bin box
+    (x, y and theta bins from the cloud's lowest x and y bins, row
+    major), and the box's cell count.  None when the box holds more than
+    budget cells, or has an x or y bin outside [-_BOFF, _BOFF), where
+    _bin_ids' keys stop being one per bin; also for NaN positions."""
+    bx = np.floor(poses[:, 0] / cfg.bin_x)
+    by = np.floor(poses[:, 1] / cfg.bin_y)
+    x0, x1, y0, y1 = bx.min(), bx.max(), by.min(), by.max()
+    if not (-_BOFF <= x0 and x1 < _BOFF and -_BOFF <= y0 and y1 < _BOFF):
+        return None
+    ny = y1 - y0 + 1.0
+    size = int((x1 - x0 + 1.0) * ny) * cfg.n_theta
+    if size > budget:
+        return None
+    # whole numbers below 2**53: exact in floats
+    bins = ((bx - x0) * ny + (by - y0)) * cfg.n_theta + _theta_bins(poses[:, 2], cfg)
+    return bins.astype(np.intp), size
 
 
 _GUIDE_STEPS = 4  # subset advances before the last draws fall back to searchsorted
@@ -259,6 +292,13 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
     n_max; zero-weight particles are never drawn.  Occupied bins are
     counted as draws arrive (Fox 2003) and each draw goes through a
     guide table, so a call is linear in the particles and draws.
+
+    Only bin equality matters, so bins are numbered within the cloud's
+    own box of x, y and theta bins, and a dense mask over the box marks
+    the bins drawn so far.  That takes no sort.  A box of more than
+    16 n + 65536 cells for n particles, or one reaching past the range
+    of _bin_ids (|bin| >= 2**20), numbers the bins by np.unique of
+    _bin_ids instead: the same bins, so the same count and draws.
     """
     poses = np.asarray(poses, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -270,8 +310,12 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
     # an interval below 1
     cum[np.flatnonzero(weights > 0)[-1]:] = 1.0
     guide = _guide_table(cum)
-    bins, bin_of = np.unique(_bin_ids(poses, cfg), return_inverse=True)
-    seen = np.zeros(len(bins), dtype=bool)
+    box = _box_bins(poses, cfg, _BOX_PER_PARTICLE * len(poses) + _BOX_SLACK)
+    if box is None:
+        bins, bin_of = np.unique(_bin_ids(poses, cfg), return_inverse=True)
+        box = bin_of, len(bins)
+    bin_of, size = box
+    seen = np.zeros(size, dtype=bool)
     target = cfg.n_min
     cap = cfg.n_max
     parts: list[np.ndarray] = []

@@ -51,6 +51,19 @@ puts a finite end of one segment inside the other segment's box, so
 that end lies in both boxes.  The screen's boxes come from fmin and
 fmax, which skip a NaN coordinate, so a finite end lies in its own
 segment's box even when the other end is NaN.
+
+remainder(a, b) gives np.remainder(a, b) for b > 0, with the same bytes,
+at a fraction of its cost.  np.remainder takes the exact fmod(a, b),
+adds b once, rounded, when that is negative, and turns a zero into
++0.0.  For a in (-2b, 2b), fmod(a, b) is a - b where a >= b, a + b where
+a < -b, and a elsewhere, and each of those operations is exact by
+Sterbenz's lemma (x - y is exact when y / 2 <= x <= 2y; here |a| and b
+lie within a factor of two of each other).  So one exact conditional
+subtract or add gives fmod's value, the same rounded + b follows on a
+negative result, and a final + 0.0 turns -0.0 into +0.0.  At a = -2b,
+fmod gives -0.0 and np.remainder +0.0; the kernel's -b + b is +0.0
+too.  An array with any element outside [-2b, 2b) (NaN and inf too)
+goes to np.remainder whole.
 """
 
 from __future__ import annotations
@@ -75,9 +88,27 @@ def finite_floats(fields) -> list[float]:
     return values
 
 
+def remainder(a, b: float) -> np.ndarray:
+    """np.remainder(a, b) for a float b > 0, with the same bytes (module
+    docstring): a new array, 0-d for a scalar a."""
+    a = np.asarray(a, dtype=float)
+    lo, hi = a.min(initial=0.0), a.max(initial=0.0)
+    if not (-2.0 * b <= lo and hi < 2.0 * b):  # also NaN
+        return np.remainder(a, b)
+    r = a.copy()
+    if hi >= b:
+        np.subtract(r, b, out=r, where=a >= b)  # exact
+    if lo < -b:
+        np.add(r, b, out=r, where=a < -b)  # exact
+    if lo < 0.0:
+        np.add(r, b, out=r, where=r < 0.0)  # rounded, as np.remainder does
+    r += 0.0
+    return r
+
+
 def wrap_angle(theta):
     """Map an angle (scalar or array, radians) into [-pi, pi)."""
-    wrapped = (np.asarray(theta, dtype=float) + math.pi) % TAU - math.pi
+    wrapped = remainder(np.asarray(theta, dtype=float) + math.pi, TAU) - math.pi
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped
@@ -146,7 +177,7 @@ class Floorplan:
         # (R, U) table of each room's distinct edge angles mod pi, padded
         # with the room's first one; a minimum over it is the minimum
         # over every edge
-        distinct = [np.unique(a) for a in np.arctan2(d[..., 1], d[..., 0]) % math.pi]
+        distinct = [np.unique(a) for a in remainder(np.arctan2(d[..., 1], d[..., 0]), math.pi)]
         width = max(map(len, distinct), default=1)
         self._edge_angles = np.array([np.r_[u, np.full(width - len(u), u[0])] for u in distinct]
                                      ).reshape(len(distinct), width)
@@ -482,7 +513,7 @@ def acute_angles_to_room_walls(fp: Floorplan, rooms: np.ndarray, headings: np.nd
     for angles in fp._edge_angles.T:
         d = h - angles[r]
         d += math.pi / 2.0
-        d %= math.pi
+        d = remainder(d, math.pi)
         d -= math.pi / 2.0
         np.abs(d, out=d)
         best = d if best is None else np.minimum(best, d, out=best)

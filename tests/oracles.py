@@ -18,7 +18,6 @@ import numpy as np
 from floorsurvey.filtering import (
     ConstraintSet,
     KldConfig,
-    _bin_ids,
     folded_normal_density,
     kld_required_particles,
     prune_smooth,
@@ -259,6 +258,19 @@ def error_cdf(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.arange(1, len(e) + 1) / len(e)
 
 
+def bin_ids(poses, cfg: KldConfig) -> np.ndarray:
+    """KLD histogram key per pose, as the library packs it, with
+    np.remainder for the heading: x and y bins offset by 2**20, heading
+    bins modulo 2*pi."""
+    off = 1 << 20
+    bx = np.floor(poses[:, 0] / cfg.bin_x).astype(np.int64)
+    by = np.floor(poses[:, 1] / cfg.bin_y).astype(np.int64)
+    n_theta = max(1, math.ceil(2.0 * math.pi / cfg.bin_theta))
+    bt = np.floor(np.remainder(poses[:, 2], 2.0 * math.pi) / cfg.bin_theta).astype(np.int64)
+    bt = np.clip(bt, 0, n_theta - 1)
+    return ((bx + off) * (2 * off) + (by + off)) * (n_theta + 1) + bt
+
+
 def kld_resample(poses, weights, cfg: KldConfig, rng: np.random.Generator) -> np.ndarray:
     """KLD resampling by binary search, recounting the occupied bins of
     all draws so far from scratch after every round of draws."""
@@ -269,7 +281,7 @@ def kld_resample(poses, weights, cfg: KldConfig, rng: np.random.Generator) -> np
         raise ValueError("total particle weight is zero")
     cum = np.cumsum(weights / total)
     cum[np.flatnonzero(weights > 0)[-1]:] = 1.0
-    bins = _bin_ids(poses, cfg)
+    bins = bin_ids(poses, cfg)
     target = cfg.n_min
     parts: list[np.ndarray] = []
     drawn = 0

@@ -272,6 +272,15 @@ def test_exit_code_rejected_rows(ws, tmp_path, capsys):
     assert main(["eval", "--traj", str(traj), "--truth", str(ws["sim"] / "truth.traj"),
                  "--out", str(tmp_path / "o1")]) == 2
     assert "line 3: " in capsys.readouterr().err
+    # reordered, repeated or time-reversed rows would pair the wrong epochs
+    for rows, match in (("0,0.0\n2,0.5\n1,0.25", "line 3: epoch 2 where epoch 1 was due"),
+                        ("0,0.0\n1,0.5\n1,0.5", "line 4: epoch 1 where epoch 2 was due"),
+                        ("0,0.5\n1,0.25", "line 3: time 0.25 is before")):
+        traj.write_text("# epoch,t,x,y,theta\n"
+                        + "".join(f"{r},1.0,2.0,0.0\n" for r in rows.split("\n")))
+        assert main(["eval", "--traj", str(traj), "--truth", str(ws["sim"] / "truth.traj"),
+                     "--out", str(tmp_path / "o1")]) == 2
+        assert match in capsys.readouterr().err
     closures = tmp_path / "bad.lc"
     for bad in ("1,2,99", "3"):
         closures.write_text(f"0,5\n{bad}\n")

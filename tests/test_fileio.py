@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floorsurvey import fileio
 from floorsurvey.geometry import parse_floorplan
@@ -53,6 +54,73 @@ def test_trajectory_read_errors(tmp_path):
         f.write_text(f"0,0.0,1.0,2.0,0.0\n{epoch},0.5,1.0,2.0,0.0\n")
         with pytest.raises(ValueError, match="line 2: invalid literal for int"):
             fileio.read_trajectory(f)
+
+
+@pytest.mark.parametrize("rows, match", [
+    (["0,0.0", "5,0.5"], "line 3: epoch 5 where epoch 1 was due"),
+    (["0,0.0", "1,0.5", "1,0.5"], "line 4: epoch 1 where epoch 2 was due"),
+    (["1,0.0"], "line 2: epoch 1 where epoch 0 was due"),
+    (["0,0.0", "2,0.5", "1,0.25"], "line 3: epoch 2 where epoch 1 was due"),
+    (["0,0.0", "1,0.5", "2,0.25"], "line 4: time 0.25 is before the previous row's 0.5"),
+    (["0,1.0", "1,-1.0"], "line 3: time -1.0 is before"),
+])
+def test_trajectory_rows_must_run_in_epoch_and_time_order(tmp_path, rows, match):
+    f = tmp_path / "bad.csv"
+    f.write_text("# epoch,t,x,y,theta\n" + "".join(f"{r},1.0,2.0,0.0\n" for r in rows))
+    with pytest.raises(ValueError, match=match):
+        fileio.read_trajectory(f)
+
+
+def test_trajectory_times_may_repeat(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("0,0.5,1.0,2.0,0.0\n# comment\n\n1,0.5,1.5,2.0,0.0\n")
+    times, poses = fileio.read_trajectory(f)
+    assert times.tolist() == [0.5, 0.5] and poses.shape == (2, 3)
+
+
+def _six_decimals(values) -> list[float]:
+    """Values as the six-decimal writers leave them."""
+    return [float(fileio.fmt(v)) for v in values]
+
+
+_coordinate = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_trajectory_write_read_roundtrip(tmp_path_factory, data):
+    n = data.draw(st.integers(0, 30))
+    times = np.sort(_six_decimals(data.draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))))
+    poses = np.array(_six_decimals(data.draw(st.lists(_coordinate, min_size=3 * n, max_size=3 * n))))
+    poses = poses.reshape(n, 3)
+    f = tmp_path_factory.mktemp("traj") / "t.traj"
+    fileio.write_trajectory(f, times, poses)
+    rt, rp = fileio.read_trajectory(f)
+    assert np.array_equal(rt, times) and np.array_equal(rp, poses)
+    assert rt.shape == (n,) and rp.shape == (n, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)), max_size=40))
+def test_closures_write_read_roundtrip(tmp_path_factory, pairs):
+    closures = [StepLoopClosure(a, a + gap) for a, gap in pairs]
+    f = tmp_path_factory.mktemp("lc") / "c.lc"
+    fileio.write_closures(f, closures)
+    assert fileio.read_closures(f) == closures
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.lists(st.booleans(), max_size=60))
+def test_straight_flags_write_read_roundtrip(tmp_path_factory, flags):
+    # no library reader: the file's rows are read back with the shared
+    # line reader, and must be step_index,0|1 in step order
+    f = tmp_path_factory.mktemp("str") / "s.str"
+    fileio.write_straight_flags(f, np.array(flags, dtype=bool))
+    rows = [parts for _, parts in fileio._data_lines(f.read_text())]
+    assert [int(i) for i, _ in rows] == list(range(len(flags)))
+    assert all(v in ("0", "1") for _, v in rows)
+    assert np.array_equal(np.array([v == "1" for _, v in rows], dtype=bool),
+                          np.array(flags, dtype=bool))
 
 
 def test_empty_trajectory_roundtrip(tmp_path):

@@ -299,6 +299,98 @@ def test_kld_resample_edge_clouds_match_oracle():
     assert len(_same_as_oracle(wide, np.ones(20000), fine, 3)) == fine.n_max
 
 
+def test_bin_ids_match_oracle():
+    gen = np.random.default_rng(4)
+    poses = gen.normal(0.0, 30.0, size=(5000, 3))
+    poses[:10, 2] = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e-300, -1e-300, 50.0, -50.0]
+    for cfg in (pf1_kld_config(), pf2_kld_config()):
+        assert np.array_equal(filtering._bin_ids(poses, cfg), oracles.bin_ids(poses, cfg))
+
+
+def _box_budget(n: int) -> int:
+    return filtering._BOX_PER_PARTICLE * n + filtering._BOX_SLACK
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_kld_resample_box_at_and_over_budget_match_oracle(over):
+    # one heading bin and one y bin: the box is the x-bin count, which
+    # the first two particles set to the budget, or one cell over it
+    n = 600
+    cfg = KldConfig(bin_x=1.0, bin_y=10.0, bin_theta=2 * math.pi, epsilon=0.3, n_min=100)
+    assert cfg.n_theta == 1
+    gen = np.random.default_rng(31)
+    width = _box_budget(n) + over
+    poses = np.column_stack([gen.uniform(0.0, width, n), gen.uniform(0.0, 10.0, n),
+                             gen.uniform(-math.pi, math.pi, n)])
+    poses[:2, 0] = [0.5, width - 0.5]
+    box = filtering._box_bins(poses, cfg, _box_budget(n))
+    assert (box is None) == bool(over)
+    if box is not None:
+        assert box[1] == _box_budget(n)
+    draws = _same_as_oracle(poses, gen.random(n), cfg, 7)
+    assert 100 < len(draws) < cfg.n_max  # the bin count sets the draws
+
+
+def test_kld_resample_box_holds_every_heading_bin():
+    # 1 degree heading bins: the box spans 360 of them per x, y bin
+    n = 2000
+    cfg = pf2_kld_config()
+    gen = np.random.default_rng(8)
+    poses = np.column_stack([gen.uniform(-3.0, 3.0, n), gen.uniform(10.0, 12.0, n),
+                             gen.uniform(-math.pi, math.pi, n)])
+    bins, size = filtering._box_bins(poses, cfg, _box_budget(n))
+    assert size == 12 * 4 * 360
+    assert bins.min() >= 0 and bins.max() < size
+    # equal bins exactly where the library's keys are equal
+    keys = filtering._bin_ids(poses, cfg)
+    assert np.array_equal(np.unique(bins, return_inverse=True)[1],
+                          np.unique(keys, return_inverse=True)[1])
+    _same_as_oracle(poses, gen.random(n), cfg, 9)
+
+
+def test_kld_resample_kilometre_cloud_sorts_its_bins():
+    n = 3000
+    cfg = pf2_kld_config()
+    gen = np.random.default_rng(17)
+    poses = np.column_stack([gen.uniform(-1500.0, 1500.0, (n, 2)), gen.uniform(-4.0, 4.0, n)])
+    assert filtering._box_bins(poses, cfg, _box_budget(n)) is None
+    _same_as_oracle(poses, gen.random(n), cfg, 5)
+
+
+@pytest.mark.parametrize("xbins, ybins, dense", [
+    ((-(1 << 20), -(1 << 20) + 3), (5, 9), True),          # inside, at the low edge
+    (((1 << 20) - 4, (1 << 20) - 1), (-3, 0), True),       # inside, at the high edge
+    ((-(1 << 20) - 1, -(1 << 20) + 2), (5, 9), False),     # straddles -2**20 in x
+    (((1 << 20) - 2, 1 << 20), (5, 9), False),             # straddles 2**20 in x
+    ((0, 3), ((1 << 20) - 2, (1 << 20) + 1), False),       # straddles 2**20 in y
+    ((0, 3), (-(1 << 20) - 2, -(1 << 20) + 1), False),     # straddles -2**20 in y
+])
+def test_kld_resample_clouds_at_bin_range_edges_match_oracle(xbins, ybins, dense):
+    n = 800
+    cfg = KldConfig(bin_x=0.5, bin_y=0.5, bin_theta=math.radians(10.0), n_min=200)
+    gen = np.random.default_rng(21)
+    bx = gen.integers(xbins[0], xbins[1] + 1, n)
+    by = gen.integers(ybins[0], ybins[1] + 1, n)
+    bx[:2], by[:2] = xbins, ybins
+    poses = np.column_stack([(bx + gen.uniform(0.1, 0.9, n)) * cfg.bin_x,
+                             (by + gen.uniform(0.1, 0.9, n)) * cfg.bin_y,
+                             gen.uniform(-math.pi, math.pi, n)])
+    assert np.array_equal(np.floor(poses[:, 0] / cfg.bin_x), bx)
+    assert (filtering._box_bins(poses, cfg, _box_budget(n)) is not None) == dense
+    _same_as_oracle(poses, gen.random(n), cfg, 3)
+
+
+def test_kld_resample_keeps_the_sorted_keys_aliasing():
+    # _bin_ids packs y bin 2**20 onto the next x bin's y bin -2**20; the
+    # sorted path keeps that, so the two cells below count as one bin
+    cfg = KldConfig(bin_x=1.0, bin_y=1.0, bin_theta=2 * math.pi, n_min=20, epsilon=0.1)
+    poses = np.array([[0.5, (1 << 20) + 0.5, 0.0], [1.5, -(1 << 20) + 0.5, 0.0]])
+    keys = filtering._bin_ids(poses, cfg)
+    assert keys[0] == keys[1]
+    assert filtering._box_bins(poses, cfg, _box_budget(2)) is None
+    assert len(_same_as_oracle(poses, np.ones(2), cfg, 0)) == 20
+
+
 def test_guide_draws_equal_searchsorted_at_cumulative_values():
     w = np.array([0.0, 0.1, 0.0, 0.0, 0.2, 1e-17, 0.3, 0.0, 0.4, 0.0])
     cum = np.cumsum(w / w.sum())

@@ -17,6 +17,7 @@ from floorsurvey.geometry import (
     containing_rooms,
     parse_floorplan,
     points_in_polygon,
+    remainder,
     rooms_in_cells,
     segment_wall_crossings,
     segments_cross_walls,
@@ -47,6 +48,59 @@ def test_wrap_angle_periodic(theta, k):
 def test_wrap_angle_vectorised():
     out = wrap_angle(np.array([0.0, 3 * math.pi, -0.5]))
     assert np.allclose(out, [0.0, -math.pi, -0.5])
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _remainder_edges(b: float) -> list[float]:
+    """Zeros, +-b and +-2b with their neighbours, subnormals, tiny and
+    huge values, NaN and infinities."""
+    near = [0.0, b, 2.0 * b]
+    edges = [x for v in near for x in (v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf))]
+    edges += [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, np.inf]
+    return edges + [-v for v in edges] + [np.nan]
+
+
+_FIXED_DIVISORS = [math.pi, 2.0 * math.pi]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_remainder_equals_np_remainder_bit_for_bit(data):
+    b = data.draw(st.sampled_from(_FIXED_DIVISORS) | st.floats(5e-324, 1e300))
+    value = st.sampled_from(_remainder_edges(b)) | st.floats(-2.5 * b, 2.5 * b) | st.floats()
+    a = np.array(data.draw(st.lists(value, max_size=40)), dtype=float)
+    with np.errstate(invalid="ignore"):
+        # the whole array, which may go to np.remainder whole, then each
+        # element alone and the elements in [-2b, 2b), which take the kernel
+        assert np.array_equal(_bits(remainder(a, b)), _bits(np.remainder(a, b)))
+        for x in a:
+            got = remainder(x, b)
+            assert got.shape == () and _bits(got) == _bits(np.remainder(x, b))
+        inside = a[(a >= -2.0 * b) & (a < 2.0 * b)]
+        assert np.array_equal(_bits(remainder(inside, b)), _bits(np.remainder(inside, b)))
+
+
+@pytest.mark.parametrize("b", _FIXED_DIVISORS + [0.37, 5e-324, 1e300])
+def test_remainder_edges_bit_for_bit(b):
+    edges = np.array(_remainder_edges(b))
+    with np.errstate(invalid="ignore"):
+        for x in edges:
+            assert _bits(remainder(x, b)) == _bits(np.remainder(x, b))
+        inside = edges[(edges >= -2.0 * b) & (edges < 2.0 * b)]
+        assert np.array_equal(_bits(remainder(inside, b)), _bits(np.remainder(inside, b)))
+    assert _bits(remainder(-0.0, b)) == _bits(0.0)  # np.remainder's sign of zero
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_wrap_angle_scalar_is_float_with_old_bytes(theta):
+    # reference: np.remainder by the % operator
+    old = float((np.float64(theta) + math.pi) % (2.0 * math.pi) - math.pi)
+    got = wrap_angle(theta)
+    assert type(got) is float and _bits(got) == _bits(old)
+    assert _bits(Pose2D(0.0, 0.0, theta).theta) == _bits(old)
 
 
 def test_pose2d_fields():
