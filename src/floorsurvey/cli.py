@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .filtering import FilterLostError
-from .geometry import Floorplan, FloorplanError, containing_rooms, load_floorplan
+from .geometry import Floorplan, containing_rooms, load_floorplan
 from .pipeline import (
     PipelineConfig,
     apply_overrides,
@@ -27,7 +27,7 @@ from .pipeline import (
     run_survey,
 )
 from .plotsvg import EST_COLOR, REF_COLOR, render_scene
-from .sensors import LogError, PdrTrajectory, load_survey_log
+from .sensors import PdrTrajectory, load_survey_log
 from .signalmap import compare_maps, position_one_shot
 from .simulate import (
     corridor_scenario,
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     except FilterLostError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LogError, FloorplanError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,20 @@
 """Plain-text readers and writers for every pipeline artifact.
 
 All numbers are written with six fixed decimals so repeated runs with
-the same seed produce byte-identical files.  Every format is line
-oriented with comma-separated fields and # comments.
+the same seed produce byte-identical files.  Every text input (these
+artifacts, floorplans, survey logs, scenarios) has one grammar, read by
+geometry.records: one record per line, comma-separated fields stripped
+of spaces, blank and '#' lines skipped, an exact field count per record
+kind (only a floorplan room, three or more vertices, and a log start,
+one or three values, vary) and finite numbers.  A bad record raises a
+ValueError "line N: ...", which the command line turns into exit code 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Floorplan, finite_floats
+from .geometry import Floorplan, expect, finite_floats, records
 from .loopclosure import RejectedMatch, StepLoopClosure
 from .pipeline import EvalReport, SurveyPoint
 from .sensors import MagSample, StepEvent, SurveyLog, WifiObservation
@@ -18,18 +23,6 @@ from .signalmap import SignalMap
 
 def fmt(x: float) -> str:
     return f"{float(x):.6f}"
-
-
-def _numbered(lineno: int, exc: Exception) -> ValueError:
-    return ValueError(f"line {lineno}: {exc}")
-
-
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, [p.strip() for p in line.split(",")]
 
 
 def write_trajectory(path, times: np.ndarray, poses: np.ndarray) -> None:
@@ -44,20 +37,16 @@ def read_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
     """The k-th data row must carry epoch k, and times never decrease,
     so that readers can pair two trajectories row by row."""
     times, poses = [], []
-    for lineno, parts in _data_lines(_read(path)):
-        try:
-            if len(parts) != 5:
-                raise ValueError("expected epoch,t,x,y,theta")
-            epoch = int(parts[0])
+    for line, parts in records(_read(path)):
+        with line:
+            epoch = int(expect(parts, "epoch,t,x,y,theta")[0])
             if epoch != len(times):
                 raise ValueError(f"epoch {epoch} where epoch {len(times)} was due")
-            t, x, y, theta = finite_floats(parts[1:5])
+            t, x, y, theta = finite_floats(parts[1:])
             if times and t < times[-1]:
                 raise ValueError(f"time {t} is before the previous row's {times[-1]}")
             times.append(t)
             poses.append([x, y, theta])
-        except ValueError as exc:
-            raise _numbered(lineno, exc) from None
     return np.asarray(times), np.asarray(poses).reshape(-1, 3)
 
 
@@ -75,13 +64,10 @@ def write_closures(path, closures: list[StepLoopClosure]) -> None:
 
 def read_closures(path) -> list[StepLoopClosure]:
     out = []
-    for lineno, parts in _data_lines(_read(path)):
-        try:
-            if len(parts) != 2:
-                raise ValueError("expected epoch_a,epoch_b")
-            out.append(StepLoopClosure(int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise _numbered(lineno, exc) from None
+    for line, parts in records(_read(path)):
+        with line:
+            a, b = expect(parts, "epoch_a,epoch_b")
+            out.append(StepLoopClosure(int(a), int(b)))
     return out
 
 
@@ -109,12 +95,13 @@ def read_signal_map(path) -> SignalMap:
     source = None
     grid = None
     mu = sigma = None
-    for lineno, parts in _data_lines(_read(path)):
-        try:
+    for line, parts in records(_read(path)):
+        with line:
             if parts[0] == "source":
-                source = parts[1]
+                source = expect(parts, "source,<ap_id>")[1]
             elif parts[0] == "grid":
-                grid = (*finite_floats(parts[1:4]), int(parts[4]), int(parts[5]))
+                _, x0, y0, cell, nx, ny = expect(parts, "grid,x0,y0,cell,nx,ny")
+                grid = (*finite_floats([x0, y0, cell]), int(nx), int(ny))
                 if grid[2] <= 0:
                     raise ValueError(f"grid pitch {grid[2]} is not positive")
                 if grid[3] <= 0 or grid[4] <= 0:
@@ -124,19 +111,17 @@ def read_signal_map(path) -> SignalMap:
             elif parts[0] == "cell":
                 if grid is None:
                     raise ValueError("cell row before grid row")
-                ix, iy = int(parts[1]), int(parts[2])
+                ix, iy = int(expect(parts, "cell,ix,iy,mu,sigma")[1]), int(parts[2])
                 if not (0 <= ix < grid[3] and 0 <= iy < grid[4]):
                     raise ValueError(f"cell ({ix}, {iy}) outside the {grid[3]} x {grid[4]} grid")
                 c = iy * grid[3] + ix
                 if not np.isnan(mu[c]):
                     raise ValueError(f"cell ({ix}, {iy}) repeats an earlier row")
-                mu[c], sigma[c] = finite_floats(parts[3:5])
+                mu[c], sigma[c] = finite_floats(parts[3:])
                 if sigma[c] <= 0:
                     raise ValueError(f"sigma {sigma[c]} is not positive")
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
-            raise _numbered(lineno, exc) from None
     if source is None or grid is None:
         raise ValueError("missing source or grid record")
     if np.isnan(mu).any():
@@ -169,28 +154,26 @@ def write_survey_points(path, points: list[SurveyPoint]) -> None:
 def read_survey_points(path) -> list[SurveyPoint]:
     """Numbers must be finite, except a mag of nan, meaning no samples."""
     points: dict[int, SurveyPoint] = {}
-    for lineno, parts in _data_lines(_read(path)):
-        try:
+    for line, parts in records(_read(path)):
+        with line:
             if parts[0] == "point":
-                epoch = int(parts[1])
+                epoch = int(expect(parts, "point,epoch,t,x,y,theta,room,mag")[1])
                 if epoch in points:
                     raise ValueError(f"point epoch {epoch} repeats an earlier row")
                 t, x, y, theta = finite_floats(parts[2:6])
                 room = int(parts[6])
-                mag = None if parts[7] == "nan" else finite_floats(parts[7:8])[0]
+                mag = None if parts[7] == "nan" else finite_floats(parts[7:])[0]
                 points[epoch] = SurveyPoint(epoch, t, x, y, theta,
                                             None if room < 0 else room, mag, {})
             elif parts[0] == "sig":
-                epoch = int(parts[1])
+                epoch = int(expect(parts, "sig,epoch,source,rssi")[1])
                 if epoch not in points:
                     raise ValueError("sig row before its point row")
                 if parts[2] in points[epoch].wifi:
                     raise ValueError(f"source {parts[2]!r} repeats at epoch {epoch}")
-                points[epoch].wifi[parts[2]] = finite_floats(parts[3:4])[0]
+                points[epoch].wifi[parts[2]] = finite_floats(parts[3:])[0]
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
-            raise _numbered(lineno, exc) from None
     return [points[e] for e in sorted(points)]
 
 

@@ -238,9 +238,6 @@ def _box_bins(poses: np.ndarray, cfg: KldConfig, budget: int) -> tuple[np.ndarra
     return bins.astype(np.intp), size
 
 
-_GUIDE_STEPS = 4  # subset advances before the last draws fall back to searchsorted
-
-
 def _buckets(x: np.ndarray, n: int) -> np.ndarray:
     """Guide bucket min(floor(x * n), n - 1) of each x in [0, 1].
     Rounding x * n is monotone in x, and so is the bucket."""
@@ -263,20 +260,15 @@ def _guide_draws(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarra
     Each uniform starts at guide[j] for its own bucket j.  The same
     monotone bucket function maps u and every cum entry, so an entry
     before the start, whose bucket is below j, has cum < u: no rounding
-    can skip the answer.  Exact comparisons then advance past every
-    cum <= u, and cum[-1] = 1 > u stops them inside the array.  Draws
-    still short after a few advances (a bucket crowded with tiny
+    can skip the answer.  About half the draws end at the start; one
+    exact whole-vector comparison advances the draws with cum <= u by
+    one entry (cum[-1] = 1 > u keeps them inside the array), which ends
+    most of the rest.  The few still short (a bucket crowded with tiny
     weights) take the binary search.
     """
     idx = guide[_buckets(u, len(cum))]
-    # about half the draws pass one entry: one whole-vector step first
     idx += cum[idx] <= u
     todo = np.flatnonzero(cum[idx] <= u)
-    for _ in range(_GUIDE_STEPS):
-        if not len(todo):
-            return idx
-        idx[todo] += 1
-        todo = todo[cum[idx[todo]] <= u[todo]]
     idx[todo] = np.searchsorted(cum, u[todo], side="right")
     return idx
 

@@ -82,10 +82,43 @@ _MIXED = -2           # grid index room mark: some room edge comes near
 
 def finite_floats(fields) -> list[float]:
     """Parse text fields as floats; ValueError unless all are finite."""
-    values = [float(v) for v in fields]
-    if not all(math.isfinite(v) for v in values):
+    values = list(map(float, fields))
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"non-finite number in {','.join(fields)}")
     return values
+
+
+class _Line:
+    """Guard for one record: a ValueError or IndexError raised in its
+    body leaves as error("line N: ...")."""
+
+    def __init__(self, error: type[Exception]):
+        self.error, self.number = error, 0
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, IndexError)):
+            raise self.error(f"line {self.number}: {exc}") from None
+
+
+def records(text: str, error: type[Exception] = ValueError):
+    """Yield (line, fields) for each record of a text input (the grammar
+    is in fileio's docstring); parse the fields under `with line:`."""
+    line = _Line(error)
+    for number, raw in enumerate(text.splitlines(), start=1):
+        raw = raw.strip()
+        if raw and not raw.startswith("#"):
+            line.number = number
+            yield line, [p.strip() for p in raw.split(",")]
+
+
+def expect(fields: list[str], usage: str) -> list[str]:
+    """fields, if as many as in the usage string ("wall,x0,y0,x1,y1")."""
+    if len(fields) != usage.count(",") + 1:
+        raise ValueError(f"expected {usage}")
+    return fields
 
 
 def remainder(a, b: float) -> np.ndarray:
@@ -325,32 +358,22 @@ def parse_floorplan(text: str) -> Floorplan:
     wall,x0,y0,x1,y1
     room,<id>,<name>,x0,y0,x1,y1,...   (polygon vertices, >= 3)
 
-    Blank lines and lines starting with '#' are skipped; coordinates must
-    be finite.  Errors carry the 1-based line number.
+    Records follow the grammar of records(); errors carry the line number.
     """
     walls = []
     rooms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        tag = parts[0]
-        try:
-            if tag == "wall":
-                if len(parts) != 5:
-                    raise ValueError("expected wall,x0,y0,x1,y1")
-                walls.append(finite_floats(parts[1:5]))
-            elif tag == "room":
+    for line, parts in records(text, FloorplanError):
+        with line:
+            if parts[0] == "wall":
+                walls.append(finite_floats(expect(parts, "wall,x0,y0,x1,y1")[1:]))
+            elif parts[0] == "room":
                 if len(parts) < 9 or (len(parts) - 3) % 2 != 0:
                     raise ValueError("expected room,<id>,<name>,x0,y0,... with >= 3 vertices")
                 room_id = int(parts[1])
                 coords = np.array(finite_floats(parts[3:]), dtype=float).reshape(-1, 2)
                 rooms.append(Room(room_id, parts[2], coords))
             else:
-                raise ValueError(f"unknown record tag {tag!r}")
-        except ValueError as exc:
-            raise FloorplanError(f"line {lineno}: {exc}") from None
+                raise ValueError(f"unknown record tag {parts[0]!r}")
     seen = [r.room_id for r in rooms]
     if len(set(seen)) != len(seen):
         raise FloorplanError(f"duplicate room ids: {sorted(i for i in set(seen) if seen.count(i) > 1)}")

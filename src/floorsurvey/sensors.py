@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2D, finite_floats
+from .geometry import Pose2D, expect, finite_floats, records
 
 DEFAULT_STEP_LENGTH = 0.75  # metres, fixed nominal stride
 
@@ -111,35 +111,25 @@ def parse_survey_log(text: str) -> SurveyLog:
     wifi,<t>,<ap_id>,<rssi_dbm>
     start,<room_id>            or  start,<x>,<y>,<theta_rad>
 
-    Blank lines and '#' comments are skipped; numbers must be finite and
+    Records follow the grammar of records(); numbers must be finite and
     step timestamps non-decreasing.  Errors carry the 1-based line number.
     """
     log = SurveyLog()
     last_step_t = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        tag = parts[0]
-        try:
+    for line, parts in records(text, LogError):
+        with line:
+            tag = parts[0]
             if tag == "step":
-                if len(parts) != 4:
-                    raise ValueError("expected step,<t>,<length>,<dtheta>")
-                t, length, dtheta = finite_floats(parts[1:])
+                t, length, dtheta = finite_floats(expect(parts, "step,<t>,<length>,<dtheta>")[1:])
                 if last_step_t is not None and t < last_step_t:
                     raise ValueError(f"step timestamps must be non-decreasing ({t} after {last_step_t})")
                 last_step_t = t
                 log.steps.append(StepEvent(t, length, dtheta))
             elif tag == "mag":
-                if len(parts) != 5:
-                    raise ValueError("expected mag,<t>,<bx>,<by>,<bz>")
-                t, bx, by, bz = finite_floats(parts[1:])
+                t, bx, by, bz = finite_floats(expect(parts, "mag,<t>,<bx>,<by>,<bz>")[1:])
                 log.mags.append(MagSample(t, (bx, by, bz)))
             elif tag == "wifi":
-                if len(parts) != 4:
-                    raise ValueError("expected wifi,<t>,<ap_id>,<rssi>")
-                t, rssi = finite_floats([parts[1], parts[3]])
+                t, rssi = finite_floats(expect(parts, "wifi,<t>,<ap_id>,<rssi>")[1::2])
                 log.wifi.append(WifiObservation(t, parts[2], rssi))
             elif tag == "start":
                 if log.has_start:
@@ -152,8 +142,6 @@ def parse_survey_log(text: str) -> SurveyLog:
                     raise ValueError("expected start,<room_id> or start,<x>,<y>,<theta>")
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
-        except ValueError as exc:
-            raise LogError(f"line {lineno}: {exc}") from None
     return log
 
 

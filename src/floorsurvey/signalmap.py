@@ -22,6 +22,17 @@ class GpParams:
     mean: float = -90.0         # prior mean, dBm
     cell: float = 0.5           # grid pitch, m
 
+    def __post_init__(self):
+        # a zero cell or length scale divides by zero in the fit
+        if not (0.0 < self.length_scale < math.inf and 0.0 < self.cell < math.inf):
+            raise ValueError(f"length_scale and cell must be positive and finite, "
+                             f"got {self.length_scale} and {self.cell}")
+        if not (0.0 <= self.sigma_f < math.inf and 0.0 <= self.sigma_n < math.inf):
+            raise ValueError(f"sigma_f and sigma_n must be finite and non-negative, "
+                             f"got {self.sigma_f} and {self.sigma_n}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+
 
 @dataclass(frozen=True, eq=False)
 class SignalMap:

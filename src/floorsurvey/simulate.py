@@ -9,12 +9,12 @@ RSS follows log-distance path loss with Gaussian shadowing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import (Floorplan, Pose2D, Room, containing_room, containing_rooms, finite_floats,
-                       wrap_angle)
+from .geometry import (Floorplan, Pose2D, Room, containing_room, containing_rooms, expect,
+                       finite_floats, records, wrap_angle)
 from .sensors import (
     MagSample,
     PdrTrajectory,
@@ -324,50 +324,49 @@ class Scenario:
     start_hint: str = "pose"  # "pose" or "room"
 
 
+_SCALARS = [f.name for f in fields(Scenario) if f.type == "float"]
+_POSITIVE = ("speed", "step_length", "mag_rate", "scan_period")  # divisors; sigmas may be 0
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse the line-oriented scenario format.
 
     Required records: waypoint,x,y (two or more).  Optional records:
     ap,x,y,p0,n (ids assigned ap0, ap1, ... in order),
-    anomaly,x,y,strength,decay, and scalar settings speed, step_length,
-    background, mag_sigma, mag_rate, shadow_sigma, scan_period,
-    bias_deg_per_min, starthint (pose|room).  Numbers must be finite.
+    anomaly,x,y,strength,decay, starthint,pose|room, and <name>,<value>
+    for the settings speed, step_length, theta_sigma, len_sigma,
+    background, mag_sigma, mag_rate, shadow_sigma, scan_period and
+    bias_deg_per_min.  speed, step_length, mag_rate and scan_period must
+    be positive, and the four sigmas may not be negative.
     """
     waypoints = []
     aps = []
     anomalies = []
     scalars = {}
     start_hint = "pose"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        tag = parts[0]
-        try:
+    for line, parts in records(text):
+        with line:
+            tag = parts[0]
             if tag == "waypoint":
-                x, y = finite_floats(parts[1:3])
-                waypoints.append((x, y))
+                waypoints.append(tuple(finite_floats(expect(parts, "waypoint,x,y")[1:])))
             elif tag == "ap":
-                if len(parts) != 5:
-                    raise ValueError("expected ap,x,y,p0,n")
-                aps.append(AccessPoint(f"ap{len(aps)}", *finite_floats(parts[1:])))
+                x, y, p0, n = finite_floats(expect(parts, "ap,x,y,p0,n")[1:])
+                aps.append(AccessPoint(f"ap{len(aps)}", x, y, p0, n))
             elif tag == "anomaly":
-                if len(parts) != 5:
-                    raise ValueError("expected anomaly,x,y,strength,decay")
-                anomalies.append(finite_floats(parts[1:]))
+                anomalies.append(finite_floats(expect(parts, "anomaly,x,y,strength,decay")[1:]))
             elif tag == "starthint":
-                if parts[1] not in ("pose", "room"):
+                start_hint = expect(parts, "starthint,pose|room")[1]
+                if start_hint not in ("pose", "room"):
                     raise ValueError("starthint must be pose or room")
-                start_hint = parts[1]
-            elif tag in ("speed", "step_length", "theta_sigma", "len_sigma", "background",
-                         "mag_sigma", "mag_rate", "shadow_sigma", "scan_period",
-                         "bias_deg_per_min"):
-                scalars[tag] = finite_floats(parts[1:2])[0]
+            elif tag in _SCALARS:
+                value = finite_floats(expect(parts, f"{tag},<value>")[1:])[0]
+                if tag in _POSITIVE and value <= 0:
+                    raise ValueError(f"{tag} must be positive, got {value}")
+                if tag.endswith("_sigma") and value < 0:
+                    raise ValueError(f"{tag} must be non-negative, got {value}")
+                scalars[tag] = value
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
     if len(waypoints) < 2:
         raise ValueError("scenario needs at least two waypoint records")
     return Scenario(

@@ -231,7 +231,13 @@ def test_exit_code_usage_errors(ws, tmp_path, capsys):
     for bad in ("pf1.n_min=0", "noise.sigma_dtheta=nan"):
         assert main(["pf1", "--log", str(ws["sim"] / "log.txt"),
                      "--out", str(tmp_path / "z"), "--config", bad]) == 1
+    # GP values that would divide by zero or fit a NaN map
     capsys.readouterr()
+    for bad in ("gp.cell=0", "gp.length_scale=0", "gp.sigma_n=-1", "gp.mean=nan"):
+        assert main(["map", "--points", str(ws["srv"] / "points.spt"),
+                     "--out", str(tmp_path / "m"), "--config", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and bad[3:bad.index("=")] in err
 
 
 def test_exit_code_data_errors(ws, tmp_path, capsys):
@@ -296,6 +302,34 @@ def test_exit_code_rejected_rows(ws, tmp_path, capsys):
         points.write_text(rows + "\n")
         assert main(["map", "--points", str(points), "--out", str(tmp_path / "o3")]) == 2
         assert match in capsys.readouterr().err
+    # one trailing field on a map, a points file and a closures file
+    badmap = tmp_path / "extra.map"
+    badmap.write_text("source,ap0\ngrid,0,0,1.0,1,1\ncell,0,0,-50.0,2.0,junk\n")
+    assert main(["compare", "--map-a", str(badmap), "--map-b", str(badmap),
+                 "--out", str(tmp_path / "o4")]) == 2
+    assert "line 3: expected cell,ix,iy,mu,sigma" in capsys.readouterr().err
+    points.write_text(f"point,0,{point}\nsig,0,ap0,-50.0,junk\n")
+    assert main(["map", "--points", str(points), "--out", str(tmp_path / "o5")]) == 2
+    assert "line 2: expected sig,epoch,source,rssi" in capsys.readouterr().err
+    closures.write_text("# epoch_a,epoch_b\n0,5,junk\n")
+    assert main(["plot", "--closures", str(closures), "--out", str(tmp_path / "o6.svg")]) == 2
+    assert "line 2: expected epoch_a,epoch_b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, match", [
+    ("speed,0", "speed must be positive"),
+    ("scan_period,0", "scan_period must be positive"),
+    ("mag_rate,0", "mag_rate must be positive"),
+    ("mag_rate,-5", "mag_rate must be positive"),
+    ("mag_sigma,-1", "mag_sigma must be non-negative"),
+    ("waypoint,0,0,7", "expected waypoint,x,y"),
+])
+def test_simulate_rejects_bad_scenario_records(tmp_path, capsys, record, match):
+    scen = tmp_path / "bad.scen"
+    scen.write_text(SCENARIO + record + "\n")
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: line 7: {match}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_survey_rejects_nan_stride(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floorsurvey import fileio
-from floorsurvey.geometry import parse_floorplan
+from floorsurvey.geometry import Floorplan, Room, parse_floorplan, records
 from floorsurvey.loopclosure import RejectedMatch, StepLoopClosure
 from floorsurvey.pipeline import EvalReport, SurveyPoint
 from floorsurvey.sensors import (
@@ -17,7 +17,7 @@ from floorsurvey.sensors import (
     parse_survey_log,
 )
 from floorsurvey.signalmap import SignalMap
-from floorsurvey.simulate import office_floorplan
+from floorsurvey.simulate import office_floorplan, parse_scenario
 
 
 def test_fmt_six_decimals():
@@ -116,11 +116,154 @@ def test_straight_flags_write_read_roundtrip(tmp_path_factory, flags):
     # line reader, and must be step_index,0|1 in step order
     f = tmp_path_factory.mktemp("str") / "s.str"
     fileio.write_straight_flags(f, np.array(flags, dtype=bool))
-    rows = [parts for _, parts in fileio._data_lines(f.read_text())]
+    rows = [parts for _, parts in records(f.read_text())]
     assert [int(i) for i, _ in rows] == list(range(len(flags)))
     assert all(v in ("0", "1") for _, v in rows)
     assert np.array_equal(np.array([v == "1" for _, v in rows], dtype=bool),
                           np.array(flags, dtype=bool))
+
+
+_name = st.text("abcXYZ019_-.", min_size=1, max_size=8)
+
+
+def _floats(data, n, lo=-1e6, hi=1e6) -> list[float]:
+    return _six_decimals(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_floorplan_write_read_roundtrip(tmp_path_factory, data):
+    walls = np.array(_floats(data, 4 * data.draw(st.integers(0, 12)))).reshape(-1, 4)
+    rooms = []
+    for room_id in range(data.draw(st.integers(0, 6))):
+        # rectangles at floorplan scale: the plan's degenerate-edge test
+        # is relative to the coordinates' size
+        x0, y0 = _floats(data, 2, -1e3, 1e3)
+        x1, y1 = _six_decimals(np.array([x0, y0]) + _floats(data, 2, 1.0, 100.0))
+        rooms.append(Room(room_id, data.draw(_name), [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]))
+    fp = Floorplan(walls, rooms)
+    f = tmp_path_factory.mktemp("plan") / "p.plan"
+    fileio.write_floorplan(f, fp)
+    back = parse_floorplan(f.read_text())
+    assert np.array_equal(back.walls, walls)
+    assert [(r.room_id, r.name) for r in back.rooms] == [(r.room_id, r.name) for r in rooms]
+    assert all(np.array_equal(a.vertices, b.vertices) for a, b in zip(back.rooms, rooms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_survey_log_write_read_roundtrip(tmp_path_factory, data):
+    def times(n):
+        return sorted(_floats(data, n, 0.0, 1e4))
+
+    n_steps, n_mags, n_wifi = (data.draw(st.integers(0, 20)) for _ in range(3))
+    log = SurveyLog(
+        steps=[StepEvent(t, *_floats(data, 1, 0.01, 5.0), *_floats(data, 1, -3.2, 3.2))
+               for t in times(n_steps)],
+        mags=[MagSample(t, tuple(_floats(data, 3, -1e3, 1e3))) for t in times(n_mags)],
+        wifi=[WifiObservation(t, data.draw(_name), *_floats(data, 1, -120.0, 0.0))
+              for t in times(n_wifi)],
+    )
+    start = data.draw(st.sampled_from(["none", "room", "pose"]))
+    if start == "room":
+        log.start_room = data.draw(st.integers(0, 1000))
+    elif start == "pose":
+        log.start_pose = Pose2D(*_floats(data, 2), *_floats(data, 1, -3.0, 3.0))
+    f = tmp_path_factory.mktemp("log") / "s.log"
+    fileio.write_survey_log(f, log)
+    back = parse_survey_log(f.read_text())
+    assert (back.steps, back.mags, back.wifi) == (log.steps, log.mags, log.wifi)
+    assert back.start_room == log.start_room
+    assert (back.start_pose is None) == (log.start_pose is None)
+    if log.start_pose is not None:
+        # Pose2D wraps theta, which may move it by an ulp
+        assert np.allclose([back.start_pose.x, back.start_pose.y, back.start_pose.theta],
+                           [log.start_pose.x, log.start_pose.y, log.start_pose.theta],
+                           rtol=0.0, atol=1e-6)
+    # a second write of what was read gives the same bytes
+    g = f.with_name("again.log")
+    fileio.write_survey_log(g, back)
+    assert g.read_bytes() == f.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_survey_points_write_read_roundtrip(tmp_path_factory, data):
+    points = []
+    for epoch in sorted(data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=15))):
+        room = data.draw(st.none() | st.integers(0, 100))
+        mag = _floats(data, 1)[0] if data.draw(st.booleans()) else None
+        wifi = {ap: _floats(data, 1, -120.0, 0.0)[0]
+                for ap in data.draw(st.lists(_name, unique=True, max_size=4))}
+        points.append(SurveyPoint(epoch, *_floats(data, 4), room, mag, wifi))
+    f = tmp_path_factory.mktemp("spt") / "p.spt"
+    fileio.write_survey_points(f, points)
+    assert fileio.read_survey_points(f) == points
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_signal_map_write_read_roundtrip(tmp_path_factory, data):
+    nx, ny = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    sm = SignalMap(data.draw(_name), *_floats(data, 2), *_floats(data, 1, 0.01, 10.0), nx, ny,
+                   _floats(data, nx * ny, -120.0, 100.0), _floats(data, nx * ny, 0.001, 50.0))
+    f = tmp_path_factory.mktemp("map") / "m.map"
+    fileio.write_signal_map(f, sm)
+    back = fileio.read_signal_map(f)
+    assert (back.ap_id, back.x0, back.y0, back.cell, back.nx, back.ny) == \
+        (sm.ap_id, sm.x0, sm.y0, sm.cell, sm.nx, sm.ny)
+    assert np.array_equal(back.mu, sm.mu) and np.array_equal(back.sigma, sm.sigma)
+
+
+_SCENARIO = "waypoint,0,0\nwaypoint,1,0\n"
+_MAP = "source,a{a}\ngrid,0,0,1.0,1,1{b}\ncell,0,0,-50.0,1.0{c}\n"
+_POINTS = "point,0,0.0,1.0,2.0,0.5,3,nan{a}\nsig,0,ap0,-50.0{b}\n"
+_READERS = {
+    "floorplan": parse_floorplan,
+    "log": parse_survey_log,
+    "scenario": parse_scenario,
+    "trajectory": fileio.read_trajectory,
+    "closures": fileio.read_closures,
+    "map": fileio.read_signal_map,
+    "points": fileio.read_survey_points,
+}
+
+
+# one {a} marks the record that gets a trailing field
+@pytest.mark.parametrize("reader, text", [
+    ("floorplan", "wall,0,0,1,0\n# walls\nwall,0,0,0,1{a}\nroom,0,a,0,0,1,0,1,1\n"),
+    ("log", "step,0.5,0.75,0.0{a}\n"),
+    ("log", "# log\nmag,0.5,50.0,0.0,0.0{a}\n"),
+    ("log", "wifi,0.5,ap0,-60.0{a}\n"),
+    ("log", "start,1.0,2.0,0.5{a}\n"),
+    ("log", "start,3{a}\n"),
+    ("scenario", "waypoint,0,0\nwaypoint,1,0{a}\n"),
+    ("scenario", _SCENARIO + "ap,1,2,-40,2.5{a}\n"),
+    ("scenario", _SCENARIO + "anomaly,1,2,10,1.5{a}\n"),
+    ("scenario", _SCENARIO + "starthint,room{a}\n"),
+    *(("scenario", _SCENARIO + f"{name},1.0{{a}}\n")
+      for name in ("speed", "step_length", "theta_sigma", "len_sigma", "background",
+                   "mag_sigma", "mag_rate", "shadow_sigma", "scan_period", "bias_deg_per_min")),
+    ("trajectory", "# epoch,t,x,y,theta\n0,0.0,1.0,2.0,0.0\n1,0.5,1.0,2.0,0.0{a}\n"),
+    ("closures", "1,2\n3,4{a}\n"),
+    ("map", _MAP.format(a="{a}", b="", c="")),
+    ("map", _MAP.format(a="", b="{a}", c="")),
+    ("map", _MAP.format(a="", b="", c="{a}")),
+    ("points", _POINTS.format(a="{a}", b="")),
+    ("points", _POINTS.format(a="", b="{a}")),
+])
+def test_readers_reject_one_trailing_field(tmp_path, reader, text):
+    def read(text):
+        if reader in ("floorplan", "log", "scenario"):
+            return _READERS[reader](text)
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        return _READERS[reader](f)
+
+    read(text.format(a=""))
+    lineno = next(i for i, ln in enumerate(text.splitlines(), start=1) if "{a}" in ln)
+    with pytest.raises(ValueError, match=f"^line {lineno}: expected "):
+        read(text.format(a=",9"))
 
 
 def test_empty_trajectory_roundtrip(tmp_path):

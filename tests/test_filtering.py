@@ -402,7 +402,7 @@ def test_guide_draws_equal_searchsorted_at_cumulative_values():
     u = u[u < 1.0]  # uniforms lie in [0, 1)
     assert np.array_equal(filtering._guide_draws(cum, guide, u),
                           np.searchsorted(cum, u, side="right"))
-    # a bucket crowded with tiny weights runs past the vector steps
+    # a bucket crowded with tiny weights runs past the vector step
     tiny = np.cumsum(np.r_[np.full(500, 1e-12), 1.0])
     tiny /= tiny[-1]
     u = np.r_[np.linspace(0.0, 5e-10, 101), below_one]

@@ -66,7 +66,12 @@ def test_apply_overrides_bad_number():
 
 
 @pytest.mark.parametrize("key, text", [("pf1.n_min", "0"), ("pf2.bin_x", "nan"),
-                                       ("noise.sigma_dtheta", "-1")])
+                                       ("noise.sigma_dtheta", "-1"),
+                                       ("gp.cell", "0"), ("gp.cell", "inf"),
+                                       ("gp.length_scale", "0"), ("gp.length_scale", "-3"),
+                                       ("gp.sigma_f", "-1"), ("gp.sigma_f", "nan"),
+                                       ("gp.sigma_n", "-0.5"), ("gp.sigma_n", "inf"),
+                                       ("gp.mean", "-inf"), ("gp.mean", "nan")])
 def test_apply_overrides_rejects_invalid_values(key, text):
     with pytest.raises(ValueError, match=key.partition(".")[2]):
         apply_overrides(PipelineConfig(), {key: text})

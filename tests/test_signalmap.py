@@ -38,6 +38,13 @@ def _dense_oracle(train_x, train_y, query, p):
     return mu, np.sqrt(var)
 
 
+def test_gp_params_allow_zero_noise_and_any_finite_mean():
+    p = GpParams(sigma_f=0.0, sigma_n=0.0, mean=0.0, cell=1e-3, length_scale=1e-3)
+    assert (p.sigma_f, p.sigma_n) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="cell must be positive and finite, got 3.0 and -0.5"):
+        GpParams(cell=-0.5)
+
+
 def test_gp_predict_matches_dense_oracle():
     rng = np.random.default_rng(31)
     p = GpParams()

@@ -242,10 +242,24 @@ def test_parse_scenario_defaults():
     ("waypoint,0,0\nwaypoint,1,0\nap,1,2,-40,inf\n", "line 3: non-finite"),
     ("waypoint,0,0\nwaypoint,1,0\nanomaly,1,2,nan,1.5\n", "line 3: non-finite"),
     ("waypoint,0,0\nwaypoint,1,0\nspeed,-inf\n", "line 3: non-finite"),
+    # divisors must be positive and noise scales non-negative
+    *((f"waypoint,0,0\n# {name}\nwaypoint,1,0\n{name},{value}\n",
+       f"line 4: {name} must be positive, got {float(value)}")
+      for name in ("speed", "step_length", "mag_rate", "scan_period") for value in ("0", "-5")),
+    *((f"waypoint,0,0\nwaypoint,1,0\n{name},-1\n",
+       f"line 3: {name} must be non-negative, got -1.0")
+      for name in ("theta_sigma", "len_sigma", "mag_sigma", "shadow_sigma")),
 ])
 def test_parse_scenario_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_scenario(text)
+
+
+def test_parse_scenario_accepts_zero_noise_and_any_finite_background_or_bias():
+    sc = parse_scenario("waypoint,0,0\nwaypoint,1,0\ntheta_sigma,0\nlen_sigma,0\n"
+                        "mag_sigma,0\nshadow_sigma,0\nbackground,-5\nbias_deg_per_min,-3\n")
+    assert (sc.theta_sigma, sc.len_sigma, sc.mag_sigma, sc.shadow_sigma) == (0.0,) * 4
+    assert (sc.background, sc.bias_deg_per_min) == (-5.0, -3.0)
 
 
 def _tiny_scenario() -> Scenario:
