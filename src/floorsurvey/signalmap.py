@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 Z90 = 1.6449  # two-sided 90 % normal quantile
@@ -95,16 +95,20 @@ def grid_shape(bounds: tuple[float, float, float, float], cell: float) -> tuple[
 
 def sq_exp_kernel(a: np.ndarray, b: np.ndarray, length_scale: float,
                   sigma_f: float) -> np.ndarray:
-    d2 = cdist(np.atleast_2d(a), np.atleast_2d(b), "sqeuclidean")
-    return sigma_f ** 2 * np.exp(-d2 / (2.0 * length_scale ** 2))
+    # sigma_f^2 exp(-d2 / (2 l^2)) built in place, to the byte: d2 / -c rounds as -d2 / c
+    k = cdist(np.atleast_2d(a), np.atleast_2d(b), "sqeuclidean")
+    np.exp(np.divide(k, -(2.0 * length_scale ** 2), out=k), out=k)
+    k *= sigma_f ** 2
+    return k
 
 
 def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
                params: GpParams) -> tuple[np.ndarray, np.ndarray]:
     """Exact GP posterior mean and predictive std (noise included) at the
     query points, for the targets of one source, shape (n,), or of S
-    sources observed at the same positions, shape (n, S); mu has shape
-    (m,) or (m, S).  With no training data the prior is returned."""
+    sources at the same positions, shape (n, S); mu is (m,) or (m, S).
+    The variance is k(x*, x*) - v'v, v = L^-1 k* (Rasmussen & Williams
+    2006, Algorithm 2.1).  With no training data the prior is returned."""
     query = np.atleast_2d(np.asarray(query, dtype=float))
     m = len(query)
     train_y = np.asarray(train_y, dtype=float)
@@ -113,9 +117,8 @@ def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
     sigma = np.full(m, math.sqrt(params.sigma_f ** 2 + params.sigma_n ** 2))
     if len(train_x) > 0:
         train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
-        n = len(train_x)
         K = sq_exp_kernel(train_x, train_x, params.length_scale, params.sigma_f)
-        K[np.diag_indices(n)] += params.sigma_n ** 2 + 1e-10
+        K[np.diag_indices(len(train_x))] += params.sigma_n ** 2 + 1e-10
         chol = cho_factor(K, lower=True)
         # one row per source; a single (m, n) @ (n, S) product would round
         # differently from the one-source matrix-vector product
@@ -126,8 +129,8 @@ def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
             ks = sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f)
             for row, alpha in zip(mu, alphas):
                 row[lo:hi] = params.mean + ks @ alpha
-            v = cho_solve(chol, ks.T)
-            var_f = params.sigma_f ** 2 - np.einsum("ij,ji->i", ks, v)
+            v = solve_triangular(chol[0], ks.T, lower=True)
+            var_f = params.sigma_f ** 2 - np.einsum("ij,ij->j", v, v)
             sigma[lo:hi] = np.sqrt(np.maximum(var_f, 0.0) + params.sigma_n ** 2)
     return (mu[0] if train_y.ndim == 1 else mu.T), sigma
 
@@ -137,8 +140,8 @@ def fit_signal_maps(bounds: tuple[float, float, float, float], positions: np.nda
                     params: GpParams | None = None) -> dict[str, SignalMap]:
     """Train one map per source from observations at shared positions:
     values_by_source holds each source's values, one per row of
-    positions.  K, its Cholesky factor and the variance solve depend
-    only on the positions, so they are built once for all sources."""
+    positions.  K, its Cholesky factor and the forward substitutions
+    depend only on the positions, so they are done once for all sources."""
     params = params or GpParams()
     x0, y0 = bounds[0], bounds[1]
     nx, ny = grid_shape(bounds, params.cell)

@@ -336,8 +336,8 @@ def parse_scenario(text: str) -> Scenario:
     anomaly,x,y,strength,decay, starthint,pose|room, and <name>,<value>
     for the settings speed, step_length, theta_sigma, len_sigma,
     background, mag_sigma, mag_rate, shadow_sigma, scan_period and
-    bias_deg_per_min.  speed, step_length, mag_rate and scan_period must
-    be positive, and the four sigmas may not be negative.
+    bias_deg_per_min.  speed, step_length, mag_rate, scan_period and
+    each anomaly's decay must be positive; sigmas may not be negative.
     """
     waypoints = []
     aps = []
@@ -354,6 +354,8 @@ def parse_scenario(text: str) -> Scenario:
                 aps.append(AccessPoint(f"ap{len(aps)}", x, y, p0, n))
             elif tag == "anomaly":
                 anomalies.append(finite_floats(expect(parts, "anomaly,x,y,strength,decay")[1:]))
+                if anomalies[-1][3] <= 0:
+                    raise ValueError(f"anomaly decay must be positive, got {anomalies[-1][3]}")
             elif tag == "starthint":
                 start_hint = expect(parts, "starthint,pose|room")[1]
                 if start_hint not in ("pose", "room"):

@@ -5,8 +5,10 @@ by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
 The others are the straightforward forms of the angle factor, the grid
 index's room table, KLD resampling, the MSP containment filter, two
-ancestor-tree walks, the smoothing mass and the per-epoch room labels,
-plus dead reckoning and the empirical error CDF, which only tests use.
+ancestor-tree walks, the smoothing mass, the per-epoch room labels and
+the GP prediction whose variance takes two triangular solves per query
+chunk, plus dead reckoning and the empirical error CDF, which only
+tests use.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 from floorsurvey.filtering import (
     ConstraintSet,
@@ -24,7 +28,7 @@ from floorsurvey.filtering import (
 )
 from floorsurvey.geometry import _MIXED, Floorplan, Pose2D, _rooms_by_polygon, wrap_angle
 from floorsurvey.sensors import PdrTrajectory, StepEvent, step_epoch_times
-from floorsurvey.signalmap import SignalMap
+from floorsurvey.signalmap import GpParams, SignalMap
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -248,6 +252,43 @@ def position_one_shot(maps: list[SignalMap],
     cx = first.x0 + (best % first.nx + 0.5) * first.cell
     cy = first.y0 + (best // first.nx + 0.5) * first.cell
     return cx, cy, float(score[best])
+
+
+def _sq_exp_kernel(a: np.ndarray, b: np.ndarray, length_scale: float,
+                   sigma_f: float) -> np.ndarray:
+    """sigma_f^2 exp(-d2 / (2 l^2)) over squared distances, with temporaries."""
+    d2 = cdist(np.atleast_2d(a), np.atleast_2d(b), "sqeuclidean")
+    return sigma_f ** 2 * np.exp(-d2 / (2.0 * length_scale ** 2))
+
+
+def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
+               params: GpParams) -> tuple[np.ndarray, np.ndarray]:
+    """Exact GP posterior mean and predictive std (noise included), with
+    the variance k(x*, x*) - k*' K^-1 k* from the full Cholesky solve
+    K^-1 k* (a forward and a back substitution) per query chunk; shapes
+    as in floorsurvey.signalmap.gp_predict."""
+    query = np.atleast_2d(np.asarray(query, dtype=float))
+    m = len(query)
+    train_y = np.asarray(train_y, dtype=float)
+    ys = train_y[:, None] if train_y.ndim == 1 else train_y
+    mu = np.full((ys.shape[1], m), params.mean)
+    sigma = np.full(m, math.sqrt(params.sigma_f ** 2 + params.sigma_n ** 2))
+    if len(train_x) > 0:
+        train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
+        n = len(train_x)
+        K = _sq_exp_kernel(train_x, train_x, params.length_scale, params.sigma_f)
+        K[np.diag_indices(n)] += params.sigma_n ** 2 + 1e-10
+        chol = cho_factor(K, lower=True)
+        alphas = np.ascontiguousarray(cho_solve(chol, ys - params.mean).T)
+        for lo in range(0, m, 2048):
+            hi = min(m, lo + 2048)
+            ks = _sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f)
+            for row, alpha in zip(mu, alphas):
+                row[lo:hi] = params.mean + ks @ alpha
+            v = cho_solve(chol, ks.T)
+            var_f = params.sigma_f ** 2 - np.einsum("ij,ji->i", ks, v)
+            sigma[lo:hi] = np.sqrt(np.maximum(var_f, 0.0) + params.sigma_n ** 2)
+    return (mu[0] if train_y.ndim == 1 else mu.T), sigma
 
 
 def error_cdf(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -322,6 +322,7 @@ def test_exit_code_rejected_rows(ws, tmp_path, capsys):
     ("mag_rate,0", "mag_rate must be positive"),
     ("mag_rate,-5", "mag_rate must be positive"),
     ("mag_sigma,-1", "mag_sigma must be non-negative"),
+    ("anomaly,4.0,14.5,18.0,-0.01", "anomaly decay must be positive, got -0.01"),
     ("waypoint,0,0,7", "expected waypoint,x,y"),
 ])
 def test_simulate_rejects_bad_scenario_records(tmp_path, capsys, record, match):

@@ -57,18 +57,17 @@ def _dtw_oracle(q, r):
     return best / n
 
 
-def test_obe_dtw_matches_exhaustive_enumeration():
-    rng = np.random.default_rng(2024)
-    for _ in range(60):
-        n = int(rng.integers(1, 8))
-        m = int(rng.integers(1, 11))
-        q = rng.normal(size=n)
-        r = rng.normal(size=m)
-        score, path = obe_dtw(q, r)
-        assert math.isclose(score, _dtw_oracle(q, r), rel_tol=0, abs_tol=1e-12)
-        # the returned path realises the returned score
-        realised = sum(abs(q[i] - r[j]) for i, j in path) / n
-        assert math.isclose(realised, score, abs_tol=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(q=st.lists(st.integers(0, 2), min_size=1, max_size=7),
+       r=st.lists(st.integers(0, 2), min_size=1, max_size=10))
+def test_obe_dtw_matches_exhaustive_enumeration(q, r):
+    # samples in 0..2 make tied warps common
+    q, r = np.array(q, dtype=float), np.array(r, dtype=float)
+    score, path = obe_dtw(q, r)
+    assert math.isclose(score, _dtw_oracle(q, r), rel_tol=0, abs_tol=1e-12)
+    # the returned path realises the returned score
+    realised = sum(abs(q[i] - r[j]) for i, j in path) / len(q)
+    assert math.isclose(realised, score, abs_tol=1e-12)
 
 
 def test_obe_dtw_path_is_admissible():

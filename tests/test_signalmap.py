@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import oracles
 
@@ -76,6 +77,23 @@ def test_gp_predict_many_targets_match_dense_solve():
         assert np.array_equal(mu[:, s], one_mu) and np.array_equal(sigma, one_sigma)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200), sources=st.integers(0, 4))
+def test_gp_predict_matches_two_solve_oracle(seed, n, sources):
+    # the mean to the byte and the one-substitution variance to 1e-12 of
+    # the full Cholesky solve, on queries across the 2,048-query chunk edge
+    rng = np.random.default_rng(seed)
+    p = GpParams(length_scale=rng.uniform(1.0, 5.0), sigma_f=rng.uniform(2.0, 8.0),
+                 sigma_n=rng.uniform(1.0, 5.0), mean=rng.uniform(-95.0, -60.0))
+    train_x = rng.uniform(0, 30, size=(n, 2))
+    train_y = rng.uniform(-90, -30, size=(n, sources) if sources else n)  # 0: one source, (n,)
+    query = rng.uniform(-3, 33, size=(int(rng.integers(2049, 4500)), 2))
+    mu, sigma = gp_predict(train_x, train_y, query, p)
+    want_mu, want_sigma = oracles.gp_predict(train_x, train_y, query, p)
+    assert np.array_equal(mu, want_mu)
+    assert np.max(np.abs(sigma - want_sigma)) <= 1e-12
+
+
 def test_gp_predict_interpolates_with_zero_noise():
     p = GpParams(sigma_n=1e-6)
     train_x = np.array([[2.0, 3.0]])
@@ -131,6 +149,19 @@ def test_sq_exp_kernel_values():
     k = sq_exp_kernel(a, b, length_scale=2.0, sigma_f=3.0)
     assert math.isclose(k[0, 0], 9.0)
     assert math.isclose(k[0, 1], 9.0 * math.exp(-0.5))
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), length_scale=st.floats(1e-3, 1e3),
+       sigma_f=st.floats(0.0, 1e3))
+def test_sq_exp_kernel_equals_textbook_form_to_the_byte(seed, length_scale, sigma_f):
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(-20, 20, size=(30, 2))
+    a = np.vstack([b[:5], rng.uniform(-20, 20, size=(20, 2))])  # five zero distances
+    d2 = cdist(a, b, "sqeuclidean")
+    want = sigma_f ** 2 * np.exp(-d2 / (2 * length_scale ** 2))
+    assert np.array_equal(sq_exp_kernel(a, b, length_scale, sigma_f), want)
 
 
 # -------------------------------------------------------------- grid/maps

@@ -241,6 +241,10 @@ def test_parse_scenario_defaults():
     ("waypoint,0,0\nwaypoint,nan,0\n", "line 2: non-finite"),
     ("waypoint,0,0\nwaypoint,1,0\nap,1,2,-40,inf\n", "line 3: non-finite"),
     ("waypoint,0,0\nwaypoint,1,0\nanomaly,1,2,nan,1.5\n", "line 3: non-finite"),
+    # a decay at or below 0 would write infinite magnetometer readings
+    *((f"waypoint,0,0\nwaypoint,1,0\nanomaly,4.0,14.5,18.0,{decay}\n",
+       f"line 3: anomaly decay must be positive, got {float(decay)}")
+      for decay in ("0", "-0.01")),
     ("waypoint,0,0\nwaypoint,1,0\nspeed,-inf\n", "line 3: non-finite"),
     # divisors must be positive and noise scales non-negative
     *((f"waypoint,0,0\n# {name}\nwaypoint,1,0\n{name},{value}\n",
