@@ -205,9 +205,16 @@ def cmd_position(args) -> int:
     if have_mag and log.mags:
         mt = np.array([m.t for m in log.mags])
         mv = np.array([m.magnitude for m in log.mags])
-        for t, obs in by_t.items():
-            sel = np.abs(mt - t) <= 0.5
-            if sel.any():
+        # rounding is monotone, so every sample with |mt - t| <= 0.5 lies
+        # in [t - 1, t + 1] as rounded: search the sorted times for that window
+        order = np.argsort(mt, kind="stable")
+        ts, sorted_t = np.array(list(by_t)), mt[order]
+        los = np.searchsorted(sorted_t, ts - 1.0, "left")
+        his = np.searchsorted(sorted_t, ts + 1.0, "right")
+        for (t, obs), lo, hi in zip(by_t.items(), los, his):
+            near = np.sort(order[lo:hi])  # log order, as the mean's sum takes them
+            sel = near[np.abs(mt[near] - t) <= 0.5]
+            if len(sel):
                 obs["mag"] = float(mv[sel].mean())
     sources = {m.ap_id for m in maps}
     rows = []

@@ -34,10 +34,12 @@ COMPACT_EVERY = 64  # epochs between ancestor-tree compactions; 0 never compacts
 
 
 class FilterLostError(RuntimeError):
-    """All particle weights collapsed to zero at some epoch."""
+    """The filter lost its cloud at some epoch: all particle weights
+    collapsed to zero, or a pose left the finite range."""
 
-    def __init__(self, epoch: int, label: str = "filter"):
-        super().__init__(f"{label}: particle weights collapsed to zero at epoch {epoch}")
+    def __init__(self, epoch: int, label: str = "filter",
+                 reason: str = "particle weights collapsed to zero"):
+        super().__init__(f"{label}: {reason} at epoch {epoch}")
         self.epoch = epoch
         self.label = label
 
@@ -534,12 +536,16 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
 
     Per epoch: resample the previous weighted cloud under the KLD bound,
     propagate each draw through the step with noise, reweight under the
-    constraint set.  Raises FilterLostError when every weight hits zero.
+    constraint set.  Raises FilterLostError when every weight hits zero,
+    or when the seeded or a propagated cloud holds a non-finite pose
+    (a NaN pose would pass the wall test).
     Loop-closure distances use each draw's own ancestor at the anchor
     epoch, looked up in the ancestor tree.
     """
     n0 = kld.n_min
     poses0 = seed_particles(fp, n0, rng, start_room=start_room, start_pose=start_pose)
+    if not np.isfinite(poses0).all():
+        raise FilterLostError(0, label, "non-finite pose")
     tree = AncestorTree()
     tree.append(poses0, np.full(n0, 1.0 / n0), np.full(n0, -1, dtype=np.int64))
     cells = fp.cells(poses0[:, :2])  # grid cells of the latest cloud
@@ -552,6 +558,8 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         anchors = tree.ancestor_positions(draws, anchor_epochs) if anchor_epochs else {}
         selected = _take(prev.poses, draws)
         new_poses = propagate(selected, step, noise, rng)
+        if not np.isfinite(new_poses).all():
+            raise FilterLostError(epoch, label, "non-finite pose")
         prev_cells, cells = _take(cells, draws), fp.cells(new_poses[:, :2])
         w = _reweight_batch(fp, selected[:, :2], prev_cells, new_poses, cells, i, constraints, anchors)
         total = w.sum()

@@ -184,7 +184,8 @@ def compare_maps(map_a: SignalMap, map_b: SignalMap,
     return scores, float(np.median(sel))
 
 
-_U = 2.0 ** -53  # unit roundoff of float64
+_U = 2.0 ** -24    # unit roundoff of float32
+_BIG = 2.0 ** 100  # largest screened G' and map terms: float32 reaches 2^128
 
 
 def _gamma(k: int) -> float:
@@ -193,79 +194,89 @@ def _gamma(k: int) -> float:
 
 
 class _Block:
-    """The k maps of one grid shape from one list, in list order, with
-    the terms of their log-likelihoods cached column by column.
+    """The k maps of one grid shape from one list, in list order: their
+    log-likelihood terms as a float32 screen matrix, and a float64 table
+    of each cell's c, mu and v2 to rescore the cells the screen keeps.
 
     With c = -log(2 pi sigma^2) / 2 and v2 = 2 sigma^2, the exact score
     of a cell from these floats, for the M maps a scan heard, is a
     quadratic in each reading r:
         s = sum_m c - (r - mu)^2 / v2 = sum_m a + r b + r^2 e,
         a = c - mu^2 / v2,  b = 2 mu / v2,  e = -1 / v2.
-    So q = [h, r, r^2] @ W, with W the 3k x cells matrix of a, b and e
-    and h = 1 for a heard map (h = r = 0 for the rest), screens every
-    cell in one product.  Let u = 2^-53, gamma_n = n u / (1 - n u), and
-    G = sum over heard maps of P + B |r| + E r^2, where P, B and E are
-    the maxima over cells of |c| + mu^2 / v2, |b| and |e|.  Then, by
-    Higham 2002, Accuracy and Stability of Numerical Algorithms, ch. 3:
-    - the float score of the dense expression (as in best_cell) sits
+    So q = [h, r, r^2] @ W, with W the 3k x cells float32 matrix of a, b
+    and e and h = 1 for a heard map (h = r = 0 for the rest), screens
+    every cell in one float32 product.  Let u = 2^-24, the unit roundoff
+    of float32, gamma_n = n u / (1 - n u), and G = sum over heard maps of
+    P + B |r| + E r^2, where P, B and E are the maxima over cells of
+    |c| + mu^2 / v2, |b| and |e|.  Then, by Higham 2002, Accuracy and
+    Stability of Numerical Algorithms, ch. 3:
+    - the float64 score of the dense expression (as rescored) sits
       within gamma_{M+5} G of s: four roundings per term, then M - 1 in
-      the running sum;
-    - q sits within gamma_{3k+6} G of s: a, b, e and r^2 carry one to
-      three roundings, then the product sums 3k terms in some order,
+      the running sum, each of at most 2^-53 < u;
+    - q sits within gamma_{3k+6} G of s: a, b and e carry up to three
+      float64 roundings and one to float32, r one rounding and r^2 two,
+      each product one, then the product sums 3k terms in some order,
       with fused multiply-adds or without.
     So the best cell by the dense score has q >= max q - 2 (gamma_{M+5}
     + gamma_{3k+6}) G, and rescoring every cell within that margin of
     max q, in index order, finds it and its lowest-index ties.  The
     margin used is 4 gamma_{4k+16} G', where G' adds 1 to P, B, E and
-    r^2: the excess covers the rounding of G' and of the threshold, and
-    the absolute error of results below the normal range.  The bound
-    needs finite terms and no overflow ((r - mu)^2 is at most v2 G), so
-    when a heard map has a term that is not finite, or G' (1 + max v2)
-    exceeds 2^1000, every cell is rescored.
+    r^2; the threshold is formed and compared in float64.  The excess
+    covers the rounding of G' and of the threshold (even to float32),
+    and the absolute error of results below the normal range.  The
+    bound needs finite terms and no overflow.  The float32 products and
+    partial sums stay below 2 G', and in float64 (r - mu)^2 is at most
+    2 (r^2 + P v2).  So a map whose P + 1, B + 1, E + 1 or largest v2
+    exceeds 2^100 gets infinite bounds and zero rows in W, and a scan
+    whose G' exceeds 2^100 has every cell rescored.
     """
 
     def __init__(self, maps: list[SignalMap]):
         var = [m.sigma ** 2 for m in maps]
-        self.c = np.column_stack([-0.5 * np.log(2.0 * math.pi * v) for v in var])
-        self.v2 = np.column_stack([2.0 * v for v in var])
-        self.mu = np.column_stack([m.mu for m in maps])
+        c = np.column_stack([-0.5 * np.log(2.0 * math.pi * v) for v in var])
+        v2 = np.column_stack([2.0 * v for v in var])
+        mu = np.column_stack([m.mu for m in maps])
+        self.table = np.stack((c, mu, v2), axis=1)  # (cells, 3, k)
         with np.errstate(all="ignore"):
-            mu2 = self.mu * self.mu / self.v2
-            terms = (self.c - mu2, 2.0 * self.mu / self.v2, -1.0 / self.v2)
-            self.finite = np.isfinite(np.stack((self.c, *terms))).all(axis=(0, 1))
-            peaks = [np.abs(self.c) + mu2, np.abs(terms[1]), np.abs(terms[2])]
-        keep = np.tile(self.finite, 3)
-        self.w = np.ascontiguousarray(np.where(keep[:, None], np.hstack(terms).T, 0.0))
-        self.scale = np.where(keep, np.concatenate([p.max(axis=0) for p in peaks]) + 1.0, 0.0)
-        self.v2_max = float(np.max(self.v2[:, self.finite], initial=0.0))
+            mu2 = mu * mu / v2
+            terms = (c - mu2, 2.0 * mu / v2, -1.0 / v2)
+            bounds = np.stack([np.abs(c) + mu2, np.abs(terms[1]), np.abs(terms[2])]).max(axis=1) + 1.0
+        # NaN compares false: a map with a NaN term does not fit either
+        fits = (bounds.max(axis=0) <= _BIG) & (v2.max(axis=0) <= _BIG)
+        self.bounds = [tuple(b) if ok else (math.inf,) * 3
+                       for b, ok in zip(bounds.T.tolist(), fits.tolist())]
+        keep = np.tile(fits, 3)[:, None]
+        self.w = np.ascontiguousarray(np.where(keep, np.hstack(terms).T, 0.0), dtype=np.float32)
+        self.margin = 4.0 * _gamma(4 * len(maps) + 16)
 
-    def best_cell(self, cols: list[int], r: np.ndarray) -> tuple[int, float]:
+    def best_cell(self, cols: list[int], r: list[float]) -> tuple[int, float]:
         """Lowest-index best cell, and its score, for readings r of the
         maps in columns cols (in list order)."""
-        k = len(self.w) // 3
-        h = np.zeros(k)
-        rk = np.zeros(k)
-        h[cols] = 1.0
-        rk[cols] = r
-        q = np.concatenate([h, rk, rk * rk]) @ self.w
-        g = float(self.scale @ np.concatenate([h, np.abs(rk), rk * rk + h]))
-        if self.finite[cols].all() and g * (1.0 + self.v2_max) <= 2.0 ** 1000:
-            cells = np.flatnonzero(q >= q.max() - 4.0 * _gamma(4 * k + 16) * g)
+        k = len(self.bounds)
+        hrr = [0.0] * (3 * k)  # [h, r, r^2]
+        g = 0.0  # G'; inf or NaN when a heard map does not fit
+        for col, x in zip(cols, r):
+            p, b, e = self.bounds[col]
+            g += p + b * abs(x) + e * (x * x + 1.0)
+            hrr[col], hrr[k + col], hrr[2 * k + col] = 1.0, x, x * x
+        if g <= _BIG:
+            q = np.array(hrr, dtype=np.float32) @ self.w
+            cells = (q >= np.float64(q.max()) - self.margin * g).nonzero()[0]
         else:
-            cells = np.arange(len(q))
-        at = (cells[:, None], cols)
-        terms = self.c[at] - (r - self.mu[at]) ** 2 / self.v2[at]
-        score = np.zeros(len(cells))
-        for t in terms.T:
-            score += t
+            cells = np.arange(len(self.table))
+        at = self.table[cells[:, None], :, cols]  # (cells, M, 3): c, mu, v2
+        terms = at[..., 0] - (np.array(r) - at[..., 1]) ** 2 / at[..., 2]
+        # each cell's terms summed in map order; adding 0.0 turns a -0.0
+        # total into the +0.0 that a sum begun at +0.0 gives
+        score = np.add.accumulate(terms, axis=1)[:, -1]
         i = int(np.argmax(score))
-        return int(cells[i]), float(score[i])
+        return int(cells[i]), float(score[i]) + 0.0
 
 
 @dataclass(frozen=True)
 class _Screen:
     ap_ids: tuple[str, ...]
-    congruent: np.ndarray           # (M, M) bool: maps[i].congruent(maps[j])
+    congruent: tuple[frozenset[int], ...]  # indices of the maps congruent to each map
     placed: tuple[tuple[_Block, int], ...]  # each map's block and column
 
 
@@ -282,7 +293,7 @@ def _screen(maps: tuple[SignalMap, ...]) -> _Screen:
         members.append(m)
     blocks = {shape: _Block(ms) for shape, ms in by_shape.items()}
     placed = tuple((blocks[shape], col) for shape, col in where)
-    congruent = np.array([[a.congruent(b) for b in maps] for a in maps])
+    congruent = tuple(frozenset(j for j, b in enumerate(maps) if a.congruent(b)) for a in maps)
     return _Screen(tuple(m.ap_id for m in maps), congruent, placed)
 
 
@@ -297,17 +308,16 @@ def position_one_shot(maps: list[SignalMap],
     depend only on the maps are cached per list of map objects (see
     _Block), so repeated calls with the same maps are cheap.
     """
-    maps = tuple(maps)
-    screen = _screen(maps)
+    screen = _screen(tuple(maps))
     used = [i for i, ap in enumerate(screen.ap_ids) if ap in observation]
     if not used:
         raise ValueError("observation shares no sources with the maps")
-    if not screen.congruent[used[0], used].all():
+    if not screen.congruent[used[0]].issuperset(used):
         raise ValueError("maps are not on the same grid")
-    r = np.array([float(observation[screen.ap_ids[i]]) for i in used])
-    if not np.isfinite(r).all():
-        j = int(np.argmin(np.isfinite(r)))
-        raise ValueError(f"reading {r[j]} for source {screen.ap_ids[used[j]]!r} is not finite")
+    r = [float(observation[screen.ap_ids[i]]) for i in used]
+    for i, x in zip(used, r):
+        if not math.isfinite(x):
+            raise ValueError(f"reading {x} for source {screen.ap_ids[i]!r} is not finite")
     block = screen.placed[used[0]][0]
     best, ll = block.best_cell([screen.placed[i][1] for i in used], r)
     first = maps[used[0]]

@@ -142,6 +142,24 @@ def test_position_rejects_maps_on_different_grids(tmp_path, capsys):
         [["0.500000", "0.500000"], ["1.500000", "0.500000"]]
 
 
+def test_position_averages_mag_samples_within_half_a_second(tmp_path, capsys):
+    # mag records out of time order; samples at exactly +-0.5 s count and
+    # samples just beyond, or at the +-1 s edge of the searched window, do not
+    m = SignalMap("mag", 0.0, 0.0, 1.0, 4, 1, np.array([40.0, 45.0, 50.0, 55.0]), np.ones(4))
+    fileio.write_signal_map(tmp_path / "mag.map", m)
+    mags = [(10.5000001, 100.0), (21.0, 0.001), (10.5, 55.0), (19.5, 55.0), (9.49, 100.0),
+            (10.0, 40.0), (20.5, 55.0), (9.5, 40.0), (19.0, 0.001)]
+    log = tmp_path / "log.txt"
+    log.write_text("".join(f"mag,{t},{v},0,0\n" for t, v in mags)
+                   + "wifi,20.0,apx,-50.0\nwifi,10.0,apx,-50.0\n")
+    out = tmp_path / "pos.csv"
+    assert main(["position", "--map", str(tmp_path / "mag.map"), "--log", str(log),
+                 "--out", str(out)]) == 0
+    # means 45 and 55 hit cells 1 and 3 exactly: ll = -log(2 pi) / 2
+    assert out.read_text().splitlines()[1:] == ["10.000000,1.500000,0.500000,-0.918939",
+                                                "20.000000,3.500000,0.500000,-0.918939"]
+
+
 def test_position_output_does_not_depend_on_blas_threads(tmp_path):
     # three 80 x 50 maps: the screening product is large enough for
     # OpenBLAS to split it over two threads
@@ -360,3 +378,12 @@ def test_exit_code_filter_lost(ws, tmp_path, monkeypatch, capsys):
     assert main(["pf1", "--log", str(ws["sim"] / "log.txt"),
                  "--out", str(tmp_path / "o")]) == 3
     assert "epoch 3" in capsys.readouterr().err
+
+
+def test_exit_code_non_finite_pose(tmp_path, capsys):
+    # step noise takes some 1.7e308 m strides past the largest float
+    log = tmp_path / "log.txt"
+    log.write_text("start,5.0,14.6,0.0\nstep,1.0,1.7e308,0.0\nstep,2.0,1.7e308,0.0\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["pf1", "--log", str(log), "--out", str(tmp_path / "o")]) == 3
+    assert "pf1: non-finite pose at epoch 1" in capsys.readouterr().err

@@ -21,12 +21,13 @@ from floorsurvey.filtering import (
     seed_particles,
 )
 from floorsurvey.filtering import _reweight_batch
-from floorsurvey.geometry import Pose2D
+from floorsurvey.geometry import Floorplan, Pose2D, Room
 from floorsurvey.loopclosure import StepLoopClosure
 from floorsurvey.sensors import StepEvent, StepNoiseModel
 from floorsurvey.simulate import office_floorplan
 
 import oracles
+from conftest import box
 
 
 # ----------------------------------------------------------- KLD formula
@@ -662,6 +663,24 @@ def test_run_filter_raises_when_lost(square_plan):
                    start_pose=Pose2D(5.0, 5.0, 0.0), label="pf1")
     assert info.value.epoch == 1
     assert "pf1" in str(info.value)
+
+
+def test_run_filter_raises_on_non_finite_poses(monkeypatch):
+    # no wall encloses the room, so the strides leave it unchecked; the
+    # second overflows x, and an infinite or NaN pose would pass the wall test
+    fp = Floorplan(np.array([[100.0, 100.0, 101.0, 100.0]]), [Room(0, "sq", box(0, 0, 10, 10))])
+    steps = [StepEvent(1.0, 1.7e308, 0.0), StepEvent(2.0, 1.7e308, 0.0), StepEvent(3.0, 1.0, 0.0)]
+    noise = StepNoiseModel(sigma_dtheta=1e-9, length_lambda=1e-9)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FilterLostError) as info:
+        run_filter(steps, fp, KldConfig(n_min=200), noise, ConstraintSet(),
+                   np.random.default_rng(0), start_pose=Pose2D(5.0, 5.0, 0.0), label="pf2")
+    assert info.value.epoch == 2
+    assert str(info.value) == "pf2: non-finite pose at epoch 2"
+    # the seeded cloud is checked too
+    monkeypatch.setattr(filtering, "seed_particles", lambda fp, n, *a, **kw: np.full((n, 3), np.nan))
+    with pytest.raises(FilterLostError, match="non-finite pose at epoch 0"):
+        run_filter(steps, fp, KldConfig(n_min=200), noise, ConstraintSet(),
+                   np.random.default_rng(0), start_room=0)
 
 
 def test_run_filter_walls_confine_cloud(square_plan):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -304,6 +305,49 @@ def test_position_one_shot_ignores_unknown_sources():
         position_one_shot(maps, {"other": -50.0})
 
 
+def test_position_one_shot_rejects_scans_across_grids():
+    # same shape, so one block, but another origin: another grid
+    maps = _maps_for_positioning()
+    shifted = dataclasses.replace(maps[1], x0=0.5)
+    for ms in ([maps[0], shifted], [shifted, maps[0]]):
+        for fn in (position_one_shot, oracles.position_one_shot):
+            with pytest.raises(ValueError, match="not on the same grid"):
+                fn(ms, {"ap0": -50.0, "ap1": -50.0})
+        for ap in ("ap0", "ap1"):
+            assert _bits(position_one_shot(ms, {ap: -50.0})) == \
+                _bits(oracles.position_one_shot(ms, {ap: -50.0}))
+
+
+def test_position_one_shot_tests_congruence_pairwise_like_the_oracle():
+    # origins drift by 0.9e-9 relative along the chain c - a - b: a is
+    # congruent to b and to c, but b is not congruent to c
+    m0, m1 = _maps_for_positioning()
+    a, b, c = (dataclasses.replace(m, ap_id=ap, x0=x0) for m, ap, x0 in zip(
+        (m0, m1, m0), ("ap0", "ap1", "ap2"), (1.0, 1.0 + 0.9e-9, 1.0 - 0.9e-9)))
+    assert a.congruent(b) and a.congruent(c) and not b.congruent(c)
+    outcomes = set()
+    for ms in itertools.permutations((a, b, c)):
+        for n in (1, 2, 3):
+            for heard in itertools.combinations(("ap0", "ap1", "ap2"), n):
+                obs = {ap: -55.0 + 3 * i for i, ap in enumerate(heard)}
+                try:
+                    want = _bits(oracles.position_one_shot(list(ms), obs))
+                except ValueError as e:
+                    assert "not on the same grid" in str(e)
+                    with pytest.raises(ValueError, match="not on the same grid"):
+                        position_one_shot(list(ms), obs)
+                    outcomes.add(("refused", ms[0].ap_id, heard))
+                else:
+                    assert _bits(position_one_shot(list(ms), obs)) == want
+                    outcomes.add(("fixed", ms[0].ap_id, heard))
+    # b and c heard together under a list led by a: the first heard map
+    # (b or c) is not congruent to the other, so the scan is refused
+    assert ("refused", "ap0", ("ap1", "ap2")) in outcomes
+    # a and c heard under a list led by b: a is the first heard map and
+    # congruent to c, so the scan is fixed
+    assert ("fixed", "ap1", ("ap0", "ap2")) in outcomes
+
+
 def _bits(fix) -> bytes:
     return np.array(fix, dtype=float).tobytes()
 
@@ -363,6 +407,36 @@ def test_position_one_shot_equals_dense_oracle(case):
             assert _bits(position_one_shot(ms, obs)) == _bits(oracles.position_one_shot(ms, obs))
 
 
+@st.composite
+def _float32_tie_case(draw):
+    """Maps whose cells are mostly near-copies of one cell, their mu
+    moved by up to 8 float32 ulps (exact ties among them), with |mu| up
+    to 1e6 and readings many |mu| away: the best cells' scores lie within
+    a few float32 ulps of the screen's bound G, where the float32 screen
+    cannot order them."""
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    n = nx * ny
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(1, 6))
+    copies = rng.random(n) < draw(st.sampled_from([0.5, 0.9, 1.0]))
+    maps, obs = [], {}
+    for i in range(draw(st.integers(1, 3))):
+        mu0, sigma0 = rng.uniform(-scale, scale), rng.uniform(0.5, 9.0)
+        mu = np.where(copies, mu0 * (1.0 + rng.integers(-8, 9, n) * 2.0 ** -24),
+                      rng.uniform(-scale, scale, n))
+        sigma = np.where(copies, sigma0, rng.uniform(0.5, 9.0, n))
+        maps.append(SignalMap(f"ap{i}", 0.0, 0.0, 1.0, nx, ny, mu, sigma))
+        obs[f"ap{i}"] = mu0 + rng.uniform(-4.0, 4.0) * scale
+    return maps, obs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float32_tie_case())
+def test_position_one_shot_equals_dense_oracle_at_float32_ties(case):
+    maps, obs = case
+    assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
+
+
 def test_position_one_shot_equals_dense_oracle_on_gp_maps():
     fp = office_floorplan()
     pts, mag, wifi = grid_survey(corridor_scenario(), fp, spacing=1.0, seed=404)
@@ -375,17 +449,27 @@ def test_position_one_shot_equals_dense_oracle_on_gp_maps():
         assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
 
 
-@pytest.mark.parametrize("sigma0, reading", [(0.0, -60.0), (1e-170, -60.0), (3.0, 1e200)])
-def test_position_one_shot_equals_dense_oracle_beyond_the_screen_bound(sigma0, reading):
-    # a zero or underflowing variance, or a reading whose square
-    # overflows, leaves the screen no finite bound: every cell is rescored
+@pytest.mark.parametrize("sigma0, mu0, reading", [
+    pytest.param(0.0, None, -60.0, id="0.0--60.0"),
+    pytest.param(1e-170, None, -60.0, id="1e-170--60.0"),
+    pytest.param(3.0, None, 1e200, id="3.0-1e+200"),
+    pytest.param(3.0, None, 1e30, id="3.0-1e+30"),
+    pytest.param(3.0, 1e25, -60.0, id="3.0--60.0-mu1e+25"),
+])
+def test_position_one_shot_equals_dense_oracle_beyond_the_screen_bound(sigma0, mu0, reading):
+    # a zero or underflowing variance, a reading whose square overflows
+    # float64 or float32, or a mu whose terms overflow float32, leaves
+    # the screen no bound: every cell is rescored when ap1 is heard, and
+    # ap1 is left out of the screen when it is not
     maps = _maps_for_positioning()
-    sigma = maps[1].sigma.copy()
+    mu, sigma = maps[1].mu.copy(), maps[1].sigma.copy()
     sigma[4] = sigma0
-    maps[1] = dataclasses.replace(maps[1], sigma=sigma)
-    obs = {"ap0": -55.0, "ap1": reading}
-    with np.errstate(all="ignore"):
-        assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
+    if mu0 is not None:
+        mu[4] = mu0
+    maps[1] = dataclasses.replace(maps[1], mu=mu, sigma=sigma)
+    for obs in ({"ap0": -55.0, "ap1": reading}, {"ap0": -55.0}):
+        with np.errstate(all="ignore"):
+            assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
