@@ -196,6 +196,10 @@ class Floorplan:
                 raise FloorplanError(f"room {room.room_id} has fewer than 3 vertices")
             if not np.isfinite(room.vertices).all():
                 raise FloorplanError(f"room {room.room_id} has non-finite vertices")
+            # a wider room overflows max - min, and sampling in its box never ends
+            lo, hi = room.vertices.min(axis=0), room.vertices.max(axis=0)
+            if not all(math.isfinite(b - a) for a, b in zip(lo.tolist(), hi.tolist())):
+                raise FloorplanError(f"room {room.room_id} extent is not finite")
         edges = [np.hstack([r.vertices, np.roll(r.vertices, -1, axis=0)]) for r in self.rooms]
         self._edges = np.concatenate(edges) if edges else np.zeros((0, 4))
         # (R, V, 4) table of each room's edges, padded to the longest room

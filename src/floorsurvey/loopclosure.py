@@ -179,18 +179,20 @@ def obe_dtw(q: np.ndarray, r: np.ndarray) -> tuple[float, list[tuple[int, int]]]
     dist = np.empty((n, m))
     back = np.zeros((n, m), dtype=np.uint8)
     dist[0] = cost[0]
-    inf = np.inf
+    diag = np.full(m, np.inf)  # the previous row shifted by one and by two
+    skip = np.full(m, np.inf)
+    best = np.empty(m)
     for i in range(1, n):
         prev = dist[i - 1]
-        stay = prev
-        diag = np.full(m, inf)
         diag[1:] = prev[:-1]
-        skip = np.full(m, inf)
         skip[2:] = prev[:-2]
-        stacked = np.stack([stay, diag, skip])
-        choice = np.argmin(stacked, axis=0)  # ties prefer the smaller jump
-        dist[i] = cost[i] + stacked[choice, np.arange(m)]
-        back[i] = choice
+        # ties prefer the smaller jump: stay, then diagonal, then skip
+        np.minimum(prev, diag, out=best)
+        choice = back[i]
+        choice[diag < prev] = 1
+        choice[skip < best] = 2
+        np.minimum(best, skip, out=best)
+        np.add(cost[i], best, out=dist[i])
     j = int(np.argmin(dist[n - 1]))
     total = float(dist[n - 1, j])
     path = [(n - 1, j)]

@@ -5,10 +5,10 @@ by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
 The others are the straightforward forms of the angle factor, the grid
 index's room table, KLD resampling, the MSP containment filter, two
-ancestor-tree walks, the smoothing mass, the per-epoch room labels and
-the GP prediction whose variance takes two triangular solves per query
-chunk, plus dead reckoning and the empirical error CDF, which only
-tests use.
+ancestor-tree walks, the smoothing mass, the per-epoch room labels, the
+GP predictions whose variance takes one or two triangular solves per
+query chunk and the DTW whose rows pick each step by an argmin, plus
+dead reckoning and the empirical error CDF, which only tests use.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from floorsurvey.filtering import (
@@ -262,10 +262,11 @@ def _sq_exp_kernel(a: np.ndarray, b: np.ndarray, length_scale: float,
 
 
 def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
-               params: GpParams) -> tuple[np.ndarray, np.ndarray]:
+               params: GpParams, solves: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Exact GP posterior mean and predictive std (noise included), with
-    the variance k(x*, x*) - k*' K^-1 k* from the full Cholesky solve
-    K^-1 k* (a forward and a back substitution) per query chunk; shapes
+    the variance k(x*, x*) - k*' K^-1 k* per query chunk from the full
+    Cholesky solve K^-1 k* (solves=2: a forward and a back substitution)
+    or from v'v, v = L^-1 k* (solves=1: one forward substitution); shapes
     as in floorsurvey.signalmap.gp_predict."""
     query = np.atleast_2d(np.asarray(query, dtype=float))
     m = len(query)
@@ -285,8 +286,11 @@ def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
             ks = _sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f)
             for row, alpha in zip(mu, alphas):
                 row[lo:hi] = params.mean + ks @ alpha
-            v = cho_solve(chol, ks.T)
-            var_f = params.sigma_f ** 2 - np.einsum("ij,ji->i", ks, v)
+            if solves == 2:
+                var_f = params.sigma_f ** 2 - np.einsum("ij,ji->i", ks, cho_solve(chol, ks.T))
+            else:
+                v = solve_triangular(chol[0], ks.T, lower=True)
+                var_f = params.sigma_f ** 2 - np.einsum("ij,ij->j", v, v)
             sigma[lo:hi] = np.sqrt(np.maximum(var_f, 0.0) + params.sigma_n ** 2)
     return (mu[0] if train_y.ndim == 1 else mu.T), sigma
 
@@ -336,6 +340,36 @@ def kld_resample(poses, weights, cfg: KldConfig, rng: np.random.Generator) -> np
         target = min(cfg.n_max, max(cfg.n_min, kld_required_particles(k, cfg.epsilon)))
         if drawn >= target:
             return np.concatenate(parts)
+
+
+def obe_dtw(q: np.ndarray, r: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
+    """floorsurvey.loopclosure.obe_dtw with each row's step chosen by an
+    argmin over the stacked stay, diagonal and skip predecessors."""
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(r, dtype=float)
+    n, m = len(q), len(r)
+    cost = np.abs(q[:, None] - r[None, :])
+    dist = np.empty((n, m))
+    back = np.zeros((n, m), dtype=np.uint8)
+    dist[0] = cost[0]
+    for i in range(1, n):
+        prev = dist[i - 1]
+        diag = np.full(m, np.inf)
+        diag[1:] = prev[:-1]
+        skip = np.full(m, np.inf)
+        skip[2:] = prev[:-2]
+        stacked = np.stack([prev, diag, skip])
+        choice = np.argmin(stacked, axis=0)  # ties prefer the smaller jump
+        dist[i] = cost[i] + stacked[choice, np.arange(m)]
+        back[i] = choice
+    j = int(np.argmin(dist[n - 1]))
+    total = float(dist[n - 1, j])
+    path = [(n - 1, j)]
+    for i in range(n - 1, 0, -1):
+        j -= int(back[i, j])
+        path.append((i - 1, j))
+    path.reverse()
+    return total / n, path
 
 
 def uncontained(keys: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:

@@ -290,6 +290,20 @@ def test_exit_code_data_errors(ws, tmp_path, capsys):
         assert "line 4: " in capsys.readouterr().err
 
 
+def test_survey_on_a_room_wider_than_the_largest_float_exits_2(ws, tmp_path):
+    # such a room used to load, and seeding particles in it never returned
+    plan = tmp_path / "wide.plan"
+    plan.write_text("room,0,wide,-1e308,-1,1e308,-1,1e308,1,-1e308,1\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from floorsurvey.cli import main; sys.exit(main())",
+         "survey", "--log", str(ws["sim"] / "log.txt"), "--floorplan", str(plan),
+         "--out", str(tmp_path / "srv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "room 0 extent is not finite" in done.stderr
+
+
 def test_exit_code_rejected_rows(ws, tmp_path, capsys):
     traj = tmp_path / "bad.traj"
     traj.write_text("# epoch,t,x,y,theta\n0,0.0,1.0,2.0,0.0\nabc,0.5,1.0,2.0,0.0\n")

@@ -186,6 +186,21 @@ def test_floorplan_rejects_non_finite_coordinates():
         Floorplan(np.zeros((0, 4)), [Room(0, "a", [(0, 0), (1, 0), (np.inf, 1)])])
 
 
+def test_floorplan_rejects_a_room_wider_than_the_largest_float():
+    # finite vertices whose max - min overflows in x, in y, or in the second room
+    wide = [(-1e308, -1), (1e308, -1), (1e308, 1), (-1e308, 1)]
+    tall = [(y, x) for x, y in wide]
+    unit = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    for rooms, bad in (([wide], 0), ([tall], 0), ([unit, wide], 1)):
+        with pytest.raises(FloorplanError, match=f"^room {bad} extent is not finite$"):
+            Floorplan(np.zeros((0, 4)), [Room(i, "r", vs) for i, vs in enumerate(rooms)])
+    # a room just narrow enough loads; its self-intersection test
+    # overflows in the orientation products
+    half = [(-8e307, -1), (8e307, -1), (8e307, 1), (-8e307, 1)]
+    with np.errstate(over="ignore"):
+        assert Floorplan(np.zeros((0, 4)), [Room(0, "r", half)]).rooms[0].room_id == 0
+
+
 def test_parse_floorplan_error_carries_line_number():
     with pytest.raises(FloorplanError, match="line 2"):
         parse_floorplan("wall,0,0,1,0\nwall,oops,0,1,0\n")

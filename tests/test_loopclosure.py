@@ -70,6 +70,20 @@ def test_obe_dtw_matches_exhaustive_enumeration(q, r):
     assert math.isclose(realised, score, abs_tol=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), ties=st.booleans())
+def test_obe_dtw_equals_stacked_argmin_oracle(data, ties):
+    # tie-heavy integer samples, or any finite floats, of lengths 1-60:
+    # the same distance bytes and the same path
+    values = st.integers(0, 2) if ties else st.floats(-1e6, 1e6, allow_nan=False)
+    q, r = (np.array(data.draw(st.lists(values, min_size=1, max_size=60)), dtype=float)
+            for _ in range(2))
+    score, path = obe_dtw(q, r)
+    want_score, want_path = oracles.obe_dtw(q, r)
+    assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+    assert path == want_path
+
+
 def test_obe_dtw_path_is_admissible():
     rng = np.random.default_rng(8)
     q, r = rng.normal(size=7), rng.normal(size=10)

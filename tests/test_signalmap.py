@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 import oracles
 
+from floorsurvey import signalmap
 from floorsurvey.signalmap import (
     GpParams,
     SignalMap,
@@ -78,21 +80,90 @@ def test_gp_predict_many_targets_match_dense_solve():
         assert np.array_equal(mu[:, s], one_mu) and np.array_equal(sigma, one_sigma)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200), sources=st.integers(0, 4))
-def test_gp_predict_matches_two_solve_oracle(seed, n, sources):
-    # the mean to the byte and the one-substitution variance to 1e-12 of
-    # the full Cholesky solve, on queries across the 2,048-query chunk edge
-    rng = np.random.default_rng(seed)
+def _random_fit(rng, n, sources, m):
     p = GpParams(length_scale=rng.uniform(1.0, 5.0), sigma_f=rng.uniform(2.0, 8.0),
                  sigma_n=rng.uniform(1.0, 5.0), mean=rng.uniform(-95.0, -60.0))
     train_x = rng.uniform(0, 30, size=(n, 2))
     train_y = rng.uniform(-90, -30, size=(n, sources) if sources else n)  # 0: one source, (n,)
-    query = rng.uniform(-3, 33, size=(int(rng.integers(2049, 4500)), 2))
+    return train_x, train_y, rng.uniform(-3, 33, size=(m, 2)), p
+
+
+def _assert_matches_both_oracles(train_x, train_y, query, p):
     mu, sigma = gp_predict(train_x, train_y, query, p)
-    want_mu, want_sigma = oracles.gp_predict(train_x, train_y, query, p)
-    assert np.array_equal(mu, want_mu)
-    assert np.max(np.abs(sigma - want_sigma)) <= 1e-12
+    one_mu, one_sigma = oracles.gp_predict(train_x, train_y, query, p, solves=1)
+    _, two_sigma = oracles.gp_predict(train_x, train_y, query, p)
+    assert np.array_equal(mu, one_mu)
+    assert np.max(np.abs(sigma - one_sigma)) <= 1e-12
+    assert np.max(np.abs(sigma - two_sigma)) <= 1e-12
+
+
+EDGES = [1, 2, 127, 128, 129, 255, 256, 257]  # around the 128-row solve blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.sampled_from(EDGES) | st.integers(1, 300), sources=st.integers(0, 4))
+def test_gp_predict_matches_two_solve_oracle(seed, n, sources):
+    # the mean to the byte and the blocked-substitution variance to 1e-12
+    # of the full Cholesky solve and of the one-substitution form, at every
+    # block count and with a short last block, on queries across the
+    # 2,048-query chunk edge
+    rng = np.random.default_rng(seed)
+    _assert_matches_both_oracles(*_random_fit(rng, n, sources, int(rng.integers(2049, 4500))))
+
+
+@pytest.mark.parametrize("block", [64, 256])
+def test_gp_predict_matches_both_oracles_at_other_block_sizes(monkeypatch, block):
+    monkeypatch.setattr(signalmap, "_SOLVE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (1, 63, 64, 65, 200, 256, 257, 300):
+        _assert_matches_both_oracles(*_random_fit(rng, n, 3, 2100))
+
+
+def _refined_sigma(train_x, query, p):
+    """Predictive std from K^-1 k* by a float64 Cholesky solve and three
+    residual corrections with the residual and the sum in long double."""
+    K = sq_exp_kernel(train_x, train_x, p.length_scale, p.sigma_f)
+    K[np.diag_indices(len(train_x))] += p.sigma_n ** 2 + 1e-10
+    ks = sq_exp_kernel(query, train_x, p.length_scale, p.sigma_f)
+    chol = cho_factor(K, lower=True)
+    K_l, ks_l = K.astype(np.longdouble), ks.T.astype(np.longdouble)
+    x = cho_solve(chol, ks.T).astype(np.longdouble)
+    for _ in range(3):
+        x += cho_solve(chol, (ks_l - K_l @ x).astype(float))
+    var = np.longdouble(p.sigma_f) ** 2 - (ks_l * x).sum(axis=0)
+    return np.sqrt(np.maximum(var, 0) + np.longdouble(p.sigma_n) ** 2)
+
+
+def _clusters(rng):
+    centres = np.array([[5.0, 5.0], [9.0, 6.0], [7.0, 12.0]])
+    return (centres[:, None, :] + rng.normal(0.0, 0.05, size=(3, 100, 2))).reshape(-1, 2)
+
+
+def _laps(rng):
+    # 0.3 m steps along three parallel 45 m lines, 1 m apart
+    i = np.arange(400)
+    return np.column_stack([i * 0.3 % 45.0, i // 150]).astype(float)
+
+
+@pytest.mark.parametrize("sigma_n", [0.0, 1e-3])
+@pytest.mark.parametrize("points", [_clusters, _laps])
+def test_gp_predict_variance_on_ill_conditioned_fits(points, sigma_n):
+    # K's condition number is 1e9 or more.  Multiplying by inverted
+    # diagonal blocks in place of the block solves gave 4 to 14 times the
+    # one-solve error on three of these four fits: k* is smooth and the
+    # inverses are large, so their products cancel.
+    rng = np.random.default_rng(5)
+    train_x = points(rng)
+    query = np.concatenate([train_x[::7] + rng.normal(0.0, 0.02, size=train_x[::7].shape),
+                            rng.uniform(-2, 47, size=(200, 2))])
+    p = GpParams(sigma_n=sigma_n)
+    want = _refined_sigma(train_x, query, p)
+    _, sigma = gp_predict(train_x, np.zeros(len(train_x)), query, p)
+    _, one_sigma = oracles.gp_predict(train_x, np.zeros(len(train_x)), query, p, solves=1)
+    err = float(np.max(np.abs(sigma - want)))
+    one_err = float(np.max(np.abs(one_sigma - want)))
+    assert err <= 2.0 * one_err + 1e-12
 
 
 def test_gp_predict_interpolates_with_zero_noise():
