@@ -30,7 +30,7 @@ from .loopclosure import StepLoopClosure
 from .sensors import StepEvent, StepNoiseModel, step_epoch_times
 
 TAU = 2.0 * math.pi
-COMPACT_EVERY = 64  # epochs between ancestor-tree compactions; 0 never compacts
+COMPACT_EVERY = 16  # epochs between ancestor-tree compactions; 0 compacts only at the end
 
 
 class FilterLostError(RuntimeError):
@@ -399,29 +399,36 @@ class AncestorTree:
         out[low] = _take(self.epochs[low].poses[:, :2], cur[where])
         return out
 
-    def _survivors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-epoch sorted indices of particles with a final-epoch
-        descendant (every final particle counts), and from epoch 1 on each
-        one's parent as an index into the previous epoch's survivors."""
+    def _survivors(self, low: int = 0) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """From epoch low on, per-epoch sorted indices of particles with a
+        final-epoch descendant (every final particle counts), and above
+        low each one's parent as an index into the previous epoch's
+        survivors."""
         last = len(self.epochs) - 1
         keep: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(self.epochs)
         up = list(keep)
         keep[last] = np.arange(len(self.epochs[last].poses), dtype=np.int64)
-        for e in range(last, 0, -1):
+        for e in range(last, low, -1):
             keep[e - 1], up[e] = _distinct(self.epochs[e].parents[keep[e]],
                                            len(self.epochs[e - 1].poses))
         return keep, up
 
-    def compact(self):
+    def compact(self, window: int | None = None):
         """Drop particles with no surviving descendants and remap parent
-        indices.  The final epoch is left untouched, so any external
-        arrays aligned with it stay valid."""
+        indices, in the newest window epochs below the final one, or in
+        all of them.  Older epochs keep their particles, so the oldest
+        compacted epoch's parents still index them.  Survivors keep
+        their order, so windowed compactions followed by a full one
+        leave the same tree as one full compaction.  The final epoch is
+        left untouched, so any external arrays aligned with it stay
+        valid."""
         if len(self.epochs) < 2:
             return
-        keep, up = self._survivors()
-        for e, cloud in enumerate(self.epochs):
-            idx = keep[e]
-            parents = up[e] if e else cloud.parents[idx]
+        low = 0 if window is None else max(0, len(self.epochs) - 1 - window)
+        keep, up = self._survivors(low)
+        for e in range(low, len(self.epochs)):
+            cloud, idx = self.epochs[e], keep[e]
+            parents = up[e] if e > low else cloud.parents[idx]
             if len(idx) == len(cloud.poses):
                 cloud.parents = parents
             else:
@@ -540,7 +547,9 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
     or when the seeded or a propagated cloud holds a non-finite pose
     (a NaN pose would pass the wall test).
     Loop-closure distances use each draw's own ancestor at the anchor
-    epoch, looked up in the ancestor tree.
+    epoch, looked up in the ancestor tree.  Every COMPACT_EVERY epochs
+    the tree drops the recent particles that left no descendants; the
+    returned tree is fully compacted.
     """
     n0 = kld.n_min
     poses0 = seed_particles(fp, n0, rng, start_room=start_room, start_pose=start_pose)
@@ -568,7 +577,12 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         tree.append(new_poses, w / total, draws)
         counts.append(len(new_poses))
         if COMPACT_EVERY and epoch % COMPACT_EVERY == 0:
-            tree.compact()
+            # an epoch is compacted in three rounds, by when its lineages
+            # have mostly coalesced; so each round walks back 3 * COMPACT_EVERY
+            tree.compact(window=3 * COMPACT_EVERY)
+    # every epoch then holds just the final cloud's ancestors, whatever
+    # the rounds before, so the smoother sums over the same arrays
+    tree.compact()
     smooth = prune_smooth(tree)
     # room per epoch: the weighted-mean pose's room, unless the cloud's
     # modal room disagrees, in which case the map lineage arbitrates

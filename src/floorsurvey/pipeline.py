@@ -108,15 +108,17 @@ def build_survey_points(result: FilterResult, log: SurveyLog) -> list[SurveyPoin
     times = result.times
     n = len(times)
 
-    def epoch_of(t: float) -> int:
-        return min(int(np.searchsorted(times, t, side="left")), n - 1)
+    def epochs_of(samples) -> list[int]:
+        ts = np.array([s.t for s in samples], dtype=float)
+        return np.minimum(np.searchsorted(times, ts, side="left"), n - 1).tolist()
 
+    # each epoch's samples stay in log order, so np.mean sums them alike
     mag_acc = [[] for _ in range(n)]
-    for m in log.mags:
-        mag_acc[epoch_of(m.t)].append(m.magnitude)
+    for e, m in zip(epochs_of(log.mags), log.mags):
+        mag_acc[e].append(m.magnitude)
     wifi_acc: list[dict[str, list[float]]] = [dict() for _ in range(n)]
-    for ob in log.wifi:
-        wifi_acc[epoch_of(ob.t)].setdefault(ob.ap_id, []).append(ob.rssi)
+    for e, ob in zip(epochs_of(log.wifi), log.wifi):
+        wifi_acc[e].setdefault(ob.ap_id, []).append(ob.rssi)
     points = []
     for e in range(n):
         x, y, theta = result.poses[e]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,15 +96,33 @@ def grid_shape(bounds: tuple[float, float, float, float], cell: float) -> tuple[
 
 
 def sq_exp_kernel(a: np.ndarray, b: np.ndarray, length_scale: float,
-                  sigma_f: float) -> np.ndarray:
-    # sigma_f^2 exp(-d2 / (2 l^2)) built in place, to the byte: d2 / -c rounds as -d2 / c
-    k = cdist(np.atleast_2d(a), np.atleast_2d(b), "sqeuclidean")
+                  sigma_f: float, out: np.ndarray | None = None) -> np.ndarray:
+    # sigma_f^2 exp(-d2 / (2 l^2)) built in place, to the byte: d2 / -c rounds as -d2 / c;
+    # out, when given, is a C-contiguous (len(a), len(b)) float array
+    k = cdist(np.atleast_2d(a), np.atleast_2d(b), "sqeuclidean", out=out)
     np.exp(np.divide(k, -(2.0 * length_scale ** 2), out=k), out=k)
     k *= sigma_f ** 2
     return k
 
 
 _SOLVE_BLOCK = 128  # rows per diagonal block of the blocked forward substitution
+_CHUNK = 2048       # query points per chunk: bounds the n x chunk workspace
+_TILE = 512         # query columns per tile of the transposed cross-kernel read
+_buffers = threading.local()
+
+
+def _buffer(name: str, size: int) -> np.ndarray:
+    """The first size floats of this thread's buffer under name, grown
+    on demand and kept across fits, so that a refit makes no large
+    fresh allocation: with a fresh workspace and cross-kernel per fit,
+    a path-map refit after a survey could take about 2,000 minor page
+    faults.  Each buffer keeps the largest fit's size, 8 * 2048 * n
+    bytes for n training points; callers copy out all they return."""
+    buf = getattr(_buffers, name, None)
+    if buf is None or len(buf) < size:
+        buf = np.empty(size)
+        setattr(_buffers, name, buf)
+    return buf[:size]
 
 
 def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
@@ -133,20 +152,23 @@ def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
         alphas = np.ascontiguousarray(cho_solve(chol, ys - params.mean).T)
         L, n = chol[0], len(train_x)
         blocks = [(s, min(n, s + _SOLVE_BLOCK)) for s in range(0, n, _SOLVE_BLOCK)]
-        # chunk the query side to bound the n x chunk solve workspace.  One
-        # workspace serves every chunk: with one per chunk, some processes
-        # took ~1,900 minor page faults per refit after a survey
-        work = np.empty(n * min(m, 2048))
-        for lo in range(0, m, 2048):
-            hi = min(m, lo + 2048)
-            ks = sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f)
+        size = n * min(m, _CHUNK)
+        work, cross = _buffer("work", size), _buffer("cross", size)
+        for lo in range(0, m, _CHUNK):
+            hi = min(m, lo + _CHUNK)
+            ks = sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f,
+                               out=cross[:n * (hi - lo)].reshape(hi - lo, n))
             for row, alpha in zip(mu, alphas):
                 row[lo:hi] = params.mean + ks @ alpha
             v = work[:n * (hi - lo)].reshape(n, hi - lo)  # row-major: block rows are contiguous
             for s, e in blocks:
                 v_k = v[s:e]
                 np.matmul(L[s:e, :s], v[:s], out=v_k)
-                np.subtract(ks.T[s:e], v_k, out=v_k)
+                # k*_k is ks.T[s:e], whose columns lie n floats apart: read
+                # it in tiles of columns, so each tile's rows stay in cache
+                for c in range(0, hi - lo, _TILE):
+                    tile = v_k[:, c:c + _TILE]
+                    np.subtract(ks.T[s:e, c:c + _TILE], tile, out=tile)
                 # v_k' L_kk' = b_k' is solved in place, as v_k' is column-major;
                 # numpy skips the assignment of an array to itself
                 v_k.T[...] = dtrsm(1.0, L[s:e, s:e], v_k.T, side=1, lower=1, trans_a=1,

@@ -27,6 +27,7 @@ from floorsurvey.filtering import (
     prune_smooth,
 )
 from floorsurvey.geometry import _MIXED, Floorplan, Pose2D, _rooms_by_polygon, wrap_angle
+from floorsurvey.pipeline import SurveyPoint
 from floorsurvey.sensors import PdrTrajectory, StepEvent, step_epoch_times
 from floorsurvey.signalmap import GpParams, SignalMap
 
@@ -293,6 +294,31 @@ def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
                 var_f = params.sigma_f ** 2 - np.einsum("ij,ij->j", v, v)
             sigma[lo:hi] = np.sqrt(np.maximum(var_f, 0.0) + params.sigma_n ** 2)
     return (mu[0] if train_y.ndim == 1 else mu.T), sigma
+
+
+def build_survey_points(result, log) -> list[SurveyPoint]:
+    """pipeline.build_survey_points with one scalar np.searchsorted per
+    magnetic sample and per WiFi observation."""
+    times = result.times
+    n = len(times)
+
+    def epoch_of(t: float) -> int:
+        return min(int(np.searchsorted(times, t, side="left")), n - 1)
+
+    mag_acc = [[] for _ in range(n)]
+    for m in log.mags:
+        mag_acc[epoch_of(m.t)].append(m.magnitude)
+    wifi_acc: list[dict[str, list[float]]] = [dict() for _ in range(n)]
+    for ob in log.wifi:
+        wifi_acc[epoch_of(ob.t)].setdefault(ob.ap_id, []).append(ob.rssi)
+    points = []
+    for e in range(n):
+        x, y, theta = result.poses[e]
+        mag = float(np.mean(mag_acc[e])) if mag_acc[e] else None
+        wifi = {ap: float(np.mean(v)) for ap, v in sorted(wifi_acc[e].items())}
+        points.append(SurveyPoint(e, float(times[e]), float(x), float(y), float(theta),
+                                  result.rooms[e], mag, wifi))
+    return points
 
 
 def error_cdf(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

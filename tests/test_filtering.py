@@ -615,6 +615,41 @@ def test_ancestor_positions_match_parent_chain_oracle():
     assert dropped > 0
 
 
+def _assert_same_tree(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got.epochs, want.epochs):
+        assert np.array_equal(a.poses, b.poses)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.parents.dtype == b.parents.dtype and np.array_equal(a.parents, b.parents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_windowed_compactions_then_full_equal_one_full_compaction(seed):
+    # the tree grows as in run_filter, with windowed compactions at
+    # random epochs; a copy that is never compacted is the reference
+    rng = np.random.default_rng(seed)
+    plain = _random_tree(rng, max_epochs=40, max_particles=12, min_epochs=2)
+    tree = AncestorTree()
+    for e, cloud in enumerate(plain.epochs):
+        tree.append(cloud.poses, cloud.weights, cloud.parents)
+        if rng.random() < 0.3:
+            tree.compact(window=int(rng.integers(0, 12)))
+            prefix = AncestorTree()
+            prefix.epochs = plain.epochs[:e + 1]
+            idx = rng.integers(0, len(cloud.poses), size=int(rng.integers(1, 20)))
+            want = oracles.ancestor_positions(prefix, idx, range(e + 1))
+            got = tree.ancestor_positions(idx, range(e + 1))
+            assert all(np.array_equal(got[a], want[a]) for a in range(e + 1))
+    tree.compact()
+    once = AncestorTree()
+    once.epochs = [filtering.EpochCloud(c.poses, c.weights, c.parents) for c in plain.epochs]
+    once.compact()
+    _assert_same_tree(tree, once)
+    # every particle left has a final-epoch descendant
+    assert all(len(k) == len(c.poses) for k, c in zip(tree._survivors()[0], tree.epochs))
+
+
 # ------------------------------------------------------------- run_filter
 
 def test_seed_particles_pose_hint(square_plan):
@@ -728,18 +763,19 @@ def test_run_filter_closure_anchors_survive_compaction(square_plan, monkeypatch)
 
     ref = run(closures)
     assert not np.array_equal(ref.poses, run([]).poses)
-    for every in (0, 2):
+    for every in (0, 2, 16, filtering.COMPACT_EVERY):
         monkeypatch.setattr(filtering, "COMPACT_EVERY", every)
         got = run(closures)
-        # the smoother's mean sums over arrays that compaction shortens, so
-        # only its rounding may differ; every other output is exact
-        assert np.allclose(got.poses, ref.poses, rtol=0.0, atol=1e-12)
+        # the run ends on a full compaction, so the smoother sums over the
+        # same arrays whatever the rounds before
+        assert np.array_equal(got.poses, ref.poses)
         assert np.array_equal(got.map_poses, ref.map_poses)
         assert np.array_equal(got.counts, ref.counts)
         assert got.rooms == ref.rooms
+        _assert_same_tree(got.tree, ref.tree)
 
 
-@pytest.mark.parametrize("every", [0, 2, filtering.COMPACT_EVERY])
+@pytest.mark.parametrize("every", [0, 2, 16, 64])
 def test_run_filter_long_span_closures_match_parent_chain_oracle(square_plan, monkeypatch, every):
     # five legs across the room and back: closures span up to 32 epochs,
     # and two pairs share one epoch_b
@@ -756,9 +792,37 @@ def test_run_filter_long_span_closures_match_parent_chain_oracle(square_plan, mo
                           start_pose=Pose2D(2.0, 5.0, 0.0))
 
     got = run()
+    with monkeypatch.context() as never:
+        # the run ends on a full compaction, so the rounds before leave no trace
+        never.setattr(filtering, "COMPACT_EVERY", 0)
+        _assert_same_tree(got.tree, run().tree)
     monkeypatch.setattr(AncestorTree, "ancestor_positions", oracles.ancestor_positions)
     want = run()
     assert np.array_equal(got.poses, want.poses)
     assert np.array_equal(got.map_poses, want.map_poses)
     assert np.array_equal(got.counts, want.counts)
     assert got.rooms == want.rooms
+
+
+def test_run_filter_holds_a_bounded_tree(square_plan, monkeypatch):
+    # a memory guard that times nothing: just before every compaction,
+    # the tree holds at most 30 times as many particles as its largest
+    # epoch.  Compacting every 16 epochs, this 200-step walk peaks at
+    # 23.5 times; every 64 epochs, at 54 times
+    held = 30
+    compact = AncestorTree.compact
+    ratios = []
+
+    def counted(tree, *args, **kwargs):
+        sizes = [len(c.poses) for c in tree.epochs]
+        ratios.append(sum(sizes) / max(sizes))
+        compact(tree, *args, **kwargs)
+
+    monkeypatch.setattr(AncestorTree, "compact", counted)
+    steps = [StepEvent(0.5 * (i + 1), 0.75, math.pi if i % 8 == 7 else 0.0) for i in range(200)]
+    res = run_filter(steps, square_plan, KldConfig(n_min=100), StepNoiseModel(), ConstraintSet(),
+                     np.random.default_rng(2), start_pose=Pose2D(2.0, 5.0, 0.0))
+    assert len(ratios) == 200 // filtering.COMPACT_EVERY + 1
+    assert max(ratios) <= held
+    # the tree returned is fully compacted
+    assert all(len(k) == len(c.poses) for k, c in zip(res.tree._survivors()[0], res.tree.epochs))

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from floorsurvey import pipeline
 from floorsurvey.filtering import FilterResult
 from floorsurvey.pipeline import (
@@ -118,6 +120,25 @@ def test_build_survey_points_no_signals():
     log = SurveyLog(steps=[StepEvent(1.0, 0.75, 0.0)])
     pts = build_survey_points(res, log)
     assert all(p.mag is None and p.wifi == {} for p in pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 200), st.integers(0, 200), st.integers(0, 2 ** 32 - 1))
+def test_build_survey_points_match_scalar_search_oracle(n, n_mag, n_wifi, seed):
+    # samples before the first epoch, on epoch times, between them and
+    # past the last, in log (time) order
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.2, 0.8, n)) - 0.5
+    pool = np.concatenate([times, rng.uniform(times[0] - 1.0, times[-1] + 1.0, 400)])
+    res = _fake_result(times)
+    log = SurveyLog(
+        mags=[MagSample(float(t), tuple(rng.normal(0.0, 30.0, 3).tolist()))
+              for t in np.sort(rng.choice(pool, n_mag))],
+        wifi=[WifiObservation(float(t), f"ap{rng.integers(4)}", float(rng.uniform(-100, -20)))
+              for t in np.sort(rng.choice(pool, n_wifi))],
+    )
+    # repr spells every float to the last bit
+    assert repr(build_survey_points(res, log)) == repr(oracles.build_survey_points(res, log))
 
 
 # ------------------------------------------------------------- evaluation

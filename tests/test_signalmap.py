@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -215,6 +216,30 @@ def test_gp_predict_chunking_consistent():
     assert np.allclose(sigma[:100], sigma2, atol=1e-10)
 
 
+def test_gp_predict_reuses_its_buffers_without_changing_a_byte(monkeypatch):
+    # fits of growing, then shrinking, sizes in one process, some across
+    # the 2,048-query chunk edge: each equals a fit with fresh buffers,
+    # and no later fit changes what an earlier one returned
+    monkeypatch.setattr(signalmap, "_buffers", threading.local())
+    rng = np.random.default_rng(29)
+    kept = []
+    for n, sources, m in [(5, 0, 300), (130, 2, 2100), (300, 1, 4200), (257, 3, 2048),
+                          (40, 0, 1000), (1, 2, 7)]:
+        fit = _random_fit(rng, n, sources, m)
+        mu, sigma = gp_predict(*fit)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(signalmap, "_buffers", threading.local())
+            want_mu, want_sigma = gp_predict(*fit)
+        assert mu.tobytes() == want_mu.tobytes() and sigma.tobytes() == want_sigma.tobytes()
+        kept.append((mu, sigma, mu.tobytes(), sigma.tobytes()))
+    assert len(signalmap._buffers.work) == 300 * 2048
+    for mu, sigma, mu_bytes, sigma_bytes in kept:
+        assert mu.tobytes() == mu_bytes and sigma.tobytes() == sigma_bytes
+        for a in (mu, sigma):
+            assert not np.shares_memory(a, signalmap._buffers.work)
+            assert not np.shares_memory(a, signalmap._buffers.cross)
+
+
 def test_sq_exp_kernel_values():
     a = np.array([[0.0, 0.0]])
     b = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -234,6 +259,9 @@ def test_sq_exp_kernel_equals_textbook_form_to_the_byte(seed, length_scale, sigm
     d2 = cdist(a, b, "sqeuclidean")
     want = sigma_f ** 2 * np.exp(-d2 / (2 * length_scale ** 2))
     assert np.array_equal(sq_exp_kernel(a, b, length_scale, sigma_f), want)
+    out = np.full((len(a), len(b)), np.nan)
+    assert sq_exp_kernel(a, b, length_scale, sigma_f, out=out) is out
+    assert np.array_equal(out, want)
 
 
 # -------------------------------------------------------------- grid/maps
