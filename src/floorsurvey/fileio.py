@@ -94,20 +94,22 @@ def write_signal_map(path, sm: SignalMap) -> None:
 def read_signal_map(path) -> SignalMap:
     source = None
     grid = None
-    mu = sigma = None
+    cells: dict[int, tuple[float, float]] = {}  # the grid's size is not trusted before the count
     for line, parts in records(_read(path)):
         with line:
             if parts[0] == "source":
+                if source is not None:
+                    raise ValueError("source row repeats an earlier one")
                 source = expect(parts, "source,<ap_id>")[1]
             elif parts[0] == "grid":
+                if grid is not None:
+                    raise ValueError("grid row repeats an earlier one")
                 _, x0, y0, cell, nx, ny = expect(parts, "grid,x0,y0,cell,nx,ny")
                 grid = (*finite_floats([x0, y0, cell]), int(nx), int(ny))
                 if grid[2] <= 0:
                     raise ValueError(f"grid pitch {grid[2]} is not positive")
                 if grid[3] <= 0 or grid[4] <= 0:
                     raise ValueError(f"grid of {grid[3]} x {grid[4]} cells is empty")
-                mu = np.full(grid[3] * grid[4], np.nan)
-                sigma = np.full(grid[3] * grid[4], np.nan)
             elif parts[0] == "cell":
                 if grid is None:
                     raise ValueError("cell row before grid row")
@@ -115,17 +117,20 @@ def read_signal_map(path) -> SignalMap:
                 if not (0 <= ix < grid[3] and 0 <= iy < grid[4]):
                     raise ValueError(f"cell ({ix}, {iy}) outside the {grid[3]} x {grid[4]} grid")
                 c = iy * grid[3] + ix
-                if not np.isnan(mu[c]):
+                if c in cells:
                     raise ValueError(f"cell ({ix}, {iy}) repeats an earlier row")
-                mu[c], sigma[c] = finite_floats(parts[3:])
-                if sigma[c] <= 0:
-                    raise ValueError(f"sigma {sigma[c]} is not positive")
+                mu, sigma = finite_floats(parts[3:])
+                if sigma <= 0:
+                    raise ValueError(f"sigma {sigma} is not positive")
+                cells[c] = (mu, sigma)
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
     if source is None or grid is None:
         raise ValueError("missing source or grid record")
-    if np.isnan(mu).any():
+    # distinct cells inside the grid: as many as it has cells cover it
+    if len(cells) != grid[3] * grid[4]:
         raise ValueError("map file does not cover every cell")
+    mu, sigma = np.array([cells[c] for c in range(len(cells))]).T
     return SignalMap(source, grid[0], grid[1], grid[2], grid[3], grid[4], mu, sigma)
 
 

@@ -166,6 +166,17 @@ class FloorplanError(ValueError):
     """Raised for unparseable or inconsistent floorplan input."""
 
 
+# Largest wall or room coordinate magnitude: the wall and polygon tests
+# multiply two coordinate differences and subtract two such products,
+# which stays finite for coordinates below about 4.7e153
+MAX_COORD = 1e150
+
+
+def _beyond_bound(values: np.ndarray) -> bool:
+    """True if any value is NaN, infinite or above MAX_COORD in magnitude."""
+    return not (np.abs(values) <= MAX_COORD).all()
+
+
 @dataclass(frozen=True)
 class Room:
     room_id: int
@@ -189,17 +200,15 @@ class Floorplan:
         ids = [r.room_id for r in self.rooms]
         if ids != list(range(len(ids))):
             raise FloorplanError(f"room ids must be unique and contiguous from 0, got {ids}")
-        if not np.isfinite(self.walls).all():
-            raise FloorplanError("wall coordinates must be finite")
+        if _beyond_bound(self.walls):
+            raise FloorplanError(f"wall coordinates must be finite and at most {MAX_COORD:g}"
+                                 " in magnitude")
         for room in self.rooms:
             if len(room.vertices) < 3:
                 raise FloorplanError(f"room {room.room_id} has fewer than 3 vertices")
-            if not np.isfinite(room.vertices).all():
-                raise FloorplanError(f"room {room.room_id} has non-finite vertices")
-            # a wider room overflows max - min, and sampling in its box never ends
-            lo, hi = room.vertices.min(axis=0), room.vertices.max(axis=0)
-            if not all(math.isfinite(b - a) for a, b in zip(lo.tolist(), hi.tolist())):
-                raise FloorplanError(f"room {room.room_id} extent is not finite")
+            if _beyond_bound(room.vertices):
+                raise FloorplanError(f"room {room.room_id} has a vertex that is not finite or"
+                                     f" above {MAX_COORD:g} in magnitude")
         edges = [np.hstack([r.vertices, np.roll(r.vertices, -1, axis=0)]) for r in self.rooms]
         self._edges = np.concatenate(edges) if edges else np.zeros((0, 4))
         # (R, V, 4) table of each room's edges, padded to the longest room
@@ -356,6 +365,13 @@ class _GridIndex:
         return walls == 0
 
 
+def _plan_coords(fields: list[str]) -> list[float]:
+    values = finite_floats(fields)
+    if _beyond_bound(np.array(values)):
+        raise ValueError(f"coordinate above {MAX_COORD:g} in magnitude in {','.join(fields)}")
+    return values
+
+
 def parse_floorplan(text: str) -> Floorplan:
     """Parse the line-oriented floorplan format.
 
@@ -363,18 +379,19 @@ def parse_floorplan(text: str) -> Floorplan:
     room,<id>,<name>,x0,y0,x1,y1,...   (polygon vertices, >= 3)
 
     Records follow the grammar of records(); errors carry the line number.
+    Coordinates must be finite and at most MAX_COORD in magnitude.
     """
     walls = []
     rooms = []
     for line, parts in records(text, FloorplanError):
         with line:
             if parts[0] == "wall":
-                walls.append(finite_floats(expect(parts, "wall,x0,y0,x1,y1")[1:]))
+                walls.append(_plan_coords(expect(parts, "wall,x0,y0,x1,y1")[1:]))
             elif parts[0] == "room":
                 if len(parts) < 9 or (len(parts) - 3) % 2 != 0:
                     raise ValueError("expected room,<id>,<name>,x0,y0,... with >= 3 vertices")
                 room_id = int(parts[1])
-                coords = np.array(finite_floats(parts[3:]), dtype=float).reshape(-1, 2)
+                coords = np.array(_plan_coords(parts[3:]), dtype=float).reshape(-1, 2)
                 rooms.append(Room(room_id, parts[2], coords))
             else:
                 raise ValueError(f"unknown record tag {parts[0]!r}")

@@ -106,7 +106,9 @@ def sq_exp_kernel(a: np.ndarray, b: np.ndarray, length_scale: float,
 
 
 _SOLVE_BLOCK = 128  # rows per diagonal block of the blocked forward substitution
-_CHUNK = 2048       # query points per chunk: bounds the n x chunk workspace
+_CHUNK = 2048       # most query points per chunk
+_WORK = 2 ** 20     # floats per n x chunk buffer, unless one group needs more
+_GROUP = 64         # queries per group: chunks and BLAS products take whole groups
 _TILE = 512         # query columns per tile of the transposed cross-kernel read
 _buffers = threading.local()
 
@@ -116,13 +118,26 @@ def _buffer(name: str, size: int) -> np.ndarray:
     on demand and kept across fits, so that a refit makes no large
     fresh allocation: with a fresh workspace and cross-kernel per fit,
     a path-map refit after a survey could take about 2,000 minor page
-    faults.  Each buffer keeps the largest fit's size, 8 * 2048 * n
-    bytes for n training points; callers copy out all they return."""
+    faults.  Each buffer keeps the largest fit's size, n * chunk floats
+    (see _chunk): at most 8 * _WORK bytes, or 8 * 64 * n bytes when
+    n > _WORK / 64 training points; callers copy out all they return."""
     buf = getattr(_buffers, name, None)
     if buf is None or len(buf) < size:
         buf = np.empty(size)
         setattr(_buffers, name, buf)
     return buf[:size]
+
+
+def _chunk(n: int, m: int) -> int:
+    """Query points per chunk for n training and m query points: the
+    most that keep n * chunk within _WORK floats, but at least 64, at
+    most _CHUNK and no more than m needs, in whole groups of _GROUP.
+    gp_predict pads the last chunk with zero queries to whole groups,
+    so every BLAS product sees a multiple of 64 queries, and a query's
+    mean and std keep their bytes at any chunk width: OpenBLAS picks its
+    kernels by the product's shape, and an unpadded last chunk of 629
+    queries moved some of its last stds by up to 4.4e-15."""
+    return _GROUP * min(-(-m // _GROUP), _CHUNK // _GROUP, max(1, _WORK // (n * _GROUP)))
 
 
 def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
@@ -146,34 +161,39 @@ def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
         train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
         K = sq_exp_kernel(train_x, train_x, params.length_scale, params.sigma_f)
         K[np.diag_indices(len(train_x))] += params.sigma_n ** 2 + 1e-10
-        chol = cho_factor(K, lower=True)
+        # K is symmetric to the byte, so its Fortran-ordered transpose is K
+        # itself and LAPACK factors it in place; nothing reads K after this
+        chol = cho_factor(K.T, lower=True, overwrite_a=True)
         # one row per source; a single (m, n) @ (n, S) product would round
         # differently from the one-source matrix-vector product
         alphas = np.ascontiguousarray(cho_solve(chol, ys - params.mean).T)
         L, n = chol[0], len(train_x)
         blocks = [(s, min(n, s + _SOLVE_BLOCK)) for s in range(0, n, _SOLVE_BLOCK)]
-        size = n * min(m, _CHUNK)
-        work, cross = _buffer("work", size), _buffer("cross", size)
-        for lo in range(0, m, _CHUNK):
-            hi = min(m, lo + _CHUNK)
-            ks = sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f,
-                               out=cross[:n * (hi - lo)].reshape(hi - lo, n))
+        chunk = _chunk(n, m)
+        work, cross = _buffer("work", n * chunk), _buffer("cross", n * chunk)
+        for lo in range(0, m, chunk):
+            hi = min(m, lo + chunk)
+            w = -(-(hi - lo) // _GROUP) * _GROUP  # whole groups; rows hi - lo on are padding
+            ks = cross[:n * w].reshape(w, n)
+            sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f,
+                          out=ks[:hi - lo])
+            ks[hi - lo:] = 0.0
             for row, alpha in zip(mu, alphas):
-                row[lo:hi] = params.mean + ks @ alpha
-            v = work[:n * (hi - lo)].reshape(n, hi - lo)  # row-major: block rows are contiguous
+                row[lo:hi] = params.mean + (ks @ alpha)[:hi - lo]
+            v = work[:n * w].reshape(n, w)  # row-major: block rows are contiguous
             for s, e in blocks:
                 v_k = v[s:e]
                 np.matmul(L[s:e, :s], v[:s], out=v_k)
                 # k*_k is ks.T[s:e], whose columns lie n floats apart: read
                 # it in tiles of columns, so each tile's rows stay in cache
-                for c in range(0, hi - lo, _TILE):
+                for c in range(0, w, _TILE):
                     tile = v_k[:, c:c + _TILE]
                     np.subtract(ks.T[s:e, c:c + _TILE], tile, out=tile)
                 # v_k' L_kk' = b_k' is solved in place, as v_k' is column-major;
                 # numpy skips the assignment of an array to itself
                 v_k.T[...] = dtrsm(1.0, L[s:e, s:e], v_k.T, side=1, lower=1, trans_a=1,
                                    overwrite_b=1)
-            var_f = params.sigma_f ** 2 - np.einsum("ij,ij->j", v, v)
+            var_f = params.sigma_f ** 2 - np.einsum("ij,ij->j", v, v)[:hi - lo]
             sigma[lo:hi] = np.sqrt(np.maximum(var_f, 0.0) + params.sigma_n ** 2)
     return (mu[0] if train_y.ndim == 1 else mu.T), sigma
 

@@ -285,8 +285,11 @@ def gp_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
         for lo in range(0, m, 2048):
             hi = min(m, lo + 2048)
             ks = _sq_exp_kernel(query[lo:hi], train_x, params.length_scale, params.sigma_f)
+            # the library pads each chunk with zero rows to whole groups of 64
+            # queries, and BLAS rounds a row of a product by the product's shape
+            padded = np.concatenate([ks, np.zeros((-(hi - lo) % 64, n))])
             for row, alpha in zip(mu, alphas):
-                row[lo:hi] = params.mean + ks @ alpha
+                row[lo:hi] = params.mean + (padded @ alpha)[:hi - lo]
             if solves == 2:
                 var_f = params.sigma_f ** 2 - np.einsum("ij,ji->i", ks, cho_solve(chol, ks.T))
             else:

@@ -288,6 +288,11 @@ def test_exit_code_data_errors(ws, tmp_path, capsys):
         assert main(["position", "--map", str(badmap), "--log", str(ws["sim"] / "log.txt"),
                      "--out", str(tmp_path / "o6")]) == 2
         assert "line 4: " in capsys.readouterr().err
+    # a grid of 2^40 cells is rejected before anything is allocated for it
+    badmap.write_text("source,ap0\ngrid,0,0,1.0,1048576,1048576\ncell,0,0,-60.0,2.0\n")
+    assert main(["compare", "--map-a", str(badmap), "--map-b", str(badmap),
+                 "--out", str(tmp_path / "o7")]) == 2
+    assert "does not cover every cell" in capsys.readouterr().err
 
 
 def test_survey_on_a_room_wider_than_the_largest_float_exits_2(ws, tmp_path):
@@ -301,7 +306,7 @@ def test_survey_on_a_room_wider_than_the_largest_float_exits_2(ws, tmp_path):
          "--out", str(tmp_path / "srv")],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
-    assert "room 0 extent is not finite" in done.stderr
+    assert "line 1: coordinate above 1e+150 in magnitude" in done.stderr
 
 
 def test_exit_code_rejected_rows(ws, tmp_path, capsys):

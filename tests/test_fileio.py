@@ -322,6 +322,25 @@ def test_signal_map_rejects_repeated_cell(tmp_path):
         fileio.read_signal_map(f)
 
 
+def test_signal_map_rejects_repeated_source_or_grid(tmp_path):
+    f = tmp_path / "m.map"
+    for text, match in (("source,a\ngrid,0,0,1.0,1,1\nsource,b\n", "line 3: source row repeats"),
+                        ("source,a\ngrid,0,0,1.0,1,1\ngrid,0,0,1.0,1,1\n",
+                         "line 3: grid row repeats")):
+        f.write_text(text + "cell,0,0,-50.0,1.0\n")
+        with pytest.raises(ValueError, match=match):
+            fileio.read_signal_map(f)
+
+
+@pytest.mark.parametrize("nx, ny", [(2 ** 20, 2 ** 20), (2 ** 62, 2 ** 62)])
+def test_signal_map_with_a_huge_grid_row_reads_as_uncovered(tmp_path, nx, ny):
+    # 2^40 cells or more: the grid row used to allocate before any cell row
+    f = tmp_path / "m.map"
+    f.write_text(f"source,a\ngrid,0,0,1.0,{nx},{ny}\ncell,0,0,-50.0,1.0\n")
+    with pytest.raises(ValueError, match="does not cover every cell"):
+        fileio.read_signal_map(f)
+
+
 def test_signal_map_read_errors(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("source,a\ncell,0,0,1.0,1.0\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,18 +188,33 @@ def test_floorplan_rejects_non_finite_coordinates():
 
 
 def test_floorplan_rejects_a_room_wider_than_the_largest_float():
-    # finite vertices whose max - min overflows in x, in y, or in the second room
+    # finite vertices whose max - min overflows in x, in y, or in the second
+    # room; the room at +-8e307 does not overflow max - min, but it did
+    # overflow the orientation products of the self-intersection test
     wide = [(-1e308, -1), (1e308, -1), (1e308, 1), (-1e308, 1)]
     tall = [(y, x) for x, y in wide]
     unit = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    for rooms, bad in (([wide], 0), ([tall], 0), ([unit, wide], 1)):
-        with pytest.raises(FloorplanError, match=f"^room {bad} extent is not finite$"):
-            Floorplan(np.zeros((0, 4)), [Room(i, "r", vs) for i, vs in enumerate(rooms)])
-    # a room just narrow enough loads; its self-intersection test
-    # overflows in the orientation products
     half = [(-8e307, -1), (8e307, -1), (8e307, 1), (-8e307, 1)]
-    with np.errstate(over="ignore"):
-        assert Floorplan(np.zeros((0, 4)), [Room(0, "r", half)]).rooms[0].room_id == 0
+    for rooms, bad in (([wide], 0), ([tall], 0), ([unit, wide], 1), ([half], 0)):
+        with pytest.raises(FloorplanError, match=f"^room {bad} has a vertex that is not finite "
+                                                 r"or above 1e\+150 in magnitude$"):
+            Floorplan(np.zeros((0, 4)), [Room(i, "r", vs) for i, vs in enumerate(rooms)])
+    with pytest.raises(FloorplanError, match="^wall coordinates must be finite and at most"):
+        Floorplan(np.array([[0.0, 0.0, 2e150, 1.0]]), [])
+
+
+def test_parse_floorplan_bounds_coordinates_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloorplanError, match=r"^line 2: coordinate above 1e\+150"):
+            parse_floorplan("wall,0,0,1,0\nroom,0,r,-8e307,-1,8e307,-1,8e307,1,-8e307,1\n")
+        with pytest.raises(FloorplanError, match=r"^line 1: coordinate above 1e\+150"):
+            parse_floorplan("wall,0,0,-1.5e150,0\n")
+        # a plan at 1e149 loads, and its bow-tie is still found
+        fp = parse_floorplan("wall,-1e149,0,1e149,0\nroom,0,r,-1e149,-1,1e149,-1,1e149,1,-1e149,1\n")
+        assert fp.bounds == (-1e149, -1.0, 1e149, 1.0)
+        with pytest.raises(FloorplanError, match="room 0 polygon is self-intersecting"):
+            parse_floorplan("room,0,r,-1e149,-1,1e149,1,1e149,-1,-1e149,1\n")
 
 
 def test_parse_floorplan_error_carries_line_number():

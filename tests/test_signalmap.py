@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,12 +233,66 @@ def test_gp_predict_reuses_its_buffers_without_changing_a_byte(monkeypatch):
             want_mu, want_sigma = gp_predict(*fit)
         assert mu.tobytes() == want_mu.tobytes() and sigma.tobytes() == want_sigma.tobytes()
         kept.append((mu, sigma, mu.tobytes(), sigma.tobytes()))
+    # 300 x 2,048 = 614,400 floats is within the 2^20-float budget, so
+    # the largest of these fits still takes whole 2,048-query chunks
     assert len(signalmap._buffers.work) == 300 * 2048
     for mu, sigma, mu_bytes, sigma_bytes in kept:
         assert mu.tobytes() == mu_bytes and sigma.tobytes() == sigma_bytes
         for a in (mu, sigma):
             assert not np.shares_memory(a, signalmap._buffers.work)
             assert not np.shares_memory(a, signalmap._buffers.cross)
+
+
+def test_chunk_is_a_multiple_of_64_within_the_budget():
+    for n, m in itertools.product([1, 63, 64, 511, 512, 513, 700, 1500, 16384, 20000],
+                                  [1, 7, 63, 64, 700, 2047, 2048, 2049, 10 ** 6]):
+        chunk = signalmap._chunk(n, m)
+        assert chunk % 64 == 0 and 64 <= chunk <= 2048 and chunk < m + 64
+        assert n * chunk <= max(signalmap._WORK, 64 * n)
+    assert signalmap._chunk(512, 6000) == 2048 and signalmap._chunk(1500, 6000) == 640
+
+
+@pytest.mark.parametrize("n, sources, m", [(300, 0, 2101), (300, 3, 1001), (700, 3, 2101),
+                                           (700, 0, 1001), (1100, 3, 4099), (60, 0, 57)])
+def test_gp_predict_keeps_its_bytes_at_every_chunk_width(monkeypatch, n, sources, m):
+    # under the float budget, n = 60 and 300 take 2,048-query chunks, n =
+    # 700 takes 1,472 and n = 1,100 takes 896; m % 8 != 0, and m = 2,101
+    # and 4,099 cross the 2,048 edge.  Each fit pads its last chunk to
+    # whole groups of 64 queries; without that, these fits moved stds in
+    # the last chunk by up to 4e-15.
+    fit = _random_fit(np.random.default_rng(n + m + sources), n, sources, m)
+    want_mu, want_sigma = gp_predict(*fit)
+    for chunk in (64, 640, 2048, 10 ** 6):  # the last fits m in one chunk
+        with monkeypatch.context() as patch:
+            patch.setattr(signalmap, "_WORK", n * chunk)
+            assert signalmap._chunk(n, m) == min(chunk, 2048, -(-m // 64) * 64)
+            mu, sigma = gp_predict(*fit)
+        assert mu.tobytes() == want_mu.tobytes() and sigma.tobytes() == want_sigma.tobytes()
+
+
+def test_gp_predict_holds_one_kernel_and_a_bounded_workspace():
+    # traced from a fresh thread, so that the thread's kept buffers count:
+    # the factor overwrites the kernel and each buffer holds at most _WORK
+    # floats.  cho_factor's finiteness check takes one byte per kernel entry.
+    n, sources, m = 600, 3, 2101
+    fit = _random_fit(np.random.default_rng(3), n, sources, m)
+    peaks = []
+
+    def fit_twice():
+        tracemalloc.start()
+        try:
+            gp_predict(*fit)
+            tracemalloc.reset_peak()
+            gp_predict(*fit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=fit_twice)
+    thread.start()
+    thread.join()
+    floats = n * n + 2 * signalmap._WORK + 16 * (n + m) * sources
+    assert peaks[0] <= 8 * floats + n * n
 
 
 def test_sq_exp_kernel_values():
