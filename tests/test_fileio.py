@@ -334,7 +334,8 @@ def test_signal_map_rejects_repeated_source_or_grid(tmp_path):
 
 @pytest.mark.parametrize("nx, ny", [(2 ** 20, 2 ** 20), (2 ** 62, 2 ** 62)])
 def test_signal_map_with_a_huge_grid_row_reads_as_uncovered(tmp_path, nx, ny):
-    # 2^40 cells or more: the grid row used to allocate before any cell row
+    # 2^40 cells or more: nothing is allocated from the grid row before
+    # the cell rows are counted
     f = tmp_path / "m.map"
     f.write_text(f"source,a\ngrid,0,0,1.0,{nx},{ny}\ncell,0,0,-50.0,1.0\n")
     with pytest.raises(ValueError, match="does not cover every cell"):

@@ -189,8 +189,8 @@ def test_floorplan_rejects_non_finite_coordinates():
 
 def test_floorplan_rejects_a_room_wider_than_the_largest_float():
     # finite vertices whose max - min overflows in x, in y, or in the second
-    # room; the room at +-8e307 does not overflow max - min, but it did
-    # overflow the orientation products of the self-intersection test
+    # room; the room at +-8e307 has a finite extent, but the orientation
+    # products of the self-intersection test would overflow
     wide = [(-1e308, -1), (1e308, -1), (1e308, 1), (-1e308, 1)]
     tall = [(y, x) for x, y in wide]
     unit = [(0, 0), (1, 0), (1, 1), (0, 1)]

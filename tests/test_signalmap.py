@@ -258,8 +258,8 @@ def test_gp_predict_keeps_its_bytes_at_every_chunk_width(monkeypatch, n, sources
     # under the float budget, n = 60 and 300 take 2,048-query chunks, n =
     # 700 takes 1,472 and n = 1,100 takes 896; m % 8 != 0, and m = 2,101
     # and 4,099 cross the 2,048 edge.  Each fit pads its last chunk to
-    # whole groups of 64 queries; without that, these fits moved stds in
-    # the last chunk by up to 4e-15.
+    # whole groups of 64 queries; unpadded, these fits' last-chunk stds
+    # move by up to 4e-15 with the chunk width.
     fit = _random_fit(np.random.default_rng(n + m + sources), n, sources, m)
     want_mu, want_sigma = gp_predict(*fit)
     for chunk in (64, 640, 2048, 10 ** 6):  # the last fits m in one chunk
