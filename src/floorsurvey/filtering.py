@@ -168,8 +168,9 @@ def _reweight_batch(fp: Floorplan, prev_xy: np.ndarray, prev_cells: np.ndarray,
 
     Order: start at 1; a wall crossing zeroes the weight; a straight-line
     step multiplies by the folded-normal density of the acute angle to
-    the most parallel wall of the containing room (no factor outside
-    every room); each loop closure ending at this step multiplies by the
+    the most parallel wall of the containing room (a factor of 1.0
+    outside every room, so every weight takes one unmasked multiply);
+    each loop closure ending at this step multiplies by the
     folded-normal density of the distance to the particle's anchor.
     anchors maps the anchor epoch of each such closure to per-particle
     (x, y) positions aligned with the cloud.
@@ -188,10 +189,9 @@ def _reweight_batch(fp: Floorplan, prev_xy: np.ndarray, prev_cells: np.ndarray,
                 w[test[segments_cross_walls(p0s, p1s, fp.walls[near])]] = 0.0
     flags = constraints.straight_flags
     if flags is not None and 0 <= step_index < len(flags) and flags[step_index]:
-        # dead weights stay 0.0 * factor = 0.0
+        # dead weights stay 0.0 * factor = 0.0; w * 1.0 == w
         alphas = acute_angles_to_room_walls(fp, rooms_in_cells(fp, new_xy, new_cells), new_poses[:, 2])
-        ok = ~np.isnan(alphas)
-        w[ok] *= folded_normal_density(alphas[ok], constraints.sigma_alpha)
+        w *= np.where(np.isnan(alphas), 1.0, folded_normal_density(alphas, constraints.sigma_alpha))
     for epoch_a in constraints.closures_at(step_index + 1):
         anchor = anchors[epoch_a]
         d = np.hypot(new_xy[:, 0] - anchor[:, 0], new_xy[:, 1] - anchor[:, 1])

@@ -21,7 +21,7 @@ from floorsurvey.filtering import (
     seed_particles,
 )
 from floorsurvey.filtering import _reweight_batch
-from floorsurvey.geometry import Floorplan, Pose2D, Room
+from floorsurvey.geometry import Floorplan, Pose2D, Room, containing_rooms
 from floorsurvey.loopclosure import StepLoopClosure
 from floorsurvey.sensors import StepEvent, StepNoiseModel
 from floorsurvey.simulate import office_floorplan
@@ -177,29 +177,54 @@ def test_reweight_closure_factor_uses_own_anchor(square_plan):
     assert math.isclose(w, folded_normal_density(1.0, c.sigma_closure))
 
 
+def _slanted_plan():
+    """A box room beside a room with a slanted east wall: their edge
+    angles mod pi are {0, pi/2} and {0, atan2(10, 2), pi/2}, so the angle
+    table holds a column with one angle for both rooms and two whose
+    rooms differ.  Points east of the slant lie in no room."""
+    walls = [[0, 0, 10, 0], [10, 0, 12, 10], [12, 10, 0, 10], [0, 10, 0, 0], [5, 0, 5, 4], [5, 6, 5, 10]]
+    rooms = [Room(0, "west", box(0, 0, 5, 10)), Room(1, "east", [(5, 0), (10, 0), (12, 10), (5, 10)])]
+    return Floorplan(np.array(walls, dtype=float), rooms)
+
+
 def test_reweight_batch_matches_scalar(two_room_plan):
     rng = np.random.default_rng(11)
     n = 300
-    for fp in (two_room_plan, office_floorplan()):
+    slanted = _slanted_plan()
+    assert [len(set(row)) for row in slanted._edge_angles.T] == [1, 2, 2]
+    walls_only = Floorplan(two_room_plan.walls, [])
+    assert walls_only._edge_angles.shape == (0, 1)
+    # (plan, box that holds every point or None, whether some end lies
+    # in no room): a slanted cloud inside the rooms, whose fold reads
+    # every id, and one that reaches past the slant
+    clouds = [(two_room_plan, None, True), (office_floorplan(), None, True),
+              (slanted, ((1.0, 1.0), (8.0, 9.0)), False), (slanted, None, True), (walls_only, None, True)]
+    for fp, inside, outside in clouds:
         x0, y0, x1, y1 = fp.bounds
-        lo, hi = (x0 + 0.5, y0 + 0.5), (x1 - 0.5, y1 - 0.5)
+        lo, hi = inside or ((x0 + 0.5, y0 + 0.5), (x1 - 0.5, y1 - 0.5))
         prev = rng.uniform(lo, hi, size=(n, 2))
         # independent end points, then stride-sized moves
-        ends = np.concatenate([rng.uniform(lo, hi, size=(n, 2)),
-                               prev + rng.uniform(-1.5, 1.5, size=(n, 2))])
+        ends = rng.uniform(lo, hi, size=(n, 2))
+        moves = prev + rng.uniform(-1.5, 1.5, size=(n, 2))
+        ends = np.concatenate([ends, np.clip(moves, lo, hi) if inside else moves])
         prev = np.concatenate([prev, prev])
         new = np.column_stack([ends, rng.uniform(-math.pi, math.pi, 2 * n)])
         flags = np.array([False, True, True])
         # two closures ending at epoch 2, each with per-particle anchors
         anchors = {a: rng.uniform(lo, hi, size=(2 * n, 2)) for a in (0, 1)}
-        c = ConstraintSet(straight_flags=flags,
-                          closures=[StepLoopClosure(0, 2), StepLoopClosure(1, 2)])
+        closures = [StepLoopClosure(0, 2), StepLoopClosure(1, 2)]
+        c = ConstraintSet(straight_flags=flags, closures=closures)
         for step_index in (0, 1):
             got = _reweight(fp, prev, new, step_index, c, anchors)
             want = np.array([oracles.reweight(fp, prev[i], new[i], step_index, c,
                                               {a: xy[i] for a, xy in anchors.items()})
                              for i in range(2 * n)])
-            assert np.allclose(got, want, atol=1e-12)
+            assert got.tobytes() == want.tobytes()
+        assert (containing_rooms(fp, new[:, :2]) < 0).any() == outside
+        if fp is walls_only:
+            # no particle gets a straight factor
+            plain = _reweight(fp, prev, new, 1, ConstraintSet(closures=closures), anchors)
+            assert got.tobytes() == plain.tobytes()
 
 
 # --------------------------------------------------------------- resample

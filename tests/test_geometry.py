@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from floorsurvey.geometry import (
     _MAX_CELLS,
     _MIXED,
+    _rooms_by_polygon,
     Floorplan,
     FloorplanError,
     Pose2D,
@@ -102,6 +103,31 @@ def test_wrap_angle_scalar_is_float_with_old_bytes(theta):
     got = wrap_angle(theta)
     assert type(got) is float and _bits(got) == _bits(old)
     assert _bits(Pose2D(0.0, 0.0, theta).theta) == _bits(old)
+
+
+@pytest.mark.parametrize("b", _FIXED_DIVISORS)
+def test_remainder_and_wrap_angle_on_cloud_sized_arrays(b):
+    # headings of a filter cloud walking along an axis: near 0 or +-pi
+    # the signs mix at random, which the small Hypothesis lists never pin
+    rng = np.random.default_rng(22)
+    centres = [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]
+    clouds = [rng.normal(c, 0.05, 30_000) for c in centres]
+    # in the kernel's range: +-b, -2b and -0.0 mixed in; outside it
+    # (np.remainder whole): 2b, NaN and +-inf
+    specials = [[b, -b, -2.0 * b, -0.0], [2.0 * b], [math.nan], [math.inf, -math.inf]]
+    for extra in specials:
+        cloud = clouds[0].copy()
+        cloud[rng.choice(len(cloud), 4 * len(extra), replace=False)] = np.repeat(extra, 4)
+        clouds.append(cloud)
+    with np.errstate(invalid="ignore"):
+        for a in clouds:
+            assert np.array_equal(_bits(remainder(a, b)), _bits(np.remainder(a, b)))
+            if b == 2.0 * math.pi:
+                want = np.remainder(a + math.pi, b) - math.pi
+                assert np.array_equal(_bits(wrap_angle(a)), _bits(want))
+        for x in [0.0, -0.0, b, -b, 2.0 * b, -2.0 * b, math.nan, math.inf, -math.inf, 0.03, -0.03]:
+            got = remainder(np.float64(x), b)
+            assert got.shape == () and _bits(got) == _bits(np.remainder(x, b))
 
 
 def test_pose2d_fields():
@@ -469,6 +495,10 @@ def test_acute_angles_match_row_minimum_oracle(data):
     headings = np.array(data.draw(st.lists(_HEADINGS, min_size=len(rooms), max_size=len(rooms))))
     got = acute_angles_to_room_walls(fp, rooms, headings)
     assert got.tobytes() == oracles.acute_angles_to_room_walls(fp, rooms, headings).tobytes()
+    # with every id a room, nothing is gathered or scattered
+    ok = rooms >= 0
+    got = acute_angles_to_room_walls(fp, rooms[ok], headings[ok])
+    assert got.tobytes() == oracles.acute_angles_to_room_walls(fp, rooms[ok], headings[ok]).tobytes()
 
 
 @pytest.mark.parametrize("plan", ["office", "angle", "diagonal"])
@@ -500,7 +530,7 @@ def test_angle_table_holds_each_rooms_distinct_angles():
 
 def _diagonal_plan():
     """Two rooms split by a bent diagonal wall; no bound is a multiple
-    of the 0.25 m grid cell."""
+    of the 0.125 m grid cell."""
     x0, y0, x1, y1 = 0.37, 0.21, 7.93, 5.11
     walls = [[x0, y0, x1, y0], [x1, y0, x1, y1], [x1, y1, x0, y1], [x0, y1, x0, y0],
              [3.3, y0, 4.1, 2.9], [4.1, 2.9, 3.05, 4.12]]
@@ -522,7 +552,7 @@ def _random_plan(seed):
 
 
 def _offset_plan():
-    """Three boxes with edges off the 0.25 m cell lines.  Where a low
+    """Three boxes with edges off the 0.125 m cell lines.  Where a low
     edge lies in the upper half of a cell, or a high edge in the lower
     half, the first or last row or column of cell centres in the room's
     box is a free cell."""
@@ -698,6 +728,33 @@ def test_grid_cell_count_is_capped():
     grid = fp._grid()
     assert grid.nx * grid.ny <= _MAX_CELLS
     assert list(containing_rooms(fp, np.array([[5e5, 1e5], [2e6, 1.0]]))) == [0, -1]
+
+
+def test_room_lookup_with_room_skip_matches_scalar():
+    fp = office_floorplan()
+    rng = np.random.default_rng(5)
+    # a cloud at room 1's doorway (x = 9.375 on the corridor's lower
+    # wall), with some NaN coordinates: its points' box meets only the
+    # boxes of rooms 1 and 16, so the exact loop skips the other 16
+    door = rng.normal((9.375, 13.5), 0.3, size=(3000, 2))
+    door[::97, 0] = math.nan
+    door[::89, 1] = math.nan
+    mixed = door[fp._grid().rooms_at(fp.cells(door)) == _MIXED]
+    lo, hi = np.nanmin(mixed, axis=0), np.nanmax(mixed, axis=0)
+    met = [r for r, (blo, bhi) in enumerate(fp._room_box) if (blo <= hi).all() and (lo <= bhi).all()]
+    assert met == [1, 16]
+    # shared edges and a shared vertex: the lowest room id wins
+    shared = np.array([[7.0, 13.5], [6.25, 5.0], [25.0, 15.75], [23.0, 20.0], [6.25, 13.5]])
+    ring = np.array([[-3.0, 5.0], [60.0, 14.0], [25.0, 40.0], [1e300, 14.6], [-1e300, -1e300]])
+    empty = np.zeros((0, 2))
+    nan = np.full((4, 2), math.nan)
+    for pts in (door, shared, ring, empty, nan, np.concatenate([door, shared, ring, nan])):
+        want = [oracles.containing_room(fp, p) for p in pts]
+        want = np.array([-1 if r is None else r for r in want], dtype=int)
+        assert np.array_equal(containing_rooms(fp, pts), want)
+        assert np.array_equal(rooms_in_cells(fp, pts, fp.cells(pts)), want)
+        assert np.array_equal(_rooms_by_polygon(fp, pts), want)
+    assert list(containing_rooms(fp, shared)) == [1, 0, 16, 11, 0]
 
 
 def test_segments_cross_walls_needs_meeting_boxes():
