@@ -27,7 +27,7 @@ from .pipeline import (
     run_survey,
 )
 from .plotsvg import EST_COLOR, REF_COLOR, render_scene
-from .sensors import PdrTrajectory, load_survey_log
+from .sensors import PdrTrajectory, SurveyLog, load_survey_log
 from .signalmap import compare_maps, position_one_shot
 from .simulate import (
     corridor_scenario,
@@ -87,6 +87,10 @@ def _load_config(args) -> PipelineConfig:
         raise UsageError(str(exc)) from None
 
 
+def _survey_inputs(args) -> tuple[Floorplan, SurveyLog, PipelineConfig]:
+    return _load_fp(args), load_survey_log(args.log), _load_config(args)
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,9 +115,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pf1(args) -> int:
-    fp = _load_fp(args)
-    log = load_survey_log(args.log)
-    config = _load_config(args)
+    fp, log, config = _survey_inputs(args)
     res = run_survey(log, fp, config, seed=args.seed, mode="pf1")
     out = _outdir(args)
     fileio.write_trajectory(out / "pf1.traj", res.pf1.times, res.pf1.poses)
@@ -136,9 +138,7 @@ def cmd_straight(args) -> int:
 
 
 def cmd_loops(args) -> int:
-    fp = _load_fp(args)
-    log = load_survey_log(args.log)
-    config = _load_config(args)
+    fp, log, config = _survey_inputs(args)
     res = run_survey(log, fp, config, seed=args.seed, mode="pf1")
     from .loopclosure import detect_loop_closures
 
@@ -154,9 +154,7 @@ def cmd_loops(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    fp = _load_fp(args)
-    log = load_survey_log(args.log)
-    config = _load_config(args)
+    fp, log, config = _survey_inputs(args)
     res = run_survey(log, fp, config, seed=args.seed, mode="full")
     out = _outdir(args)
     fileio.write_trajectory(out / "pf1.traj", res.pf1.times, res.pf1.poses)
@@ -336,7 +334,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

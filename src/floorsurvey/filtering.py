@@ -20,7 +20,7 @@ from .geometry import (
     acute_angles_to_room_walls,
     containing_room,  # unused here; perfbench/tracing.py swaps this name
     containing_rooms,
-    points_in_polygon,
+    points_in_rooms,
     remainder,
     rooms_in_cells,
     segments_cross_walls,
@@ -510,8 +510,7 @@ def seed_particles(fp: Floorplan, n: int, rng: np.random.Generator,
     got = 0
     while got < n:
         batch = rng.random((max(2 * (n - got), 64), 2)) * (hi - lo) + lo
-        ok = points_in_polygon(vs, batch)
-        accepted = batch[ok]
+        accepted = batch[points_in_rooms(fp, batch, np.full(len(batch), start_room))]
         pts.append(accepted)
         got += len(accepted)
     xy = np.concatenate(pts)[:n]
@@ -547,9 +546,9 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
     or when the seeded or a propagated cloud holds a non-finite pose
     (a NaN pose would pass the wall test).
     Loop-closure distances use each draw's own ancestor at the anchor
-    epoch, looked up in the ancestor tree.  Every COMPACT_EVERY epochs
-    the tree drops the recent particles that left no descendants; the
-    returned tree is fully compacted.
+    epoch, from the ancestor tree.  Every COMPACT_EVERY epochs the tree
+    drops the recent particles that left no descendants; the returned
+    tree is fully compacted, and room_labels labels its epochs at once.
     """
     n0 = kld.n_min
     poses0 = seed_particles(fp, n0, rng, start_room=start_room, start_pose=start_pose)
@@ -584,22 +583,31 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
     # the rounds before, so the smoother sums over the same arrays
     tree.compact()
     smooth = prune_smooth(tree)
-    # room per epoch: the weighted-mean pose's room, unless the cloud's
-    # modal room disagrees, in which case the map lineage arbitrates
-    mean_rooms = containing_rooms(fp, smooth.mean_poses[:, :2])
-    map_rooms = containing_rooms(fp, smooth.map_poses[:, :2])
-    rooms = []
-    for e, w in enumerate(smooth.mass):
-        idx = np.flatnonzero(w)  # zero-mass particles would only add +0.0
-        votes = containing_rooms(fp, _take(tree[e].poses[:, :2], idx))
-        mass = np.bincount(votes + 1, weights=w[idx], minlength=len(fp.rooms) + 1)
-        room = mean_rooms[e] if np.argmax(mass) - 1 == mean_rooms[e] else map_rooms[e]
-        rooms.append(None if room < 0 else int(room))
     return FilterResult(
         poses=smooth.mean_poses,
         map_poses=smooth.map_poses,
         times=step_epoch_times(steps),
-        rooms=rooms,
+        rooms=room_labels(fp, tree, smooth),
         counts=np.asarray(counts, dtype=np.int64),
         tree=tree,
     )
+
+
+def room_labels(fp: Floorplan, tree: AncestorTree, smooth: SmoothResult) -> list:
+    """Room id or None per epoch: the smoothed mean pose's room, unless
+    the cloud's modal room by smoothing mass disagrees; then the map
+    lineage's room.  One lookup serves every epoch's positive-mass
+    particles (zero mass would add only +0.0) and both smoothed poses,
+    and one bincount every epoch's votes, offset by len(fp.rooms) + 1
+    per epoch.  It adds each bin's weights in input order and argmax
+    keeps the first maximum (lowest id), as one vote per epoch would."""
+    t1, r1 = len(tree), len(fp.rooms) + 1
+    w = np.concatenate(smooth.mass)
+    keep = np.flatnonzero(w)
+    epoch = np.repeat(np.arange(t1), [len(m) for m in smooth.mass])[keep]
+    xy = np.concatenate([c.poses[:, :2] for c in tree.epochs])[keep]
+    found = containing_rooms(fp, np.concatenate([xy, smooth.mean_poses[:, :2], smooth.map_poses[:, :2]]))
+    votes, mean_rooms, map_rooms = np.split(found, [len(keep), len(keep) + t1])
+    mass = np.bincount(epoch * r1 + votes + 1, weights=w[keep], minlength=t1 * r1)
+    modes = mass.reshape(t1, r1).argmax(axis=1) - 1
+    return [None if r < 0 else int(r) for r in np.where(modes == mean_rooms, mean_rooms, map_rooms)]

@@ -8,7 +8,7 @@ plain gaps in the wall set), and room polygons may share edges.
 Each floorplan builds a uniform grid index over its bounds on first use
 (0.125 m cells, coarser when that would exceed _MAX_CELLS cells), padded
 with one ring of cells.  The index answers most room and wall queries by
-a cell lookup and leaves the rest to the exact loops, with the same
+a cell lookup and leaves the rest to the exact kernels, with the same
 answers.  A point's cell is floor((p - origin) / cell) + 1 in floats,
 then clamped with fmax and fmin to the ring; fmax maps NaN to 0, so
 every NaN and off-grid point lands in the ring with no mask.  The map
@@ -20,13 +20,19 @@ plan's largest coordinate, at least 1e-9 m) contains it.
   answer of real arithmetic.  It lies on no edge's box, and any crossing
   abscissa of the even-odd test lies farther from it than float rounding
   (a few ulps, far below the pad).  So a point outside a room's grown
-  box is outside the room, and the exact loop skips that room for it.
+  box is outside the room.  So the exact kernel takes (point, room)
+  pairs, one per room whose grown box holds the point, and tests each
+  pair against its own room's edges only: a point near a wall meets one
+  or two rooms, where a test against every room's edges costs them all.
+  Per (pair, edge) it takes the even-odd crossing (Haines 1994) and the
+  orientation; a zero orientation inside the edge's box is on the
+  boundary, which counts as inside.
 - Room lookup: an inner cell that no room edge's box comes near is
   decided.  By monotonicity, every point looked up in it lies outside
   each edge's grown box on the same side as the cell centre, so the
   segment between them meets no edge and both get the same answer of
   real arithmetic.  The index stores the centre's exact answer; ring
-  cells and the other inner cells are undecided and take the exact loop.
+  cells and the other inner cells are undecided and take the exact kernel.
 - Walls: a move whose cell rectangle (the cells of its bounding box)
   contains no cell that a wall's box comes near has a bounding box
   disjoint from every wall's, by the same monotonicity.
@@ -50,7 +56,10 @@ proper crossing requires meeting boxes, and each of its touch cases
 puts a finite end of one segment inside the other segment's box, so
 that end lies in both boxes.  The screen's boxes come from fmin and
 fmax, which skip a NaN coordinate, so a finite end lies in its own
-segment's box even when the other end is NaN.
+segment's box even when the other end is NaN.  Every touch case also
+needs an orientation of exactly 0 (o1 == 0 and so on), so when no pair
+has one, touch is False throughout and the kernel returns the proper
+crossings without evaluating it: the same booleans.
 
 remainder(a, b) gives np.remainder(a, b) for b > 0, with the same bytes,
 at a fraction of its cost.  np.remainder takes the exact fmod(a, b),
@@ -214,14 +223,25 @@ class Floorplan:
                                      f" above {MAX_COORD:g} in magnitude")
         edges = [np.hstack([r.vertices, np.roll(r.vertices, -1, axis=0)]) for r in self.rooms]
         self._edges = np.concatenate(edges) if edges else np.zeros((0, 4))
+        # room r's edges: _edge_count[r] rows of _edges from _first_edge[r]
+        counts = self._edge_count = np.array([len(r.vertices) for r in self.rooms], dtype=int)
+        self._first_edge = np.cumsum(counts) - counts
+        x0, y0, x1, y1 = self._edges.T
+        self._edge_terms = np.column_stack([x0, y0, y1, x1 - x0, y1 - y0])
         # (R, V, 4) table of each room's edges, padded to the longest room
         # with copies of the room's first edge
-        counts = np.array([len(r.vertices) for r in self.rooms], dtype=int)
         k = np.arange(counts.max(initial=1))
-        padded = self._edges[(np.cumsum(counts) - counts)[:, None] + np.where(k < counts[:, None], k, 0)]
-        bad = np.flatnonzero(_rooms_not_simple(padded, counts))
+        padded = self._edges[self._first_edge[:, None] + np.where(k < counts[:, None], k, 0)]
+        degenerate = (padded[..., :2] == padded[..., 2:]).all(axis=-1).any(axis=1)
+        n = counts[:, None, None]
+        gap = (k[None, :] - k[:, None]) % n
+        real = k < counts[:, None]
+        pairs = real[:, :, None] & real[:, None, :] & (gap > 1) & (gap < n - 1)
+        crossing = (segment_wall_crossings(padded[..., :2], padded[..., 2:], padded) & pairs).any(axis=(1, 2))
+        bad = np.flatnonzero(degenerate | crossing)
         if len(bad):
-            raise FloorplanError(f"room {bad[0]} polygon is self-intersecting")
+            fault = "has a degenerate edge" if degenerate[bad[0]] else "polygon is self-intersecting"
+            raise FloorplanError(f"room {bad[0]} {fault}")
         d = padded[..., 2:] - padded[..., :2]
         # (R, U) table of each room's distinct edge angles mod pi, padded
         # with the room's first one; a minimum over it is the minimum
@@ -240,18 +260,10 @@ class Floorplan:
             self.bounds = (float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
         # far above the rounding of any coordinate (module docstring)
         self._pad = 1e-9 * max(1.0, *map(abs, self.bounds))
-        self._room_box = [(r.vertices.min(axis=0) - self._pad, r.vertices.max(axis=0) + self._pad)
-                          for r in self.rooms]
-        # wall bounding boxes, used to prefilter crossing tests
-        self._wall_bbox = np.stack(
-            [
-                np.minimum(self.walls[:, 0], self.walls[:, 2]),
-                np.minimum(self.walls[:, 1], self.walls[:, 3]),
-                np.maximum(self.walls[:, 0], self.walls[:, 2]),
-                np.maximum(self.walls[:, 1], self.walls[:, 3]),
-            ],
-            axis=1,
-        ) if len(self.walls) else np.zeros((0, 4))
+        # (R, 2, 2): each room's box grown by the pad, as rows lo and hi
+        self._room_box = np.array([(r.vertices.min(axis=0) - self._pad, r.vertices.max(axis=0) + self._pad)
+                                   for r in self.rooms]).reshape(-1, 2, 2)
+        self._wall_bbox = _boxes(self.walls)  # prefilters crossing tests
         self._grid_index: _GridIndex | None = None
 
     def __repr__(self):
@@ -259,8 +271,6 @@ class Floorplan:
 
     def walls_near(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Indices of walls whose bbox meets the axis-aligned box [lo, hi]."""
-        if not len(self.walls):
-            return np.zeros(0, dtype=int)
         bb = self._wall_bbox
         hit = (bb[:, 0] <= hi[0]) & (bb[:, 2] >= lo[0]) & (bb[:, 1] <= hi[1]) & (bb[:, 3] >= lo[1])
         return np.nonzero(hit)[0]
@@ -304,29 +314,27 @@ class _GridIndex:
         self.nx, self.ny = max(1, math.ceil(w / cell)), max(1, math.ceil(h / cell))
         self.width = self.nx + 2
         self.top = np.array([self.nx + 1.0, self.ny + 1.0])
-        edges = fp._edges
-        edge_boxes = np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
-                                np.maximum(edges[:, :2], edges[:, 2:])])
         self.rooms = np.full((self.ny + 2) * self.width, _MIXED, dtype=int)
-        self.rooms[~self._near(edge_boxes)] = -1
+        self.rooms[~self._near(_boxes(fp._edges))] = -1
         # cell centres by column and by row; they increase, so the
         # centres in a room's grown box form one block of the grid
         xs = self.origin[0] + (np.arange(self.width) - 0.5) * cell
         ys = self.origin[1] + (np.arange(self.ny + 2) - 0.5) * cell
         table = self.rooms.reshape(self.ny + 2, self.width)
-        for room, (lo, hi) in zip(fp.rooms, fp._room_box):
+        for room, ((lo, hi), first, n) in enumerate(zip(fp._room_box, fp._first_edge, fp._edge_count)):
             cols = np.flatnonzero((xs >= lo[0]) & (xs <= hi[0]))
             rows = np.flatnonzero((ys >= lo[1]) & (ys <= hi[1]))
             if not (len(cols) and len(rows)):
                 continue
             block = table[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-            # points_in_polygon's even-odd floats, row by row; free centres lie on no edge
+            # points_in_rooms' even-odd floats on a block of centres, one
+            # crossing abscissa per row and edge; free centres lie on no edge
             x, y, inside = xs[cols], ys[rows, None], np.zeros(block.shape, dtype=bool)
-            for (x0, y0), (x1, y1) in zip(room.vertices, np.roll(room.vertices, -1, axis=0)):
+            for x0, y0, y1, dx, dy in fp._edge_terms[first:first + n]:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+                    xc = x0 + (y - y0) * dx / dy
                 inside ^= ((y0 > y) != (y1 > y)) & (x < xc)
-            block[inside & (block == -1)] = room.room_id
+            block[inside & (block == -1)] = room
         sat = np.zeros((self.ny + 3, self.width + 1), dtype=np.intp)
         sat[1:, 1:] = self._near(fp._wall_bbox).reshape(self.ny + 2, self.width).cumsum(axis=0).cumsum(axis=1)
         self.wall_sat = sat.ravel()
@@ -370,6 +378,11 @@ class _GridIndex:
         s = self.wall_sat
         walls = s[hi_row + hi_col] - s[lo_row + hi_col] - s[hi_row + lo_col] + s[lo_row + lo_col]
         return walls == 0
+
+
+def _boxes(seg: np.ndarray) -> np.ndarray:
+    """(N, 4) bounding boxes, rows x0, y0, x1, y1, of (N, 4) segments."""
+    return np.hstack([np.minimum(seg[:, :2], seg[:, 2:]), np.maximum(seg[:, :2], seg[:, 2:])])
 
 
 def _plan_coords(fields: list[str]) -> list[float]:
@@ -440,7 +453,8 @@ def segment_wall_crossings(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) 
 
     Deliberately conservative: touching a wall endpoint or running
     collinearly along a wall count as crossing.  A pair whose bounding
-    boxes do not meet never crosses.
+    boxes do not meet never crosses.  The touch cases run only when some
+    orientation is exactly 0 (module docstring).
     """
     ax, ay = p0s[..., 0:1], p0s[..., 1:2]
     bx, by = p1s[..., 0:1], p1s[..., 1:2]
@@ -456,38 +470,18 @@ def segment_wall_crossings(p0s: np.ndarray, p1s: np.ndarray, walls: np.ndarray) 
     # rounding in nearly collinear configurations can report a crossing
     meet = (np.minimum(ax, bx) <= np.maximum(cx, dx)) & (np.minimum(cx, dx) <= np.maximum(ax, bx)) \
         & (np.minimum(ay, by) <= np.maximum(cy, dy)) & (np.minimum(cy, dy) <= np.maximum(ay, by))
-    proper = meet & ((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0)) \
-        & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
+    zero = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
+    proper = meet & ((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0)) & ~zero
+    if not zero.any():
+        return proper  # each touch case below needs a zero orientation
 
-    def on_ab(px, py):
-        return (
-            (np.minimum(ax, bx) <= px) & (px <= np.maximum(ax, bx))
-            & (np.minimum(ay, by) <= py) & (py <= np.maximum(ay, by))
-        )
+    def within(px, py, ux, uy, vx, vy):  # p in the box of segment u-v
+        return (np.minimum(ux, vx) <= px) & (px <= np.maximum(ux, vx)) \
+            & (np.minimum(uy, vy) <= py) & (py <= np.maximum(uy, vy))
 
-    def on_cd(px, py):
-        return (
-            (np.minimum(cx, dx) <= px) & (px <= np.maximum(cx, dx))
-            & (np.minimum(cy, dy) <= py) & (py <= np.maximum(cy, dy))
-        )
-
-    touch = ((o1 == 0) & on_ab(cx, cy)) | ((o2 == 0) & on_ab(dx, dy)) \
-        | ((o3 == 0) & on_cd(ax, ay)) | ((o4 == 0) & on_cd(bx, by))
+    touch = ((o1 == 0) & within(cx, cy, ax, ay, bx, by)) | ((o2 == 0) & within(dx, dy, ax, ay, bx, by)) \
+        | ((o3 == 0) & within(ax, ay, cx, cy, dx, dy)) | ((o4 == 0) & within(bx, by, cx, cy, dx, dy))
     return proper | touch
-
-
-def _rooms_not_simple(edges: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Bool per room of the padded (R, V, 4) edge table, with counts[r]
-    real edges each: True where the polygon has a degenerate edge or two
-    non-adjacent edges that meet."""
-    k = np.arange(edges.shape[1])
-    n = counts[:, None, None]
-    gap = (k[None, :] - k[:, None]) % n
-    real = k < counts[:, None]
-    pairs = real[:, :, None] & real[:, None, :] & (gap > 1) & (gap < n - 1)
-    meet = segment_wall_crossings(edges[..., :2], edges[..., 2:], edges)
-    degenerate = np.isclose(edges[..., :2], edges[..., 2:]).all(axis=-1)
-    return degenerate.any(axis=1) | (meet & pairs).any(axis=(1, 2))
 
 
 def containing_room(fp: Floorplan, p) -> int | None:
@@ -517,41 +511,43 @@ def rooms_in_cells(fp: Floorplan, pts: np.ndarray, cells: np.ndarray) -> np.ndar
 
 
 def _rooms_by_polygon(fp: Floorplan, pts: np.ndarray) -> np.ndarray:
-    """Exact even-odd and boundary test of each point against the rooms
-    in id order, up to the first that holds it; -1 where no room.  A
-    room is tested only on the points in its box grown by the pad, and
-    skipped if that misses their box (from fmin and fmax, which skip NaN)."""
+    """Lowest id of a room holding each point, -1 where none (and for
+    NaN), from the exact test of the (point, room) pairs whose grown room
+    box holds the point.  np.nonzero gives the pairs point by point in
+    room order, so a point's first hit is its lowest room."""
+    lo, hi = fp._room_box[:, 0, :, None], fp._room_box[:, 1, :, None]
+    x, y = np.ascontiguousarray(pts.T)
+    p, r = np.nonzero(((x >= lo[:, 0]) & (x <= hi[:, 0]) & (y >= lo[:, 1]) & (y <= hi[:, 1])).T)
+    hit = points_in_rooms(fp, pts[p], r)
+    p, r = p[hit], r[hit]
+    first = np.diff(p, prepend=-1) > 0
     out = np.full(len(pts), -1, dtype=int)
-    x, y = pts[:, 0], pts[:, 1]
-    pmin, pmax = np.fmin.reduce(pts, initial=np.inf), np.fmax.reduce(pts, initial=-np.inf)
-    for room, (lo, hi) in zip(fp.rooms, fp._room_box):
-        if (lo <= pmax).all() and (pmin <= hi).all():
-            idx = np.flatnonzero((out == -1) & (x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1]))
-            if len(idx):
-                out[idx[points_in_polygon(room.vertices, pts[idx])]] = room.room_id
+    out[p[first]] = r[first]
     return out
 
 
-def points_in_polygon(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Bool per point for one polygon; boundary points count as inside."""
-    vs = np.asarray(vertices, dtype=float)
-    pts = np.asarray(pts, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    boundary = np.zeros(len(pts), dtype=bool)
-    n = len(vs)
-    for i in range(n):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % n]
-        o = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
-        boundary |= (o == 0) \
-            & (np.minimum(x0, x1) <= x) & (x <= np.maximum(x0, x1)) \
-            & (np.minimum(y0, y1) <= y) & (y <= np.maximum(y0, y1))
-        crosses = (y0 > y) != (y1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        inside ^= crosses & (x < xc)
-    return inside | boundary
+def points_in_rooms(fp: Floorplan, pts: np.ndarray, rooms: np.ndarray) -> np.ndarray:
+    """Bool per (point, room) pair: True where pts[i] lies in room
+    rooms[i], inside by the even-odd rule or on the boundary.  A pair
+    meets only its own room's edges, each with the floats of the scalar
+    test: x0 + (y - y0) * (x1 - x0) / (y1 - y0) for the crossing, and
+    (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) for the orientation,
+    from each edge's row x0, y0, y1, x1 - x0, y1 - y0 of _edge_terms."""
+    n = fp._edge_count[rooms]
+    start = np.cumsum(n) - n
+    edge = np.arange(n.sum()) + np.repeat(fp._first_edge[rooms] - start, n)  # per (pair, edge)
+    x, y = np.repeat(pts[:, 0], n), np.repeat(pts[:, 1], n)
+    x0, y0, y1, dx, dy = fp._edge_terms[edge].T
+    t = y - y0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odd = ((y0 > y) != (y1 > y)) & (x < x0 + t * dx / dy)
+    inside = np.logical_xor.reduceat(odd, start)
+    on = dx * t - dy * (x - x0) == 0
+    if on.any():  # a zero orientation inside the edge's box: on the boundary
+        box, q = _boxes(fp._edges[edge[on]]), np.column_stack([x[on], y[on]])
+        on[on] = ((box[:, :2] <= q) & (q <= box[:, 2:])).all(axis=1)
+        inside |= np.logical_or.reduceat(on, start)
+    return inside
 
 
 def acute_angles_to_room_walls(fp: Floorplan, rooms: np.ndarray, headings: np.ndarray) -> np.ndarray:

@@ -158,26 +158,15 @@ def run_survey(log: SurveyLog, fp: Floorplan, config: PipelineConfig | None = No
         raise ValueError("survey log contains no start hint")
     rng = np.random.default_rng(seed)
     flags = detect_straight_steps(log.steps, config.straight)
-    pf1 = run_filter(
-        log.steps, fp, config.pf1, config.noise,
-        ConstraintSet(),
-        start_room=log.start_room, start_pose=log.start_pose,
-        rng=rng, label="pf1",
-    )
+    pf1 = run_filter(log.steps, fp, config.pf1, config.noise, ConstraintSet(), rng,
+                     start_room=log.start_room, start_pose=log.start_pose, label="pf1")
     if mode == "pf1":
         return SurveyResult(pf1, None, flags, None, build_survey_points(pf1, log))
     closures = detect_loop_closures(pf1, log.mags, config.msp, config.validation)
-    c2 = ConstraintSet(
-        straight_flags=flags,
-        closures=closures.closures,
-        sigma_alpha=config.sigma_alpha,
-        sigma_closure=config.sigma_closure,
-    )
-    pf2 = run_filter(
-        log.steps, fp, config.pf2, config.noise, c2,
-        start_room=log.start_room, start_pose=log.start_pose,
-        rng=rng, label="pf2",
-    )
+    c2 = ConstraintSet(straight_flags=flags, closures=closures.closures,
+                       sigma_alpha=config.sigma_alpha, sigma_closure=config.sigma_closure)
+    pf2 = run_filter(log.steps, fp, config.pf2, config.noise, c2, rng,
+                     start_room=log.start_room, start_pose=log.start_pose, label="pf2")
     return SurveyResult(pf1, pf2, flags, closures, build_survey_points(pf2, log))
 
 
@@ -227,8 +216,7 @@ def evaluate_trajectory(positions: np.ndarray, rooms, truth: PdrTrajectory,
     if len(est) != len(ref):
         raise ValueError(f"epoch count mismatch: {len(est)} vs {len(ref)}")
     err = np.hypot(est[:, 0] - ref[:, 0], est[:, 1] - ref[:, 1])
-    acc = None
-    mism = None
+    acc = mism = None
     if fp is not None:
         est_rooms = np.array([-1 if r is None else r for r in rooms], dtype=int)
         mism = int(np.count_nonzero(est_rooms != containing_rooms(fp, ref)))

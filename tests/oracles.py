@@ -3,8 +3,8 @@
 Most functions answer one question for one point, move, time or scan,
 by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
-The others are the straightforward forms of the angle factor, the grid
-index's room table, KLD resampling, the MSP containment filter, two
+The others are the straightforward forms of the angle factor, the
+per-edge polygon test, the grid index's room table, KLD resampling, the MSP containment filter, two
 ancestor-tree walks, the smoothing mass, the per-epoch room labels, the
 GP predictions whose variance takes one or two triangular solves per
 query chunk and the DTW whose rows pick each step by an argmin, plus
@@ -77,21 +77,67 @@ def segment_crosses_wall(fp: Floorplan, p0, p1) -> bool:
     return any(_segments_touch(p0, p1, w[:2], w[2:]) for w in fp.walls)
 
 
-def polygon_is_simple(vertices) -> bool:
-    """False iff the closed polygon has an edge whose ends are np.allclose,
-    or two non-adjacent edges that touch (as _segments_touch)."""
+def polygon_fault(vertices) -> str | None:
+    """What Floorplan says of a room with these vertices: "has a
+    degenerate edge" if some edge's two ends are equal, "polygon is
+    self-intersecting" if two non-adjacent edges touch (as
+    _segments_touch), None for a simple polygon."""
     vs = np.asarray(vertices, dtype=float)
     n = len(vs)
+    if any((vs[i] == vs[(i + 1) % n]).all() for i in range(n)):
+        return "has a degenerate edge"
     for i in range(n):
-        a0, a1 = vs[i], vs[(i + 1) % n]
-        if np.allclose(a0, a1):
-            return False
         for j in range(i + 1, n):
             if j == (i + 1) % n or (j + 1) % n == i:
                 continue
-            if _segments_touch(a0, a1, vs[j], vs[(j + 1) % n]):
-                return False
-    return True
+            if _segments_touch(vs[i], vs[(i + 1) % n], vs[j], vs[(j + 1) % n]):
+                return "polygon is self-intersecting"
+    return None
+
+
+def polygon_is_simple(vertices) -> bool:
+    return polygon_fault(vertices) is None
+
+
+def points_in_polygon(vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Bool per point for one polygon, one numpy pass per edge: the
+    even-odd rule, with boundary points inside."""
+    vs = np.asarray(vertices, dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    boundary = np.zeros(len(pts), dtype=bool)
+    n = len(vs)
+    for i in range(n):
+        x0, y0 = vs[i]
+        x1, y1 = vs[(i + 1) % n]
+        o = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
+        boundary |= (o == 0) \
+            & (np.minimum(x0, x1) <= x) & (x <= np.maximum(x0, x1)) \
+            & (np.minimum(y0, y1) <= y) & (y <= np.maximum(y0, y1))
+        crosses = (y0 > y) != (y1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= crosses & (x < xc)
+    return inside | boundary
+
+
+def seed_in_room(fp: Floorplan, n: int, rng: np.random.Generator, room: int) -> np.ndarray:
+    """filtering.seed_particles(start_room=room) by per-polygon rejection:
+    batches of uniform draws in the room's box, each tested by
+    points_in_polygon, then uniform headings."""
+    vs = fp.rooms[room].vertices
+    lo, hi = vs.min(axis=0), vs.max(axis=0)
+    pts: list[np.ndarray] = []
+    got = 0
+    while got < n:
+        batch = rng.random((max(2 * (n - got), 64), 2)) * (hi - lo) + lo
+        pts.append(batch[points_in_polygon(vs, batch)])
+        got += len(pts[-1])
+    poses = np.empty((n, 3))
+    poses[:, :2] = np.concatenate(pts)[:n]
+    poses[:, 2] = rng.random(n) * (2.0 * math.pi) - math.pi
+    return poses
 
 
 def _point_on_polygon_boundary(vs: np.ndarray, x: float, y: float) -> bool:

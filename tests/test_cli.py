@@ -194,6 +194,61 @@ def test_position_output_does_not_depend_on_blas_threads(tmp_path):
     assert outputs[0][0].startswith("fixes,")
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_blas_threads(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return dict(env, PYTHONPATH=str(ROOT / "src"), **extra)
+
+
+def test_console_entry_defaults_blas_to_one_thread():
+    # the entry module loads no numpy, and sets each count the
+    # environment leaves unset before cli (and so numpy) loads
+    code = ("import os, sys; import floorsurvey.__main__ as entry; "
+            "assert 'numpy' not in sys.modules; entry.main([]); assert 'numpy' in sys.modules; "
+            f"print(*(os.environ.get(v) for v in {BLAS_THREADS!r}))")
+    for extra, want in (({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+                        ({"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "4"}, ["1", "2", "4"])):
+        done = subprocess.run([sys.executable, "-c", code], env=_env_without_blas_threads(**extra),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == want
+    done = subprocess.run([sys.executable, "-m", "floorsurvey"], env=_env_without_blas_threads(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stderr.startswith("usage: floorsurvey")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS runs one thread anyway")
+def test_map_output_with_blas_threads_unset_equals_one_thread(tmp_path):
+    # the 1,500-point reference survey of the four-lap corridor walk
+    from floorsurvey.pipeline import SurveyPoint
+    from floorsurvey.simulate import grid_survey
+
+    pts, mag, wifi = grid_survey(corridor_scenario(repeats=4), office_floorplan(), seed=12345)
+    fileio.write_survey_points(tmp_path / "points.spt", [
+        SurveyPoint(i, float(i), float(p[0]), float(p[1]), 0.0, None, float(mag[i]),
+                    {ap: float(v[i]) for ap, v in sorted(wifi.items())}) for i, p in enumerate(pts)])
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"maps{len(outputs)}"
+        done = subprocess.run([sys.executable, "-m", "floorsurvey", "map", "--points",
+                               str(tmp_path / "points.spt"), "--out", str(out)],
+                              env=_env_without_blas_threads(**extra), capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append((done.stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == 7
+
+
+def test_floorplan_with_a_degenerate_edge_exits_2(tmp_path, capsys):
+    plan = tmp_path / "repeated.plan"
+    plan.write_text("wall,0,0,1,0\nroom,0,r,0,0,1,0,1,0,1,1,0,1\n")
+    assert main(["plot", "--floorplan", str(plan), "--out", str(tmp_path / "scene.svg")]) == 2
+    assert "error: room 0 has a degenerate edge" in capsys.readouterr().err
+
+
 def test_eval_command(ws, tmp_path, capsys):
     out = tmp_path / "eval.csv"
     assert main(["eval", "--traj", str(ws["srv"] / "pf2.traj"),

@@ -17,6 +17,7 @@ from floorsurvey.filtering import (
     pf2_kld_config,
     propagate,
     prune_smooth,
+    room_labels,
     run_filter,
     seed_particles,
 )
@@ -692,6 +693,20 @@ def test_seed_particles_room_hint(two_room_plan):
     assert poses[:, 2].min() >= -math.pi and poses[:, 2].max() < math.pi
 
 
+def test_seed_particles_room_hint_matches_per_polygon_rejection():
+    # an L-shaped room takes about two thirds of its box's draws; the pair
+    # kernel must accept the same draws, so the poses and the generator's
+    # state after seeding match the per-polygon rejection's
+    lshape = np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float)
+    fp = Floorplan(np.zeros((0, 4)), [Room(0, "box", box(5, 0, 6, 1)), Room(1, "L", lshape)])
+    for seed, n in ((0, 1), (1, 100), (2, 5000)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = seed_particles(fp, n, rng, start_room=1)
+        assert got.tobytes() == oracles.seed_in_room(fp, n, ref, 1).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert not (got[:, 0] > 2.0)[got[:, 1] > 2.0].any()  # none in the missing quadrant
+
+
 def _straight_steps(n, length=0.75):
     return [StepEvent(0.5 * (i + 1), length, 0.0) for i in range(n)]
 
@@ -753,21 +768,48 @@ def test_run_filter_walls_confine_cloud(square_plan):
     assert res.positions[:, 0].min() >= 0.0 - 1e-9
 
 
+def _bent_plan():
+    """An L-shaped room (0) and a pentagon (1) split by a wall with a
+    2 m doorway at y in [4, 6]."""
+    rooms = [Room(0, "L", [(0, 0), (5, 0), (5, 10), (2, 10), (2, 7), (0, 7)]),
+             Room(1, "pentagon", [(5, 0), (10, 0), (10, 10), (7.5, 12), (5, 10)])]
+    outline = [(0, 0), (10, 0), (10, 10), (7.5, 12), (5, 10), (2, 10), (2, 7), (0, 7)]
+    walls = [(*a, *b) for a, b in zip(outline, outline[1:] + outline[:1])] + [(5, 0, 5, 4), (5, 6, 5, 10)]
+    return Floorplan(np.array(walls, dtype=float), rooms)
+
+
 def test_run_filter_room_labels_match_per_epoch_oracle(two_room_plan):
     # east through the doorway: near the crossing the mean pose and the
     # cloud's modal room can disagree, and the map lineage decides; at
     # seed 12 a vote by particle count instead of mass flips epoch 5
     steps = _straight_steps(10)
-    arbitrated = 0
-    for seed in (2, 4, 12):
-        res = run_filter(steps, two_room_plan, KldConfig(n_min=300), StepNoiseModel(),
-                         ConstraintSet(), np.random.default_rng(seed),
-                         start_pose=Pose2D(1.5, 5.0, 0.0))
-        rooms, by_map = oracles.room_labels(two_room_plan, res.tree)
-        assert res.rooms == rooms
-        assert rooms[0] == 0 and rooms[-1] == 1
-        arbitrated += len(by_map)
-    assert arbitrated > 0
+    for fp in (two_room_plan, _bent_plan()):
+        arbitrated = 0
+        for seed in (2, 4, 12):
+            res = run_filter(steps, fp, KldConfig(n_min=300), StepNoiseModel(),
+                             ConstraintSet(), np.random.default_rng(seed),
+                             start_pose=Pose2D(1.5, 5.0, 0.0))
+            rooms, by_map = oracles.room_labels(fp, res.tree)
+            assert res.rooms == rooms
+            assert rooms[0] == 0 and rooms[-1] == 1
+            arbitrated += len(by_map)
+        assert arbitrated > 0
+
+
+def test_room_labels_exact_mass_tie_goes_to_the_lowest_room(two_room_plan):
+    # equal mass in rooms 0 and 1 at both epochs (room 0's as two halves
+    # at epoch 1): the lowest id wins the tie, so the mean pose's room 0
+    # (x = 5, on the shared edge) stands.  Had room 1 won, the map
+    # lineage, particle 0 of each epoch, would give room 1
+    tree = AncestorTree()
+    tree.append(np.array([[8.0, 5.0, 0.0], [2.0, 5.0, 0.0]]), np.array([0.5, 0.5]), np.array([-1, -1]))
+    tree.append(np.array([[7.5, 5.0, 0.0], [2.0, 5.0, 0.0], [3.0, 5.0, 0.0], [4.0, 5.0, 0.0]]),
+                np.array([0.5, 0.25, 0.25, 0.0]), np.array([0, 1, 1, 1]))
+    smooth = prune_smooth(tree)
+    assert list(smooth.mean_poses[:, 0]) == [5.0, 5.0]
+    assert containing_rooms(two_room_plan, smooth.map_poses[:, :2]).tolist() == [1, 1]
+    assert room_labels(two_room_plan, tree, smooth) == [0, 0]
+    assert oracles.room_labels(two_room_plan, tree) == ([0, 0], [])
 
 
 def test_constraint_set_takes_no_positional_plan(square_plan):

@@ -18,7 +18,7 @@ from floorsurvey.geometry import (
     containing_room,
     containing_rooms,
     parse_floorplan,
-    points_in_polygon,
+    points_in_rooms,
     remainder,
     rooms_in_cells,
     segment_wall_crossings,
@@ -156,6 +156,18 @@ def test_floorplan_rejects_self_intersecting_polygon():
         Floorplan(np.zeros((0, 4)), [Room(0, "bow", bowtie)])
 
 
+def test_floorplan_rejects_a_degenerate_edge_exactly():
+    # a repeated vertex, inside the list or closing it, is a zero-length edge
+    for vs in ([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (1, 0), (1, 1), (0, 0)]):
+        with pytest.raises(FloorplanError, match="^room 1 has a degenerate edge$"):
+            Floorplan(np.zeros((0, 4)), [Room(0, "a", box(5, 5, 6, 6)), Room(1, "b", vs)])
+    # edges far shorter than np.isclose's relative tolerance at these
+    # coordinates: 1 m at y = 1e5, 1e-6 m at 1e3
+    for vs in (box(0, 99999, 1, 100000), box(1000, 1000, 1000 + 1e-6, 1000 + 1e-6)):
+        fp = Floorplan(np.zeros((0, 4)), [Room(0, "r", vs)])
+        assert list(containing_rooms(fp, vs.mean(axis=0, keepdims=True))) == [0]
+
+
 def _random_polygon(rng, on_grid: bool) -> np.ndarray:
     """3-7 vertices: on a 4 x 4 integer grid, so that repeated vertices,
     collinear and touching edges are common; or floats, as a star-shaped
@@ -178,9 +190,10 @@ def test_floorplan_validation_matches_polygon_oracle(on_grid):
     for _ in range(500):
         polys = [_random_polygon(rng, on_grid) for _ in range(int(rng.integers(1, 4)))]
         rooms = [Room(i, f"r{i}", vs) for i, vs in enumerate(polys)]
-        bad = [i for i, vs in enumerate(polys) if not oracles.polygon_is_simple(vs)]
+        faults = [oracles.polygon_fault(vs) for vs in polys]
+        bad = [i for i, fault in enumerate(faults) if fault]
         if bad:
-            with pytest.raises(FloorplanError, match=f"^room {bad[0]} polygon is self-intersecting$"):
+            with pytest.raises(FloorplanError, match=f"^room {bad[0]} {faults[bad[0]]}$"):
                 Floorplan(np.zeros((0, 4)), rooms)
         else:
             Floorplan(np.zeros((0, 4)), rooms)
@@ -326,6 +339,29 @@ def _moves_and_walls(data):
     return p0s, p1s, np.array(walls, dtype=float).reshape(-1, 4)
 
 
+def _zero_orientation(segs, walls) -> bool:
+    """True if some segment's line passes exactly through a wall end, or
+    some wall's line through a segment end."""
+    return any(oracles._orient(*u[:2], *u[2:], *p) == 0
+               for s in segs for w in walls for u, v in ((s, w), (w, s)) for p in (v[:2], v[2:]))
+
+
+def test_segment_wall_crossings_with_and_without_zero_orientations():
+    # lattice segments: collinear overlaps, shared ends and ends on the
+    # other segment (zero orientations); random floats: none, so the
+    # kernel skips its touch cases; both mixed in one batch
+    rng = np.random.default_rng(21)
+    lattice = rng.integers(0, 4, size=(40, 4)).astype(float)
+    moves, walls = rng.uniform(0.0, 4.0, size=(40, 4)), rng.uniform(0.0, 4.0, size=(25, 4))
+    for segs, ws, zero in ((lattice, lattice[:25], True), (moves, walls, False),
+                           (np.r_[moves, lattice], np.r_[lattice[:10], walls[:10]], True)):
+        assert _zero_orientation(segs, ws) == zero
+        got = segment_wall_crossings(segs[:, :2], segs[:, 2:], ws)
+        want = np.array([[oracles._segments_touch(s[:2], s[2:], w[:2], w[2:]) for w in ws] for s in segs])
+        assert np.array_equal(got, want)
+        assert want.any() and not want.all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_box_screen_matches_pairwise_kernel_and_oracle(data):
@@ -382,7 +418,7 @@ def test_points_in_polygon_matches_oracle():
     lshape = np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float)
     rng = np.random.default_rng(9)
     pts = rng.uniform(-1, 5, size=(400, 2))
-    got = points_in_polygon(lshape, pts)
+    got = oracles.points_in_polygon(lshape, pts)
     want = np.array([_pip_oracle(lshape, *p) for p in pts])
     assert np.array_equal(got, want)
 
@@ -728,6 +764,83 @@ def test_grid_cell_count_is_capped():
     grid = fp._grid()
     assert grid.nx * grid.ny <= _MAX_CELLS
     assert list(containing_rooms(fp, np.array([[5e5, 1e5], [2e6, 1.0]]))) == [0, -1]
+
+
+def _mixed_plan():
+    """Rooms of 3 to 8 vertices and one of 64 in one plan, overlapping
+    nowhere but on shared edges and vertices: a box (room 0), an
+    L-shape (1), a triangle (2), a 64-gon (3) whose leftmost and top
+    vertices lie on the L-shape's corner and the U-shape's lower edge, a
+    pentagon (4), a heptagon (5) and a U-shape (6)."""
+    a = 2.0 * math.pi * np.arange(64) / 64
+    ring = np.column_stack([9.5 + 1.5 * np.cos(a), 1.5 + 1.5 * np.sin(a)])
+    ring[[0, 16, 32, 48]] = [(11.0, 1.5), (9.5, 3.0), (8.0, 1.5), (9.5, 0.0)]
+    polys = [box(0, 0, 4, 3), [(4, 0), (8, 0), (8, 1.5), (6, 1.5), (6, 3), (4, 3)],
+             [(0, 3), (4, 3), (2, 5)], ring, [(4, 3), (6, 3), (7, 4.5), (5, 5.5), (3.5, 4.5)],
+             [(0, 6), (1.5, 5.5), (3, 6), (3.5, 7), (2.5, 8), (1, 8), (0, 7.2)],
+             [(8, 3), (12, 3), (12, 6), (11, 6), (11, 4), (9, 4), (9, 6), (8, 6)]]
+    return Floorplan(np.zeros((0, 4)), [Room(i, f"r{i}", vs) for i, vs in enumerate(polys)])
+
+
+MIXED_PLAN = _mixed_plan()
+
+
+def _mixed_plan_points(fp):
+    """Random points; vertices; points on edges, on the shared edges and
+    on the shared vertices; cell-edge lattice points; far, huge,
+    infinite and NaN points, which land in the grid's ring."""
+    x0, y0, x1, y1 = fp.bounds
+    cell = fp._grid().cell
+    vertices = [tuple(v) for r in fp.rooms for v in r.vertices]
+    edges = [(r.vertices[i], r.vertices[(i + 1) % len(r.vertices)])
+             for r in fp.rooms for i in range(len(r.vertices))]
+    on_edge = st.tuples(st.sampled_from(edges), st.floats(0, 1)).map(
+        lambda et: tuple(et[0][0] + et[1] * (et[0][1] - et[0][0])))
+    shared = st.one_of(st.floats(0, 3).map(lambda y: (4.0, y)), st.floats(0, 6).map(lambda x: (x, 3.0)),
+                       st.floats(8, 12).map(lambda x: (x, 3.0)),
+                       st.sampled_from([(4.0, 3.0), (8.0, 1.5), (9.5, 3.0), (6.0, 3.0), (4.0, 0.0)]))
+    lattice = st.tuples(st.integers(-2, 100).map(lambda k: x0 + cell * k),
+                        st.integers(-2, 70).map(lambda k: y0 + cell * k))
+    ring = st.one_of(st.tuples(st.floats(-1e6, 1e6), st.sampled_from([-1e6, 1e6])),
+                     st.tuples(st.sampled_from([1e300, -1e300, math.inf, -math.inf]), st.floats(y0, y1)),
+                     st.sampled_from([(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)]))
+    return st.one_of(st.tuples(st.floats(x0 - 1, x1 + 1), st.floats(y0 - 1, y1 + 1)),
+                     st.sampled_from(vertices), on_edge, shared, lattice, ring)
+
+
+def test_mixed_plan_shared_boundaries_go_to_the_lowest_room():
+    fp = MIXED_PLAN
+    assert sorted(len(r.vertices) for r in fp.rooms) == [3, 4, 5, 6, 7, 8, 64]
+    pts = np.array([(4.0, 1.0), (4.0, 3.0), (2.0, 3.0), (8.0, 1.5), (9.5, 3.0), (5.0, 3.0),
+                    (8.0, 0.75), (10.0, 3.5), (9.0, 2.0)])
+    assert list(containing_rooms(fp, pts)) == [0, 0, 0, 1, 3, 1, 1, 6, 3]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # infinite points
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_room_kernels_match_scalar_oracle_on_mixed_rooms(data):
+    fp = MIXED_PLAN
+    pts = np.array(data.draw(st.lists(_mixed_plan_points(fp), max_size=60)), dtype=float).reshape(-1, 2)
+    want = np.array([-1 if r is None else r for r in map(lambda p: oracles.containing_room(fp, p), pts)],
+                    dtype=int)
+    assert np.array_equal(_rooms_by_polygon(fp, pts), want)
+    assert np.array_equal(rooms_in_cells(fp, pts, fp.cells(pts)), want)
+    assert np.array_equal(containing_rooms(fp, pts), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_points_in_rooms_matches_per_polygon_pass(data):
+    # any (point, room) pair, also one whose point lies outside the room's box
+    fp = MIXED_PLAN
+    pts = np.array(data.draw(st.lists(_mixed_plan_points(fp).filter(lambda p: np.isfinite(p).all()),
+                                      max_size=40)), dtype=float).reshape(-1, 2)
+    rooms = np.array(data.draw(st.lists(st.integers(0, len(fp.rooms) - 1), min_size=len(pts),
+                                        max_size=len(pts))), dtype=int)
+    got = points_in_rooms(fp, pts, rooms)
+    want = [bool(oracles.points_in_polygon(fp.rooms[r].vertices, p[None])[0]) for p, r in zip(pts, rooms)]
+    assert got.dtype == bool and list(got) == want
 
 
 def test_room_lookup_with_room_skip_matches_scalar():
