@@ -199,7 +199,6 @@ def _reweight_batch(fp: Floorplan, prev_xy: np.ndarray, prev_cells: np.ndarray,
     return w
 
 
-_BOFF = 1 << 20  # supports |bin index| up to ~10^6
 _BOX_PER_PARTICLE = 16  # dense KLD bin box budget: cells per particle,
 _BOX_SLACK = 1 << 16    # plus this many
 
@@ -211,33 +210,25 @@ def _theta_bins(theta: np.ndarray, cfg: KldConfig) -> np.ndarray:
     return bt
 
 
-def _bin_ids(poses: np.ndarray, cfg: KldConfig) -> np.ndarray:
-    """Histogram bin id per pose; x/y bins anchored at the origin, theta
-    binned modulo 2*pi."""
-    bx = np.floor(poses[:, 0] / cfg.bin_x).astype(np.int64)
-    by = np.floor(poses[:, 1] / cfg.bin_y).astype(np.int64)
-    bt = _theta_bins(poses[:, 2], cfg)
-    return ((bx + _BOFF) * (2 * _BOFF) + (by + _BOFF)) * (cfg.n_theta + 1) + bt
-
-
-def _box_bins(poses: np.ndarray, cfg: KldConfig, budget: int) -> tuple[np.ndarray, int] | None:
-    """Histogram bin per pose as an offset into the cloud's own bin box
-    (x, y and theta bins from the cloud's lowest x and y bins, row
-    major), and the box's cell count.  None when the box holds more than
-    budget cells, or has an x or y bin outside [-_BOFF, _BOFF), where
-    _bin_ids' keys stop being one per bin; also for NaN positions."""
+def _bins(poses: np.ndarray, cfg: KldConfig, budget: int) -> tuple[np.ndarray, int]:
+    """Histogram bin per pose, numbered from 0, and the count of numbers;
+    x and y bins anchored at the origin, theta binned modulo 2*pi.  A bin
+    box (row major from the cloud's lowest x and y bins) of at most budget
+    cells numbers the bins inside it, wherever it lies: whole floats that
+    differ by at most budget subtract exactly.  Otherwise, and for NaN
+    positions, the distinct (x, y, theta) rows are numbered in order."""
     bx = np.floor(poses[:, 0] / cfg.bin_x)
     by = np.floor(poses[:, 1] / cfg.bin_y)
     x0, x1, y0, y1 = bx.min(), bx.max(), by.min(), by.max()
-    if not (-_BOFF <= x0 and x1 < _BOFF and -_BOFF <= y0 and y1 < _BOFF):
-        return None
     ny = y1 - y0 + 1.0
-    size = int((x1 - x0 + 1.0) * ny) * cfg.n_theta
-    if size > budget:
-        return None
-    # whole numbers below 2**53: exact in floats
-    bins = ((bx - x0) * ny + (by - y0)) * cfg.n_theta + _theta_bins(poses[:, 2], cfg)
-    return bins.astype(np.intp), size
+    size = (x1 - x0 + 1.0) * ny * cfg.n_theta
+    if size <= budget:  # NaN and inf compare false
+        bins = ((bx - x0) * ny + (by - y0)) * cfg.n_theta + _theta_bins(poses[:, 2], cfg)
+        return bins.astype(np.intp), int(size)
+    # rows compare field by field as floats, so -0.0 and +0.0 are one bin
+    rows, bin_of = np.unique(np.column_stack([bx, by, _theta_bins(poses[:, 2], cfg)]),
+                             axis=0, return_inverse=True)
+    return bin_of.reshape(-1), len(rows)
 
 
 def _buckets(x: np.ndarray, n: int) -> np.ndarray:
@@ -290,9 +281,8 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
     Only bin equality matters, so bins are numbered within the cloud's
     own box of x, y and theta bins, and a dense mask over the box marks
     the bins drawn so far.  That takes no sort.  A box of more than
-    16 n + 65536 cells for n particles, or one reaching past the range
-    of _bin_ids (|bin| >= 2**20), numbers the bins by np.unique of
-    _bin_ids instead: the same bins, so the same count and draws.
+    16 n + 65536 cells for n particles numbers its distinct bins by
+    np.unique instead (see _bins).
     """
     poses = np.asarray(poses, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -304,11 +294,7 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
     # an interval below 1
     cum[np.flatnonzero(weights > 0)[-1]:] = 1.0
     guide = _guide_table(cum)
-    box = _box_bins(poses, cfg, _BOX_PER_PARTICLE * len(poses) + _BOX_SLACK)
-    if box is None:
-        bins, bin_of = np.unique(_bin_ids(poses, cfg), return_inverse=True)
-        box = bin_of, len(bins)
-    bin_of, size = box
+    bin_of, size = _bins(poses, cfg, _BOX_PER_PARTICLE * len(poses) + _BOX_SLACK)
     seen = np.zeros(size, dtype=bool)
     target = cfg.n_min
     cap = cfg.n_max

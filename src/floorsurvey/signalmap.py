@@ -249,6 +249,16 @@ def compare_maps(map_a: SignalMap, map_b: SignalMap,
 
 _U = 2.0 ** -24    # unit roundoff of float32
 _BIG = 2.0 ** 100  # largest screened G' and map terms: float32 reaches 2^128
+_LINE = 16         # float32s per 64-byte cache line
+
+
+def _aligned_rows(rows: int, cols: int) -> np.ndarray:
+    """Uninitialised float32 (rows, cols) whose rows start on 64-byte
+    lines: a product over rows 16-48 bytes past a line took 1.5 times as long."""
+    ld = -(-cols // _LINE) * _LINE
+    buf = np.empty(rows * ld + _LINE - 1, dtype=np.float32)
+    start = -buf.ctypes.data % (4 * _LINE) // 4
+    return buf[start:start + rows * ld].reshape(rows, ld)[:, :cols]
 
 
 def _gamma(k: int) -> float:
@@ -309,7 +319,8 @@ class _Block:
         self.bounds = [tuple(b) if ok else (math.inf,) * 3
                        for b, ok in zip(bounds.T.tolist(), fits.tolist())]
         keep = np.tile(fits, 3)[:, None]
-        self.w = np.ascontiguousarray(np.where(keep, np.hstack(terms).T, 0.0), dtype=np.float32)
+        self.w = _aligned_rows(3 * len(maps), len(mu))
+        self.w[...] = np.where(keep, np.hstack(terms).T, 0.0)
         self.margin = 4.0 * _gamma(4 * len(maps) + 16)
 
     def best_cell(self, cols: list[int], r: list[float]) -> tuple[int, float]:
@@ -327,8 +338,10 @@ class _Block:
             cells = (q >= np.float64(q.max()) - self.margin * g).nonzero()[0]
         else:
             cells = np.arange(len(self.table))
-        at = self.table[cells[:, None], :, cols]  # (cells, M, 3): c, mu, v2
-        terms = at[..., 0] - (np.array(r) - at[..., 1]) ** 2 / at[..., 2]
+        at = self.table.take(cells, 0)  # (cells, 3, k): c, mu, v2
+        if len(cols) < k:  # cols rise, so all k columns are range(k)
+            at = at[:, :, cols]
+        terms = at[:, 0] - (np.array(r) - at[:, 1]) ** 2 / at[:, 2]
         # each cell's terms summed in map order; adding 0.0 turns a -0.0
         # total into the +0.0 that a sum begun at +0.0 gives
         score = np.add.accumulate(terms, axis=1)[:, -1]

@@ -378,17 +378,16 @@ def error_cdf(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.arange(1, len(e) + 1) / len(e)
 
 
-def bin_ids(poses, cfg: KldConfig) -> np.ndarray:
-    """KLD histogram key per pose, as the library packs it, with
-    np.remainder for the heading: x and y bins offset by 2**20, heading
-    bins modulo 2*pi."""
-    off = 1 << 20
-    bx = np.floor(poses[:, 0] / cfg.bin_x).astype(np.int64)
-    by = np.floor(poses[:, 1] / cfg.bin_y).astype(np.int64)
+def bin_ids(poses, cfg: KldConfig) -> list[tuple[float, float, int]]:
+    """KLD histogram bin per pose as an exact (x, y, heading) row, with
+    np.remainder for the heading: x and y bins anchored at the origin,
+    heading bins modulo 2*pi."""
+    bx = np.floor(poses[:, 0] / cfg.bin_x)
+    by = np.floor(poses[:, 1] / cfg.bin_y)
     n_theta = max(1, math.ceil(2.0 * math.pi / cfg.bin_theta))
     bt = np.floor(np.remainder(poses[:, 2], 2.0 * math.pi) / cfg.bin_theta).astype(np.int64)
     bt = np.clip(bt, 0, n_theta - 1)
-    return ((bx + off) * (2 * off) + (by + off)) * (n_theta + 1) + bt
+    return list(zip(bx.tolist(), by.tolist(), bt.tolist()))
 
 
 def kld_resample(poses, weights, cfg: KldConfig, rng: np.random.Generator) -> np.ndarray:
@@ -411,7 +410,7 @@ def kld_resample(poses, weights, cfg: KldConfig, rng: np.random.Generator) -> np
         np.clip(idx, 0, len(cum) - 1, out=idx)
         parts.append(idx)
         drawn = target
-        k = np.unique(bins[np.concatenate(parts)]).size
+        k = len({bins[i] for i in np.concatenate(parts).tolist()})
         target = min(cfg.n_max, max(cfg.n_min, kld_required_particles(k, cfg.epsilon)))
         if drawn >= target:
             return np.concatenate(parts)

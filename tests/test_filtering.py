@@ -326,16 +326,12 @@ def test_kld_resample_edge_clouds_match_oracle():
     assert len(_same_as_oracle(wide, np.ones(20000), fine, 3)) == fine.n_max
 
 
-def test_bin_ids_match_oracle():
-    gen = np.random.default_rng(4)
-    poses = gen.normal(0.0, 30.0, size=(5000, 3))
-    poses[:10, 2] = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e-300, -1e-300, 50.0, -50.0]
-    for cfg in (pf1_kld_config(), pf2_kld_config()):
-        assert np.array_equal(filtering._bin_ids(poses, cfg), oracles.bin_ids(poses, cfg))
-
-
 def _box_budget(n: int) -> int:
     return filtering._BOX_PER_PARTICLE * n + filtering._BOX_SLACK
+
+
+def _distinct_bins(poses, cfg) -> int:
+    return len(set(oracles.bin_ids(poses, cfg)))
 
 
 @pytest.mark.parametrize("over", [0, 1])
@@ -350,10 +346,10 @@ def test_kld_resample_box_at_and_over_budget_match_oracle(over):
     poses = np.column_stack([gen.uniform(0.0, width, n), gen.uniform(0.0, 10.0, n),
                              gen.uniform(-math.pi, math.pi, n)])
     poses[:2, 0] = [0.5, width - 0.5]
-    box = filtering._box_bins(poses, cfg, _box_budget(n))
-    assert (box is None) == bool(over)
-    if box is not None:
-        assert box[1] == _box_budget(n)
+    bins, size = filtering._bins(poses, cfg, _box_budget(n))
+    # the dense box, or the sorted count of the distinct bins
+    assert size == (_distinct_bins(poses, cfg) if over else _box_budget(n))
+    assert bins.min() >= 0 and bins.max() < size
     draws = _same_as_oracle(poses, gen.random(n), cfg, 7)
     assert 100 < len(draws) < cfg.n_max  # the bin count sets the draws
 
@@ -365,13 +361,16 @@ def test_kld_resample_box_holds_every_heading_bin():
     gen = np.random.default_rng(8)
     poses = np.column_stack([gen.uniform(-3.0, 3.0, n), gen.uniform(10.0, 12.0, n),
                              gen.uniform(-math.pi, math.pi, n)])
-    bins, size = filtering._box_bins(poses, cfg, _box_budget(n))
+    poses[:8, 2] = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e-300, -1e-300]
+    bins, size = filtering._bins(poses, cfg, _box_budget(n))
     assert size == 12 * 4 * 360
     assert bins.min() >= 0 and bins.max() < size
-    # equal bins exactly where the library's keys are equal
-    keys = filtering._bin_ids(poses, cfg)
-    assert np.array_equal(np.unique(bins, return_inverse=True)[1],
-                          np.unique(keys, return_inverse=True)[1])
+    # equal bins exactly where the oracle's bin rows are equal: each pose
+    # names the first pose in its bin alike
+    def firsts(keys):
+        first = {}
+        return [first.setdefault(key, i) for i, key in enumerate(keys)]
+    assert firsts(bins.tolist()) == firsts(oracles.bin_ids(poses, cfg))
     _same_as_oracle(poses, gen.random(n), cfg, 9)
 
 
@@ -380,42 +379,82 @@ def test_kld_resample_kilometre_cloud_sorts_its_bins():
     cfg = pf2_kld_config()
     gen = np.random.default_rng(17)
     poses = np.column_stack([gen.uniform(-1500.0, 1500.0, (n, 2)), gen.uniform(-4.0, 4.0, n)])
-    assert filtering._box_bins(poses, cfg, _box_budget(n)) is None
+    bins, size = filtering._bins(poses, cfg, _box_budget(n))
+    assert size == _distinct_bins(poses, cfg) < _box_budget(n)
+    assert np.array_equal(np.unique(bins), np.arange(size))
     _same_as_oracle(poses, gen.random(n), cfg, 5)
 
 
-@pytest.mark.parametrize("xbins, ybins, dense", [
-    ((-(1 << 20), -(1 << 20) + 3), (5, 9), True),          # inside, at the low edge
-    (((1 << 20) - 4, (1 << 20) - 1), (-3, 0), True),       # inside, at the high edge
+@pytest.mark.parametrize("xbins, ybins, inside", [
+    ((-(1 << 20), -(1 << 20) + 3), (5, 9), True),          # at the low edge of +-2**20
+    (((1 << 20) - 4, (1 << 20) - 1), (-3, 0), True),       # at the high edge
     ((-(1 << 20) - 1, -(1 << 20) + 2), (5, 9), False),     # straddles -2**20 in x
     (((1 << 20) - 2, 1 << 20), (5, 9), False),             # straddles 2**20 in x
     ((0, 3), ((1 << 20) - 2, (1 << 20) + 1), False),       # straddles 2**20 in y
     ((0, 3), (-(1 << 20) - 2, -(1 << 20) + 1), False),     # straddles -2**20 in y
 ])
-def test_kld_resample_clouds_at_bin_range_edges_match_oracle(xbins, ybins, dense):
+def test_kld_resample_clouds_at_bin_range_edges_match_oracle(xbins, ybins, inside):
+    # boxes at and across bin index +-2**20, the range of a key that packs
+    # the x and y bins in 21 bits each: every small box is numbered densely
     n = 800
     cfg = KldConfig(bin_x=0.5, bin_y=0.5, bin_theta=math.radians(10.0), n_min=200)
     gen = np.random.default_rng(21)
     bx = gen.integers(xbins[0], xbins[1] + 1, n)
     by = gen.integers(ybins[0], ybins[1] + 1, n)
     bx[:2], by[:2] = xbins, ybins
+    assert inside == (-(1 << 20) <= min(xbins[0], ybins[0]) and max(xbins[1], ybins[1]) < 1 << 20)
     poses = np.column_stack([(bx + gen.uniform(0.1, 0.9, n)) * cfg.bin_x,
                              (by + gen.uniform(0.1, 0.9, n)) * cfg.bin_y,
                              gen.uniform(-math.pi, math.pi, n)])
     assert np.array_equal(np.floor(poses[:, 0] / cfg.bin_x), bx)
-    assert (filtering._box_bins(poses, cfg, _box_budget(n)) is not None) == dense
+    _, size = filtering._bins(poses, cfg, _box_budget(n))
+    assert size == (xbins[1] - xbins[0] + 1) * (ybins[1] - ybins[0] + 1) * cfg.n_theta
     _same_as_oracle(poses, gen.random(n), cfg, 3)
 
 
-def test_kld_resample_keeps_the_sorted_keys_aliasing():
-    # _bin_ids packs y bin 2**20 onto the next x bin's y bin -2**20; the
-    # sorted path keeps that, so the two cells below count as one bin
-    cfg = KldConfig(bin_x=1.0, bin_y=1.0, bin_theta=2 * math.pi, n_min=20, epsilon=0.1)
+def test_kld_resample_separates_cells_that_packed_keys_aliased():
+    # a key packing y bins in 21 bits puts y bin 2**20 onto the next x
+    # bin's y bin -2**20; these two cells are two bins
+    # (one bin would stop at n_min = 2 draws, two need 50)
+    cfg = KldConfig(bin_x=1.0, bin_y=1.0, bin_theta=2 * math.pi, n_min=2, cap_factor=100, epsilon=0.01)
     poses = np.array([[0.5, (1 << 20) + 0.5, 0.0], [1.5, -(1 << 20) + 0.5, 0.0]])
-    keys = filtering._bin_ids(poses, cfg)
-    assert keys[0] == keys[1]
-    assert filtering._box_bins(poses, cfg, _box_budget(2)) is None
-    assert len(_same_as_oracle(poses, np.ones(2), cfg, 0)) == 20
+    bins, size = filtering._bins(poses, cfg, _box_budget(2))
+    assert size == _distinct_bins(poses, cfg) == 2
+    assert bins[0] != bins[1]
+    assert len(_same_as_oracle(poses, np.ones(2), cfg, 0)) == kld_required_particles(2, cfg.epsilon) == 50
+
+
+def test_kld_resample_translated_cloud_stays_dense():
+    # a filter-like cloud at georeferenced coordinates bins in its own
+    # box, as it does at the origin, and draws as the oracle does
+    n = 5000
+    cfg = pf2_kld_config()
+    gen = np.random.default_rng(29)
+    cloud = np.column_stack([gen.normal(0.0, 0.6, (n, 2)), gen.normal(1.0, 0.2, n)])
+    weights = gen.random(n)
+    for shift in ((0.0, 0.0), (6e5, 5.4e6), (-6e5, -5.4e6)):
+        poses = cloud + [*shift, 0.0]
+        bx = np.floor(poses[:, 0] / cfg.bin_x)
+        by = np.floor(poses[:, 1] / cfg.bin_y)
+        _, size = filtering._bins(poses, cfg, _box_budget(n))
+        assert size == (np.ptp(bx) + 1) * (np.ptp(by) + 1) * cfg.n_theta
+        _same_as_oracle(poses, weights, cfg, 13)
+
+
+def test_kld_resample_counts_bins_exactly_far_from_the_origin():
+    # x near 1e149 (Floorplan accepts it) is past any integer key, and a
+    # box over budget: the sorted path counts each distinct bin row
+    n = 20000
+    cfg = pf1_kld_config()
+    gen = np.random.default_rng(37)
+    poses = np.column_stack([gen.uniform(1e149, 1.0000000000001e149, n), gen.uniform(0.0, 4.0, n),
+                             gen.uniform(-math.pi, math.pi, n)])
+    brute = len({(math.floor(x / cfg.bin_x), math.floor(y / cfg.bin_y), t)
+                 for (x, y, _), (_, _, t) in zip(poses.tolist(), oracles.bin_ids(poses, cfg))})
+    assert 10000 < brute < n  # many bins, some shared
+    _, size = filtering._bins(poses, cfg, _box_budget(n))
+    assert size == brute
+    _same_as_oracle(poses, gen.random(n), cfg, 41)
 
 
 def test_guide_draws_equal_searchsorted_at_cumulative_values():

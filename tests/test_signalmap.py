@@ -592,15 +592,40 @@ def test_position_one_shot_equals_dense_oracle_at_float32_ties(case):
 
 
 def test_position_one_shot_equals_dense_oracle_on_gp_maps():
+    # seven maps in one block, as in the benchmark; scans that hear all
+    # of them, or all but one or two.  72 x 43 and 35 x 21 cells: the
+    # screen's rows are padded to whole 16-float lines
     fp = office_floorplan()
     pts, mag, wifi = grid_survey(corridor_scenario(), fp, spacing=1.0, seed=404)
-    maps = list(fit_signal_maps(fp.bounds, pts, {"mag": mag, **wifi}, GpParams(cell=0.7)).values())
     rng = np.random.default_rng(5)
-    for _ in range(150):
-        c = int(rng.integers(maps[0].nx * maps[0].ny))
-        heard = [m for m in maps if rng.random() < 0.8] or maps[:1]
-        obs = {m.ap_id: float(m.mu[c] + rng.normal(0.0, 4.0)) for m in heard}
-        assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
+    for cell in (0.7, 1.45):
+        maps = list(fit_signal_maps(fp.bounds, pts, {"mag": mag, **wifi}, GpParams(cell=cell)).values())
+        assert len(maps) == 7 and maps[0].nx * maps[0].ny % 16 != 0
+        dropped = []
+        for _ in range(150):
+            c = int(rng.integers(maps[0].nx * maps[0].ny))
+            drop = set(rng.choice(7, int(rng.integers(3)), replace=False).tolist())
+            dropped.append(len(drop))
+            obs = {m.ap_id: float(m.mu[c] + rng.normal(0.0, 4.0))
+                   for i, m in enumerate(maps) if i not in drop}
+            assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
+        assert set(dropped) == {0, 1, 2}
+
+
+def test_position_screen_rows_start_on_cache_lines():
+    # timing-free: every block's float32 screen starts on a 64-byte
+    # boundary with a whole number of 64-byte lines per row
+    rng = np.random.default_rng(19)
+    for k in range(1, 9):
+        for n in range(1, 131):
+            maps = [SignalMap(f"ap{i}", 0.0, 0.0, 1.0, n, 1, rng.uniform(-90.0, -40.0, n),
+                              rng.uniform(1.0, 6.0, n)) for i in range(k)]
+            w = signalmap._screen(tuple(maps)).placed[0][0].w
+            assert w.shape == (3 * k, n)
+            assert w.ctypes.data % 64 == 0 and w.strides[0] % 64 == 0
+            heard = maps if n % 2 else maps[: max(1, k - 1)]
+            obs = {m.ap_id: float(m.mu[n // 2] + rng.normal(0.0, 3.0)) for m in heard}
+            assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
 
 
 @pytest.mark.parametrize("sigma0, mu0, reading", [
