@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .sensors import MagSample
+from .sensors import MagSample, interpolate_positions
 
 RESAMPLE_HZ = 10.0  # uniform magnitude rate of each matched window before warping
 
@@ -161,14 +161,15 @@ def find_msps(positions: np.ndarray, params: MspParams | None = None) -> list[Se
     return out
 
 
-def obe_dtw(q: np.ndarray, r: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
+def obe_dtw(q: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     """Open-begin/open-end dynamic time warp of query q onto reference r.
 
     Asymmetric step pattern: (i, j) is reached from (i-1, j), (i-1, j-1)
     or (i-1, j-2), so every query sample matches exactly one reference
     sample and the reference index never decreases.  The match may start
     and end anywhere on r.  Returns the per-sample-normalised absolute
-    distance and the warp path as (i, j) pairs.
+    distance and the warp path: the matched reference index of each
+    query sample.
     """
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -195,45 +196,30 @@ def obe_dtw(q: np.ndarray, r: np.ndarray) -> tuple[float, list[tuple[int, int]]]
         np.add(cost[i], best, out=dist[i])
     j = int(np.argmin(dist[n - 1]))
     total = float(dist[n - 1, j])
-    path = [(n - 1, j)]
+    path = np.empty(n, dtype=np.intp)
+    path[-1] = j
     for i in range(n - 1, 0, -1):
         j -= int(back[i, j])
-        path.append((i - 1, j))
-    path.reverse()
+        path[i - 1] = j
     return total / n, path
 
 
-def split_warping_path(path: list[tuple[int, int]], max_flat: int = 3) -> list[list[tuple[int, int]]]:
+def split_warping_path(path: np.ndarray, max_flat: int = 3) -> list[tuple[int, int]]:
     """Split a warp path at degenerate flat stretches.
 
-    Maximal runs of at least max_flat consecutive points sharing one
+    Maximal runs of at least max_flat consecutive rows sharing one
     reference index are removed; the surviving contiguous fragments are
-    returned as separate sub-matchings.
+    returned as [lo, hi) row ranges.
     """
     if max_flat < 2:
         raise ValueError(f"max_flat must be >= 2, got {max_flat}")
     n = len(path)
-    removed = np.zeros(n, dtype=bool)
-    s = 0
-    while s < n:
-        e = s
-        while e < n and path[e][1] == path[s][1]:
-            e += 1
-        if e - s >= max_flat:
-            removed[s:e] = True
-        s = e
-    subs: list[list[tuple[int, int]]] = []
-    current: list[tuple[int, int]] = []
-    for k in range(n):
-        if removed[k]:
-            if current:
-                subs.append(current)
-                current = []
-        else:
-            current.append(path[k])
-    if current:
-        subs.append(current)
-    return subs
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(path)) + 1, [n]))  # runs of one index
+    flat = np.diff(cuts) >= max_flat
+    lo = np.concatenate(([0], cuts[1:][flat]))
+    hi = np.concatenate((cuts[:-1][flat], [n]))
+    keep = lo < hi
+    return list(zip(lo[keep].tolist(), hi[keep].tolist()))
 
 
 @dataclass
@@ -281,15 +267,11 @@ def thin_to_steps(matches, step_times: np.ndarray) -> list[StepLoopClosure]:
     ta, tb = np.asarray(matches, dtype=float).T
     order = np.argsort(ta)
     ta, tb = ta[order], tb[order]
-    pairs = set()
-    inside = np.nonzero((step_times >= ta[0]) & (step_times <= ta[-1]))[0]
-    for e in inside:
-        matched_t = np.interp(step_times[e], ta, tb)
-        eb = int(np.argmin(np.abs(step_times - matched_t)))
-        if eb == e:
-            continue
-        pairs.add((min(e, eb), max(e, eb)))
-    return [StepLoopClosure(a, b) for a, b in sorted(pairs)]
+    e = np.flatnonzero((step_times >= ta[0]) & (step_times <= ta[-1]))
+    matched_t = np.interp(step_times[e], ta, tb)
+    eb = np.argmin(np.abs(step_times - matched_t[:, None]), axis=1)
+    pairs = np.column_stack([np.minimum(e, eb), np.maximum(e, eb)])[e != eb]
+    return [StepLoopClosure(a, b) for a, b in np.unique(pairs, axis=0).tolist()]
 
 
 def _magnitude_series(mags: list[MagSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +293,7 @@ def _resample_window(t: np.ndarray, v: np.ndarray, t0: float,
 
 
 def _arc_lengths(traj) -> np.ndarray:
-    pos = traj.positions
+    pos = traj.poses
     seg = np.hypot(np.diff(pos[:, 0]), np.diff(pos[:, 1]))
     return np.concatenate(([0.0], np.cumsum(seg)))
 
@@ -321,11 +303,12 @@ def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | No
                          validate: bool = True) -> LoopClosureResult:
     """Full detection pipeline over a trajectory and its magnetometer log.
 
-    traj needs .positions and .times (first-pass filter output or a
-    dead-reckoned trajectory).  Magnitudes are resampled to a uniform
-    rate per matched window before warping; a decreasing counter-segment
-    is matched against its reversal.  With validate=False every
-    sub-matching is accepted (diagnostic mode).
+    traj needs .poses and .times, as sensors.interpolate_positions reads
+    them (first-pass filter output or a dead-reckoned trajectory).
+    Magnitudes are resampled to a uniform rate per matched window before
+    warping; a decreasing counter-segment is matched against its
+    reversal.  With validate=False every sub-matching is accepted
+    (diagnostic mode).
     """
     mp = msp_params or MspParams()
     vp = validation or ValidationParams()
@@ -334,14 +317,9 @@ def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | No
     mt, mv = _magnitude_series(mags)
     times = np.asarray(traj.times, dtype=float)
     arcs = _arc_lengths(traj)
-    pairs = find_msps(traj.positions, mp)
+    pairs = find_msps(traj.poses, mp)
     accepted: set[tuple[int, int]] = set()
     rejected: list[RejectedMatch] = []
-
-    def positions_at(ts: np.ndarray) -> np.ndarray:
-        return np.stack([np.interp(ts, times, traj.positions[:, 0]),
-                         np.interp(ts, times, traj.positions[:, 1])], axis=1)
-
     for pair in pairs:
         qa = _resample_window(mt, mv, times[pair.a_start], times[pair.a_end])
         blo = min(pair.b_start, pair.b_end)
@@ -354,23 +332,25 @@ def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | No
         if pair.decreasing:
             grid_b = grid_b[::-1]
             vals_b = vals_b[::-1]
+        # a grid can pass the last epoch by one rounding; np.interp holds
+        # the end position there, where interpolate_positions would refuse it
+        pos_a = interpolate_positions(traj, np.minimum(grid_a, times[-1]))
+        pos_b = interpolate_positions(traj, np.minimum(grid_b, times[-1]))
         _, path = obe_dtw(vals_a, vals_b)
-        for sub in split_warping_path(path, vp.max_flat):
-            ia = np.array([i for i, _ in sub])
-            jb = np.array([j for _, j in sub])
-            t_a = grid_a[ia]
+        for lo, hi in split_warping_path(path, vp.max_flat):
+            jb = path[lo:hi]
+            t_a = grid_a[lo:hi]
             t_b = grid_b[jb]
-            pos_a = positions_at(t_a)
-            pos_b = positions_at(t_b)
-            len_a = abs(float(np.interp(t_a.max(), times, arcs) - np.interp(t_a.min(), times, arcs)))
-            len_b = abs(float(np.interp(t_b.max(), times, arcs) - np.interp(t_b.min(), times, arcs)))
-            sm = SubMatching(t_a, t_b, pos_a, pos_b, len_a, len_b)
+            # times run monotonically along a warp path, so its ends bound them
+            arc = np.interp([t_a[0], t_a[-1], t_b[0], t_b[-1]], times, arcs)
+            sm = SubMatching(t_a, t_b, pos_a[lo:hi], pos_b[jb],
+                             abs(float(arc[1] - arc[0])), abs(float(arc[3] - arc[2])))
             ok, reason = (True, "") if not validate else validate_closure(sm, vp)
             if ok:
                 for c in thin_to_steps(np.column_stack([t_a, t_b]), times):
                     accepted.add((c.epoch_a, c.epoch_b))
             else:
-                mid = len(sub) // 2
+                mid = (hi - lo) // 2
                 ea = int(np.argmin(np.abs(times - t_a[mid])))
                 eb = int(np.argmin(np.abs(times - t_b[mid])))
                 if ea != eb:

@@ -14,8 +14,6 @@ import numpy as np
 
 from .geometry import Pose2D, expect, finite_floats, records
 
-DEFAULT_STEP_LENGTH = 0.75  # metres, fixed nominal stride
-
 
 class LogError(ValueError):
     """Raised for unparseable or inconsistent survey-log input."""

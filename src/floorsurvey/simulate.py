@@ -185,6 +185,9 @@ def _wall_run(y: float, x0: float, x1: float, gaps: list[tuple[float, float]]) -
     return walls
 
 
+_OFFICE_SIZE = (50.0, 30.0)  # metres; office_floorplan() spans (0, 0) to this corner
+
+
 def office_floorplan(door: float = 2.0) -> Floorplan:
     """Built-in 50 x 30 m office: two corridors, 16 rooms with doorways.
 
@@ -194,7 +197,7 @@ def office_floorplan(door: float = 2.0) -> Floorplan:
     The corridor is three strides wide so a walk along its centre line
     crosses each doorway exactly mid-stride.
     """
-    W, H = 50.0, 30.0
+    W, H = _OFFICE_SIZE
     y0, y1 = 13.5, 15.75
     walls: list[tuple] = [
         (0, 0, W, 0), (W, 0, W, H), (W, H, 0, H), (0, H, 0, 0),
@@ -430,40 +433,30 @@ def grid_survey(sc: Scenario, fp: Floorplan, spacing: float = 1.0,
     return pts, mag, wifi
 
 
-def corridor_scenario(bias_deg_per_min: float = 3.0, repeats: int = 2,
-                      field_seed: int = 7) -> Scenario:
-    fp = office_floorplan()
+def _office_scenario(waypoints: list[tuple[float, float]], bias_deg_per_min: float,
+                     field_seed: int, count: int = 110) -> Scenario:
+    """A walk over office_floorplan() through a random anomaly field."""
     return Scenario(
-        waypoints=corridor_walk(repeats),
-        anomalies=random_anomalies(fp.bounds, rng=np.random.default_rng(field_seed)),
+        waypoints=waypoints,
+        anomalies=random_anomalies((0.0, 0.0, *_OFFICE_SIZE), count, np.random.default_rng(field_seed)),
         bias_deg_per_min=bias_deg_per_min,
     )
+
+
+def corridor_scenario(bias_deg_per_min: float = 3.0, repeats: int = 2,
+                      field_seed: int = 7) -> Scenario:
+    return _office_scenario(corridor_walk(repeats), bias_deg_per_min, field_seed)
 
 
 def floor_loop_scenario(bias_deg_per_min: float = 2.0, field_seed: int = 8) -> Scenario:
     # sparser field than the other walks: leaves near-featureless
     # stretches that exercise the closure validation rules
-    fp = office_floorplan()
-    return Scenario(
-        waypoints=floor_loop_walk(),
-        anomalies=random_anomalies(fp.bounds, count=60, rng=np.random.default_rng(field_seed)),
-        bias_deg_per_min=bias_deg_per_min,
-    )
+    return _office_scenario(floor_loop_walk(), bias_deg_per_min, field_seed, count=60)
 
 
 def detour_scenario(bias_deg_per_min: float = 2.0, field_seed: int = 9) -> Scenario:
-    fp = office_floorplan()
-    return Scenario(
-        waypoints=detour_walk(),
-        anomalies=random_anomalies(fp.bounds, rng=np.random.default_rng(field_seed)),
-        bias_deg_per_min=bias_deg_per_min,
-    )
+    return _office_scenario(detour_walk(), bias_deg_per_min, field_seed)
 
 
 def multi_room_scenario(bias_deg_per_min: float = 2.0, field_seed: int = 10) -> Scenario:
-    fp = office_floorplan()
-    return Scenario(
-        waypoints=multi_room_walk(),
-        anomalies=random_anomalies(fp.bounds, rng=np.random.default_rng(field_seed)),
-        bias_deg_per_min=bias_deg_per_min,
-    )
+    return _office_scenario(multi_room_walk(), bias_deg_per_min, field_seed)

@@ -30,18 +30,10 @@ def detect_straight_steps(steps: list[StepEvent], params: StraightLineParams | N
     p = params or StraightLineParams()
     if p.min_run < 1:
         raise ValueError(f"min_run must be >= 1, got {p.min_run}")
-    n = len(steps)
-    flags = np.zeros(n, dtype=bool)
     cand = np.array([abs(s.dtheta) < p.turn_threshold for s in steps], dtype=bool)
-    i = 0
-    while i < n:
-        if not cand[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and cand[j]:
-            j += 1
-        if j - i >= p.min_run:
-            flags[i:j] = True
-        i = j
-    return flags
+    # the mask's edges cut it into runs that alternate non-candidate,
+    # candidate, ..., non-candidate (the first and last may be empty)
+    edges = np.flatnonzero(np.diff(cand, prepend=False, append=False))
+    lengths = np.diff(np.concatenate(([0], edges, [len(cand)])))
+    long_candidates = (np.arange(len(lengths)) % 2 == 1) & (lengths >= p.min_run)
+    return np.repeat(long_candidates, lengths)

@@ -7,8 +7,10 @@ The others are the straightforward forms of the angle factor, the
 per-edge polygon test, the grid index's room table, KLD resampling, the MSP containment filter, two
 ancestor-tree walks, the smoothing mass, the per-epoch room labels, the
 GP predictions whose variance takes one or two triangular solves per
-query chunk and the DTW whose rows pick each step by an argmin, plus
-dead reckoning and the empirical error CDF, which only tests use.
+query chunk, the DTW whose rows pick each step by an argmin and returns
+(i, j) pairs, the per-point warp-path split, the per-epoch closure
+thinning and the index-walking straight-run detector, plus dead
+reckoning and the empirical error CDF, which only tests use.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from floorsurvey.filtering import (
     prune_smooth,
 )
 from floorsurvey.geometry import _MIXED, Floorplan, Pose2D, _rooms_by_polygon, wrap_angle
+from floorsurvey.loopclosure import StepLoopClosure
 from floorsurvey.pipeline import SurveyPoint
 from floorsurvey.sensors import PdrTrajectory, StepEvent, step_epoch_times
 from floorsurvey.signalmap import GpParams, SignalMap
+from floorsurvey.straightline import StraightLineParams
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -444,6 +448,74 @@ def obe_dtw(q: np.ndarray, r: np.ndarray) -> tuple[float, list[tuple[int, int]]]
         path.append((i - 1, j))
     path.reverse()
     return total / n, path
+
+
+def split_warping_path(path: list[tuple[int, int]], max_flat: int) -> list[list[tuple[int, int]]]:
+    """floorsurvey.loopclosure.split_warping_path on (i, j) pairs: mark
+    each run of points sharing one reference index, then collect the
+    unmarked points into fragments one point at a time."""
+    n = len(path)
+    removed = np.zeros(n, dtype=bool)
+    s = 0
+    while s < n:
+        e = s
+        while e < n and path[e][1] == path[s][1]:
+            e += 1
+        if e - s >= max_flat:
+            removed[s:e] = True
+        s = e
+    subs: list[list[tuple[int, int]]] = []
+    current: list[tuple[int, int]] = []
+    for k in range(n):
+        if removed[k]:
+            if current:
+                subs.append(current)
+                current = []
+        else:
+            current.append(path[k])
+    if current:
+        subs.append(current)
+    return subs
+
+
+def thin_to_steps(matches, step_times: np.ndarray) -> list[StepLoopClosure]:
+    """floorsurvey.loopclosure.thin_to_steps with one interpolation and
+    one nearest-epoch search per step epoch, collected in a set."""
+    if not len(matches):
+        return []
+    step_times = np.asarray(step_times, dtype=float)
+    ta, tb = np.asarray(matches, dtype=float).T
+    order = np.argsort(ta)
+    ta, tb = ta[order], tb[order]
+    pairs = set()
+    inside = np.nonzero((step_times >= ta[0]) & (step_times <= ta[-1]))[0]
+    for e in inside:
+        matched_t = np.interp(step_times[e], ta, tb)
+        eb = int(np.argmin(np.abs(step_times - matched_t)))
+        if eb == e:
+            continue
+        pairs.add((min(int(e), eb), max(int(e), eb)))
+    return [StepLoopClosure(a, b) for a, b in sorted(pairs)]
+
+
+def detect_straight_steps(steps: list[StepEvent], params: StraightLineParams) -> np.ndarray:
+    """floorsurvey.straightline.detect_straight_steps walking each
+    candidate run index by index."""
+    n = len(steps)
+    flags = np.zeros(n, dtype=bool)
+    cand = np.array([abs(s.dtheta) < params.turn_threshold for s in steps], dtype=bool)
+    i = 0
+    while i < n:
+        if not cand[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and cand[j]:
+            j += 1
+        if j - i >= params.min_run:
+            flags[i:j] = True
+        i = j
+    return flags
 
 
 def uncontained(keys: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:

@@ -66,7 +66,7 @@ def test_obe_dtw_matches_exhaustive_enumeration(q, r):
     score, path = obe_dtw(q, r)
     assert math.isclose(score, _dtw_oracle(q, r), rel_tol=0, abs_tol=1e-12)
     # the returned path realises the returned score
-    realised = sum(abs(q[i] - r[j]) for i, j in path) / len(q)
+    realised = sum(abs(q[i] - r[j]) for i, j in enumerate(path)) / len(q)
     assert math.isclose(realised, score, abs_tol=1e-12)
 
 
@@ -74,33 +74,35 @@ def test_obe_dtw_matches_exhaustive_enumeration(q, r):
 @given(data=st.data(), ties=st.booleans())
 def test_obe_dtw_equals_stacked_argmin_oracle(data, ties):
     # tie-heavy integer samples, or any finite floats, of lengths 1-60:
-    # the same distance bytes and the same path
+    # the same distance bytes, and the oracle's (i, j) pairs hold row i
+    # and the matched reference index at row i
     values = st.integers(0, 2) if ties else st.floats(-1e6, 1e6, allow_nan=False)
     q, r = (np.array(data.draw(st.lists(values, min_size=1, max_size=60)), dtype=float)
             for _ in range(2))
     score, path = obe_dtw(q, r)
     want_score, want_path = oracles.obe_dtw(q, r)
     assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
-    assert path == want_path
+    assert [i for i, _ in want_path] == list(range(len(q)))
+    assert path.dtype == np.intp and path.tolist() == [j for _, j in want_path]
 
 
 def test_obe_dtw_path_is_admissible():
     rng = np.random.default_rng(8)
     q, r = rng.normal(size=7), rng.normal(size=10)
     _, path = obe_dtw(q, r)
-    assert [i for i, _ in path] == list(range(len(q)))
-    steps = np.diff([j for _, j in path])
-    assert np.all((steps >= 0) & (steps <= 2))
+    assert path.shape == (len(q),)
+    steps = np.diff(path)
+    assert np.all((steps >= 0) & (steps <= 2)) and path[-1] < len(r)
 
 
 def test_obe_dtw_identical_and_embedded():
     q = np.array([1.0, 2.0, 3.0])
     score, path = obe_dtw(q, q)
-    assert score == 0.0 and path == [(0, 0), (1, 1), (2, 2)]
+    assert score == 0.0 and path.tolist() == [0, 1, 2]
     # open begin and end: q sits inside r
     r = np.array([9.0, 1.0, 2.0, 3.0, 9.0])
     score, path = obe_dtw(q, r)
-    assert score == 0.0 and path == [(0, 1), (1, 2), (2, 3)]
+    assert score == 0.0 and path.tolist() == [1, 2, 3]
 
 
 def test_obe_dtw_empty_raises():
@@ -111,19 +113,51 @@ def test_obe_dtw_empty_raises():
 # ------------------------------------------------------------ warp splits
 
 def test_split_warping_path_removes_flat_stretches():
-    path = [(0, 0), (1, 1), (2, 1), (3, 1), (4, 2), (5, 3)]
-    subs = split_warping_path(path, max_flat=3)
-    assert subs == [[(0, 0)], [(4, 2), (5, 3)]]
+    path = np.array([0, 1, 1, 1, 2, 3])
+    assert split_warping_path(path, max_flat=3) == [(0, 1), (4, 6)]
 
 
 def test_split_warping_path_keeps_short_flats():
-    path = [(0, 0), (1, 1), (2, 1), (3, 2)]
-    assert split_warping_path(path, max_flat=3) == [path]
+    path = np.array([0, 1, 1, 2])
+    assert split_warping_path(path, max_flat=3) == [(0, 4)]
 
 
 def test_split_warping_path_max_flat_validation():
     with pytest.raises(ValueError):
-        split_warping_path([(0, 0)], max_flat=1)
+        split_warping_path(np.array([0]), max_flat=1)
+
+
+def _split_as_pairs(path, max_flat):
+    # the row ranges spelled out as the oracle's (i, j) fragments
+    return [[(i, int(path[i])) for i in range(lo, hi)]
+            for lo, hi in split_warping_path(path, max_flat)]
+
+
+@pytest.mark.parametrize("path, max_flat, want", [
+    ([], 3, []),                               # empty path
+    ([4, 4, 4, 4], 3, []),                     # all flat
+    ([4, 4, 4], 3, []),                        # one run of exactly max_flat
+    ([4, 4], 3, [(0, 2)]),                     # one short of max_flat
+    ([0, 2, 2, 2, 4, 4, 4, 5], 3, [(0, 1), (7, 8)]),  # flat runs back to back
+    ([0, 1, 1, 2, 2, 3], 2, [(0, 1), (5, 6)]),
+])
+def test_split_warping_path_edge_cases(path, max_flat, want):
+    path = np.array(path, dtype=np.intp)
+    assert split_warping_path(path, max_flat) == want
+    assert _split_as_pairs(path, max_flat) == oracles.split_warping_path(
+        list(enumerate(path.tolist())), max_flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.sampled_from([0, 0, 0, 1, 2]), max_size=40),
+       start=st.integers(0, 3), max_flat=st.integers(2, 6))
+def test_split_warping_path_matches_per_point_oracle(steps, start, max_flat):
+    # warp paths advance by 0, 1 or 2; stays weighted up so flat runs are common
+    path = start + np.cumsum(np.array(steps, dtype=np.intp))
+    got = split_warping_path(path, max_flat)
+    assert all(type(lo) is int and type(hi) is int and lo < hi for lo, hi in got)
+    assert _split_as_pairs(path, max_flat) == oracles.split_warping_path(
+        list(enumerate(path.tolist())), max_flat)
 
 
 # ------------------------------------------------------------------ MSPs
@@ -274,6 +308,36 @@ def test_thin_to_steps_drops_self_pairs():
     step_times = np.array([0.0, 1.0, 2.0])
     assert thin_to_steps([(0.0, 0.4), (2.0, 2.2)], step_times) == []
     assert thin_to_steps([], step_times) == []
+    assert thin_to_steps(np.empty((0, 2)), step_times) == []
+
+
+def test_thin_to_steps_halfway_and_repeated_step_times():
+    step_times = np.array([0.0, 1.0, 1.0, 3.0])
+    cases = [
+        # epoch 3 maps to t = 0.5, halfway between epochs 0 and 1: the earlier wins
+        ([(3.0, 0.5)], [StepLoopClosure(0, 3)]),
+        # epochs 1 and 2 share t = 1: a match there snaps to epoch 1 ...
+        ([(0.0, 1.0)], [StepLoopClosure(0, 1)]),
+        # ... and epoch 2 pairs with epoch 1
+        ([(1.0, 1.0)], [StepLoopClosure(1, 2)]),
+    ]
+    for matches, want in cases:
+        assert thin_to_steps(matches, step_times) == want
+        assert oracles.thin_to_steps(matches, step_times) == want
+
+
+_half = st.integers(0, 16).map(lambda k: k / 2)  # halves make exact midpoints and ties common
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(_half, min_size=1, max_size=12),
+       matches=st.lists(st.tuples(_half, _half), max_size=10))
+def test_thin_to_steps_matches_per_epoch_oracle(steps, matches):
+    # repeated step times, matches out of time order and empty matches
+    step_times = np.sort(np.array(steps))
+    got = thin_to_steps(matches, step_times)
+    assert got == oracles.thin_to_steps(matches, step_times)
+    assert all(type(c.epoch_a) is int and type(c.epoch_b) is int for c in got)
 
 
 # ------------------------------------------------- end-to-end detection
@@ -324,3 +388,26 @@ def test_detect_loop_closures_needs_mag_data():
     traj = _out_and_back()
     res = detect_loop_closures(traj, [])
     assert res == LoopClosureResult([], [], [])
+
+
+def test_detect_loop_closures_window_grid_past_the_last_epoch(monkeypatch):
+    # the 10 Hz grid over [6.388, 21.188] s ends one rounding past
+    # 21.188; the positions there are the last pose's, as np.interp
+    # gives them, not a range error
+    base = _out_and_back()
+    times = np.concatenate([np.linspace(0.0, 6.388, 37), np.linspace(6.388, 21.188, 25)[1:]])
+    traj = PdrTrajectory(base.poses, times)
+    mags = _field_samples(PdrTrajectory(np.vstack([base.poses, base.poses[-1:]]),
+                                        np.append(times, times[-1] + 1.0)))
+    grid, _ = loopclosure._resample_window(*loopclosure._magnitude_series(mags), times[36], times[60])
+    assert grid[-1] > times[-1]
+    got = detect_loop_closures(traj, mags)
+    assert got.closures
+
+    def interp_unchecked(traj, ts):
+        return np.stack([np.interp(ts, traj.times, traj.poses[:, 0]),
+                         np.interp(ts, traj.times, traj.poses[:, 1])], axis=1)
+
+    monkeypatch.setattr(loopclosure, "interpolate_positions", interp_unchecked)
+    assert detect_loop_closures(traj, mags) == got
+

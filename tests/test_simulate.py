@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,12 +12,16 @@ from floorsurvey.simulate import (
     Scenario,
     WalkScript,
     corrupt_steps,
+    corridor_scenario,
     corridor_walk,
     default_aps,
+    detour_scenario,
     detour_walk,
+    floor_loop_scenario,
     floor_loop_walk,
     generate_walk,
     grid_survey,
+    multi_room_scenario,
     multi_room_walk,
     office_floorplan,
     parse_scenario,
@@ -151,6 +156,23 @@ def test_random_anomalies_ranges():
     assert np.all((mag >= 10.0) & (mag <= 25.0))
     assert (a[:, 2] < 0).any() and (a[:, 2] > 0).any()
     assert np.all((a[:, 3] >= 1.0) & (a[:, 3] <= 2.2))
+
+
+@pytest.mark.parametrize("builder, count, digest", [
+    (corridor_scenario, 110, "ca894a1571ebffe1"),
+    (floor_loop_scenario, 60, "2d87c0395087f3f5"),
+    (detour_scenario, 110, "7d8d6c0ff7fbf427"),
+    (multi_room_scenario, 110, "38496d420b6380da"),
+])
+def test_scenario_anomalies_keep_their_bytes(builder, count, digest):
+    # the fields every benchmark and acceptance walk is simulated in:
+    # sha256 prefixes of each builder's anomalies at its defaults
+    a = builder().anomalies
+    assert a.shape == (count, 4) and a.dtype == np.float64
+    assert hashlib.sha256(a.tobytes()).hexdigest()[:16] == digest
+    # drawn over the office floor's bounds
+    want = random_anomalies(office_floorplan().bounds, count, np.random.default_rng(3))
+    assert np.array_equal(builder(field_seed=3).anomalies, want)
 
 
 # -------------------------------------------------------------- floorplan

@@ -47,8 +47,12 @@ def test_traced_survey_matches_untraced_and_uninstalls():
     totals = tracer.totals()
     for span in ("filtering.pf1", "filtering.pf2", "filtering.kld_resample",
                  "geometry.containing_rooms", "geometry.segments_cross_walls",
-                 "loopclosure.find_msps", "filtering.ancestor_positions"):
+                 "loopclosure.find_msps", "loopclosure.obe_dtw", "loopclosure.validate",
+                 "filtering.ancestor_positions"):
         assert totals[span][2] > 0, span
+    # the per-layer dtw_cells and accept_ratio metrics read these counts
+    assert tracer.counts["loopclosure.dtw_cells"] > 0
+    assert tracer.counts["loopclosure.validated"] > 0
     assert len(plain.closures.closures) > 0
     assert tracer.counts["filtering.anchor_lookups"] > 0
     assert 0 < tracer.counts["filtering.live_particles"] <= tracer.counts["filtering.particles"]
