@@ -20,6 +20,7 @@ from . import fileio
 from .filtering import FilterLostError
 from .geometry import Floorplan, containing_rooms, load_floorplan
 from .pipeline import (
+    MAG_SOURCE,
     PipelineConfig,
     apply_overrides,
     build_signal_maps,
@@ -199,7 +200,7 @@ def cmd_position(args) -> int:
     by_t: dict[float, dict[str, float]] = {}
     for ob in log.wifi:
         by_t.setdefault(ob.t, {})[ob.ap_id] = ob.rssi
-    have_mag = any(m.ap_id == "mag" for m in maps)
+    have_mag = any(m.ap_id == MAG_SOURCE for m in maps)
     if have_mag and log.mags:
         mt = np.array([m.t for m in log.mags])
         mv = np.array([m.magnitude for m in log.mags])
@@ -213,7 +214,7 @@ def cmd_position(args) -> int:
             near = np.sort(order[lo:hi])  # log order, as the mean's sum takes them
             sel = near[np.abs(mt[near] - t) <= 0.5]
             if len(sel):
-                obs["mag"] = float(mv[sel].mean())
+                obs[MAG_SOURCE] = float(mv[sel].mean())
     sources = {m.ap_id for m in maps}
     rows = []
     for t in sorted(by_t):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Floorplan, expect, finite_floats, records
+from .geometry import Floorplan, bounded_coords, expect, finite_floats, records
 from .loopclosure import RejectedMatch, StepLoopClosure
 from .pipeline import EvalReport, SurveyPoint
 from .sensors import MagSample, StepEvent, SurveyLog, WifiObservation
@@ -35,14 +35,16 @@ def write_trajectory(path, times: np.ndarray, poses: np.ndarray) -> None:
 
 def read_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
     """The k-th data row must carry epoch k, and times never decrease,
-    so that readers can pair two trajectories row by row."""
+    so that readers can pair two trajectories row by row.  x and y are
+    at most geometry.MAX_COORD in magnitude, as floorplan coordinates."""
     times, poses = [], []
     for line, parts in records(_read(path)):
         with line:
             epoch = int(expect(parts, "epoch,t,x,y,theta")[0])
             if epoch != len(times):
                 raise ValueError(f"epoch {epoch} where epoch {len(times)} was due")
-            t, x, y, theta = finite_floats(parts[1:])
+            t, theta = finite_floats((parts[1], parts[4]))
+            x, y = bounded_coords(parts[2:4])
             if times and t < times[-1]:
                 raise ValueError(f"time {t} is before the previous row's {times[-1]}")
             times.append(t)

@@ -385,7 +385,9 @@ def _boxes(seg: np.ndarray) -> np.ndarray:
     return np.hstack([np.minimum(seg[:, :2], seg[:, 2:]), np.maximum(seg[:, :2], seg[:, 2:])])
 
 
-def _plan_coords(fields: list[str]) -> list[float]:
+def bounded_coords(fields: list[str]) -> list[float]:
+    """Parse text fields as coordinates; ValueError unless all are
+    finite and at most MAX_COORD in magnitude."""
     values = finite_floats(fields)
     if _beyond_bound(np.array(values)):
         raise ValueError(f"coordinate above {MAX_COORD:g} in magnitude in {','.join(fields)}")
@@ -406,12 +408,12 @@ def parse_floorplan(text: str) -> Floorplan:
     for line, parts in records(text, FloorplanError):
         with line:
             if parts[0] == "wall":
-                walls.append(_plan_coords(expect(parts, "wall,x0,y0,x1,y1")[1:]))
+                walls.append(bounded_coords(expect(parts, "wall,x0,y0,x1,y1")[1:]))
             elif parts[0] == "room":
                 if len(parts) < 9 or (len(parts) - 3) % 2 != 0:
                     raise ValueError("expected room,<id>,<name>,x0,y0,... with >= 3 vertices")
                 room_id = int(parts[1])
-                coords = np.array(_plan_coords(parts[3:]), dtype=float).reshape(-1, 2)
+                coords = np.array(bounded_coords(parts[3:]), dtype=float).reshape(-1, 2)
                 rooms.append(Room(room_id, parts[2], coords))
             else:
                 raise ValueError(f"unknown record tag {parts[0]!r}")

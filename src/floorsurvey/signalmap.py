@@ -1,5 +1,6 @@
 """Gaussian-process signal maps over a regular grid, map comparison by
-90 % interval overlap, and one-shot fingerprint positioning."""
+90 % interval overlap, and one-shot fingerprint positioning on maps
+that share one grid, screened through one cached block per list."""
 
 from __future__ import annotations
 
@@ -267,9 +268,10 @@ def _gamma(k: int) -> float:
 
 
 class _Block:
-    """The k maps of one grid shape from one list, in list order: their
-    log-likelihood terms as a float32 screen matrix, and a float64 table
-    of each cell's c, mu and v2 to rescore the cells the screen keeps.
+    """One block per list: the k maps of one list, on one grid, in list
+    order.  It holds their source ids, their log-likelihood terms as a
+    float32 screen matrix, and a float64 table of each cell's c, mu and
+    v2 to rescore the cells the screen keeps.
 
     With c = -log(2 pi sigma^2) / 2 and v2 = 2 sigma^2, the exact score
     of a cell from these floats, for the M maps a scan heard, is a
@@ -304,7 +306,8 @@ class _Block:
     whose G' exceeds 2^100 has every cell rescored.
     """
 
-    def __init__(self, maps: list[SignalMap]):
+    def __init__(self, maps: tuple[SignalMap, ...]):
+        self.ap_ids = tuple(m.ap_id for m in maps)
         var = [m.sigma ** 2 for m in maps]
         c = np.column_stack([-0.5 * np.log(2.0 * math.pi * v) for v in var])
         v2 = np.column_stack([2.0 * v for v in var])
@@ -325,7 +328,7 @@ class _Block:
 
     def best_cell(self, cols: list[int], r: list[float]) -> tuple[int, float]:
         """Lowest-index best cell, and its score, for readings r of the
-        maps in columns cols (in list order)."""
+        maps in columns cols, rising (a map's column is its list index)."""
         k = len(self.bounds)
         hrr = [0.0] * (3 * k)  # [h, r, r^2]
         g = 0.0  # G'; inf or NaN when a heard map does not fit
@@ -349,53 +352,39 @@ class _Block:
         return int(cells[i]), float(score[i]) + 0.0
 
 
-@dataclass(frozen=True)
-class _Screen:
-    ap_ids: tuple[str, ...]
-    congruent: tuple[frozenset[int], ...]  # indices of the maps congruent to each map
-    placed: tuple[tuple[_Block, int], ...]  # each map's block and column
-
-
 @functools.lru_cache(maxsize=4)
-def _screen(maps: tuple[SignalMap, ...]) -> _Screen:
-    """Blocks for one list of maps, keyed by the identity of its maps
-    (a SignalMap hashes by identity and never changes).  The cache keeps
-    the last four lists, and their maps, alive."""
-    by_shape: dict[tuple[int, int], list[SignalMap]] = {}
-    where = []
-    for m in maps:
-        members = by_shape.setdefault((m.nx, m.ny), [])
-        where.append(((m.nx, m.ny), len(members)))
-        members.append(m)
-    blocks = {shape: _Block(ms) for shape, ms in by_shape.items()}
-    placed = tuple((blocks[shape], col) for shape, col in where)
-    congruent = tuple(frozenset(j for j, b in enumerate(maps) if a.congruent(b)) for a in maps)
-    return _Screen(tuple(m.ap_id for m in maps), congruent, placed)
+def _block(maps: tuple[SignalMap, ...]) -> _Block:
+    """The block of one list of maps, all on the grid of the first,
+    keyed by the identity of its maps (a SignalMap hashes by identity
+    and never changes).  The cache keeps the last four lists, and their
+    maps, alive."""
+    if not all(m.congruent(maps[0]) for m in maps):
+        raise ValueError("maps are not on the same grid")
+    return _Block(maps)
 
 
 def position_one_shot(maps: list[SignalMap],
                       observation: dict[str, float]) -> tuple[float, float, float]:
     """Most likely cell centre for a single scan.
 
-    Scores every cell by the summed Gaussian log-likelihood of the
-    observed values under each per-source map, summed in the order of
-    maps; ties go to the lowest cell index.  Sources the maps lack are
-    ignored.  Returns (x, y, best log-likelihood).  The terms that
-    depend only on the maps are cached per list of map objects (see
-    _Block), so repeated calls with the same maps are cheap.
+    Every map must lie on the grid of the first.  Scores every cell by
+    the summed Gaussian log-likelihood of the observed values under each
+    per-source map, summed in the order of maps; ties go to the lowest
+    cell index.  Sources the maps lack are ignored.  Returns (x, y, best
+    log-likelihood), the centre on the first heard map's grid.  The
+    terms that depend only on the maps are cached as one block per list
+    of map objects (see _Block), so repeated calls with the same maps
+    are cheap.
     """
-    screen = _screen(tuple(maps))
-    used = [i for i, ap in enumerate(screen.ap_ids) if ap in observation]
+    used = [i for i, m in enumerate(maps) if m.ap_id in observation]
     if not used:
         raise ValueError("observation shares no sources with the maps")
-    if not screen.congruent[used[0]].issuperset(used):
-        raise ValueError("maps are not on the same grid")
-    r = [float(observation[screen.ap_ids[i]]) for i in used]
+    block = _block(tuple(maps))
+    r = [float(observation[block.ap_ids[i]]) for i in used]
     for i, x in zip(used, r):
         if not math.isfinite(x):
-            raise ValueError(f"reading {x} for source {screen.ap_ids[i]!r} is not finite")
-    block = screen.placed[used[0]][0]
-    best, ll = block.best_cell([screen.placed[i][1] for i in used], r)
+            raise ValueError(f"reading {x} for source {block.ap_ids[i]!r} is not finite")
+    best, ll = block.best_cell(used, r)
     first = maps[used[0]]
     cx = first.x0 + (best % first.nx + 0.5) * first.cell
     cy = first.y0 + (best // first.nx + 0.5) * first.cell

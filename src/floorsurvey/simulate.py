@@ -38,7 +38,6 @@ class WalkScript:
     waypoints: list
     speed: float = 1.25        # m/s
     step_length: float = 0.75  # m
-    start_theta: float | None = None
 
 
 def generate_walk(script: WalkScript) -> tuple[PdrTrajectory, list[StepEvent]]:
@@ -50,9 +49,7 @@ def generate_walk(script: WalkScript) -> tuple[PdrTrajectory, list[StepEvent]]:
     dt = L / script.speed
     pos = wps[0].copy()
     first_leg = wps[1] - wps[0]
-    heading_prev = script.start_theta
-    if heading_prev is None:
-        heading_prev = math.atan2(first_leg[1], first_leg[0])
+    heading_prev = math.atan2(first_leg[1], first_leg[0])
     poses = [(pos[0], pos[1], heading_prev)]
     steps: list[StepEvent] = []
     t = 0.0
@@ -188,8 +185,8 @@ def _wall_run(y: float, x0: float, x1: float, gaps: list[tuple[float, float]]) -
 _OFFICE_SIZE = (50.0, 30.0)  # metres; office_floorplan() spans (0, 0) to this corner
 
 
-def office_floorplan(door: float = 2.0) -> Floorplan:
-    """Built-in 50 x 30 m office: two corridors, 16 rooms with doorways.
+def office_floorplan() -> Floorplan:
+    """Built-in 50 x 30 m office: two corridors, 16 rooms with 2 m doorways.
 
     Bottom band: rooms 0-7 under a horizontal corridor (room 16);
     top band: rooms 8-11 left and 12-15 right of a vertical dead-end
@@ -226,7 +223,7 @@ def office_floorplan(door: float = 2.0) -> Floorplan:
             walls.append((x0, y1, x0, H))
     rooms.append(Room(16, "corridor-h", [(0, y0), (W, y0), (W, y1), (0, y1)]))
     rooms.append(Room(17, "corridor-v", [(23.0, y1), (27.0, y1), (27.0, H), (23.0, H)]))
-    half = door / 2.0
+    half = 1.0  # half a doorway
     walls += _wall_run(y0, 0.0, W, [(c - half, c + half) for c in bottom_centers])
     top_gaps = [(c - half, c + half) for c in np.concatenate([tl_centers, tr_centers])]
     top_gaps.append((23.0, 27.0))  # vertical corridor mouth
@@ -291,10 +288,9 @@ def default_aps() -> list[AccessPoint]:
 
 
 def random_anomalies(bounds: tuple[float, float, float, float], count: int = 110,
-                     rng: np.random.Generator | None = None,
-                     strength: tuple[float, float] = (10.0, 25.0),
-                     decay: tuple[float, float] = (1.0, 2.2)) -> np.ndarray:
-    """Random magnetic anomalies over a bounding box."""
+                     rng: np.random.Generator | None = None) -> np.ndarray:
+    """Random magnetic anomalies over a bounding box: strengths of
+    10-25 of either sign, decay lengths of 1-2.2 m."""
     if rng is None:
         rng = np.random.default_rng(7)
     x0, y0, x1, y1 = bounds
@@ -302,8 +298,8 @@ def random_anomalies(bounds: tuple[float, float, float, float], count: int = 110
     out[:, 0] = rng.random(count) * (x1 - x0) + x0
     out[:, 1] = rng.random(count) * (y1 - y0) + y0
     sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-    out[:, 2] = sign * (rng.random(count) * (strength[1] - strength[0]) + strength[0])
-    out[:, 3] = rng.random(count) * (decay[1] - decay[0]) + decay[0]
+    out[:, 2] = sign * (rng.random(count) * (25.0 - 10.0) + 10.0)
+    out[:, 3] = rng.random(count) * (2.2 - 1.0) + 1.0
     return out
 
 

@@ -285,17 +285,19 @@ def interpolate_position(traj: PdrTrajectory, t: float) -> np.ndarray:
 
 def position_one_shot(maps: list[SignalMap],
                       observation: dict[str, float]) -> tuple[float, float, float]:
-    """Most likely cell centre for a single scan, scoring every cell of
-    every map the scan heard: the summed Gaussian log-likelihood, in the
-    order of maps, with ties to the lowest cell index."""
+    """Most likely cell centre for a single scan, on maps that all lie
+    on the grid of the first, scoring every cell of every map the scan
+    heard: the summed Gaussian log-likelihood, in the order of maps,
+    with ties to the lowest cell index."""
     used = [m for m in maps if m.ap_id in observation]
     if not used:
         raise ValueError("observation shares no sources with the maps")
+    for m in maps:
+        if not m.congruent(maps[0]):
+            raise ValueError("maps are not on the same grid")
     first = used[0]
     score = np.zeros(first.nx * first.ny)
     for m in used:
-        if not m.congruent(first):
-            raise ValueError("maps are not on the same grid")
         r = observation[m.ap_id]
         var = m.sigma ** 2
         score += -0.5 * np.log(2.0 * math.pi * var) - (r - m.mu) ** 2 / (2.0 * var)

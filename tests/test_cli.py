@@ -364,6 +364,22 @@ def test_survey_on_a_room_wider_than_the_largest_float_exits_2(ws, tmp_path):
     assert "line 1: coordinate above 1e+150 in magnitude" in done.stderr
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", ["1,0.5,1e308,2.0,0.0", "1,0.5,1.0,-1e151,0.0"])
+def test_plot_and_eval_refuse_a_coordinate_beyond_the_bound(ws, tmp_path, capsys, row):
+    # such a coordinate used to write inf into the SVG, or a mean error
+    # near 3e307, and exit 0; with warnings as errors the plot raised
+    traj = tmp_path / "far.traj"
+    traj.write_text(f"# epoch,t,x,y,theta\n0,0.0,1.0,2.0,0.0\n{row}\n")
+    truth = str(ws["sim"] / "truth.traj")
+    for args in (["plot", "--traj", str(traj)], ["plot", "--ref", str(traj)],
+                 ["eval", "--traj", str(traj), "--truth", truth],
+                 ["eval", "--traj", truth, "--truth", str(traj)]):
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        assert "line 3: coordinate above 1e+150 in magnitude" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_rejected_rows(ws, tmp_path, capsys):
     traj = tmp_path / "bad.traj"
     traj.write_text("# epoch,t,x,y,theta\n0,0.0,1.0,2.0,0.0\nabc,0.5,1.0,2.0,0.0\n")

@@ -459,47 +459,41 @@ def test_position_one_shot_ignores_unknown_sources():
         position_one_shot(maps, {"other": -50.0})
 
 
-def test_position_one_shot_rejects_scans_across_grids():
-    # same shape, so one block, but another origin: another grid
-    maps = _maps_for_positioning()
-    shifted = dataclasses.replace(maps[1], x0=0.5)
-    for ms in ([maps[0], shifted], [shifted, maps[0]]):
-        for fn in (position_one_shot, oracles.position_one_shot):
-            with pytest.raises(ValueError, match="not on the same grid"):
-                fn(ms, {"ap0": -50.0, "ap1": -50.0})
-        for ap in ("ap0", "ap1"):
-            assert _bits(position_one_shot(ms, {ap: -50.0})) == \
-                _bits(oracles.position_one_shot(ms, {ap: -50.0}))
+# origins drift by 0.9e-9 relative along the chain c - a - b, so a is
+# congruent to b and to c but b is not congruent to c; d has their shape
+# on an origin half a cell off.  A list is taken when every map lies on
+# the grid of its first map, whichever maps the scan hears
+_GRID_TABLE = [
+    ("a", True), ("d", True), ("ab", True), ("ba", True), ("ac", True), ("ca", True),
+    ("abc", True), ("acb", True),
+    ("bc", False), ("cb", False), ("bac", False), ("bca", False), ("cab", False),
+    ("cba", False), ("ad", False), ("da", False), ("abd", False), ("dab", False),
+]
 
 
-def test_position_one_shot_tests_congruence_pairwise_like_the_oracle():
-    # origins drift by 0.9e-9 relative along the chain c - a - b: a is
-    # congruent to b and to c, but b is not congruent to c
+def test_position_one_shot_takes_lists_on_the_first_maps_grid():
     m0, m1 = _maps_for_positioning()
-    a, b, c = (dataclasses.replace(m, ap_id=ap, x0=x0) for m, ap, x0 in zip(
-        (m0, m1, m0), ("ap0", "ap1", "ap2"), (1.0, 1.0 + 0.9e-9, 1.0 - 0.9e-9)))
-    assert a.congruent(b) and a.congruent(c) and not b.congruent(c)
-    outcomes = set()
-    for ms in itertools.permutations((a, b, c)):
-        for n in (1, 2, 3):
-            for heard in itertools.combinations(("ap0", "ap1", "ap2"), n):
+    grid = {ap: dataclasses.replace(m, ap_id=ap, x0=x0) for ap, m, x0 in (
+        ("a", m0, 1.0), ("b", m1, 1.0 + 0.9e-9), ("c", m0, 1.0 - 0.9e-9), ("d", m1, 1.5))}
+    a, b, c, d = grid.values()
+    assert a.congruent(b) and a.congruent(c) and not b.congruent(c) and not a.congruent(d)
+    for order, taken in _GRID_TABLE:
+        ms = [grid[ap] for ap in order]
+        assert all(m.congruent(ms[0]) for m in ms) == taken
+        for n in range(1, len(order) + 1):
+            for heard in itertools.combinations(order, n):
                 obs = {ap: -55.0 + 3 * i for i, ap in enumerate(heard)}
-                try:
-                    want = _bits(oracles.position_one_shot(list(ms), obs))
-                except ValueError as e:
-                    assert "not on the same grid" in str(e)
+                if taken:
+                    assert _bits(position_one_shot(ms, obs)) == \
+                        _bits(oracles.position_one_shot(ms, obs))
+                    continue
+                for fn in (position_one_shot, oracles.position_one_shot):
                     with pytest.raises(ValueError, match="not on the same grid"):
-                        position_one_shot(list(ms), obs)
-                    outcomes.add(("refused", ms[0].ap_id, heard))
-                else:
-                    assert _bits(position_one_shot(list(ms), obs)) == want
-                    outcomes.add(("fixed", ms[0].ap_id, heard))
-    # b and c heard together under a list led by a: the first heard map
-    # (b or c) is not congruent to the other, so the scan is refused
-    assert ("refused", "ap0", ("ap1", "ap2")) in outcomes
-    # a and c heard under a list led by b: a is the first heard map and
-    # congruent to c, so the scan is fixed
-    assert ("fixed", "ap1", ("ap0", "ap2")) in outcomes
+                        fn(ms, obs)
+        # a scan that hears no source is refused as such, before the grid check
+        for fn in (position_one_shot, oracles.position_one_shot):
+            with pytest.raises(ValueError, match="no sources"):
+                fn(ms, {"e": -50.0})
 
 
 def _bits(fix) -> bytes:
@@ -509,9 +503,10 @@ def _bits(fix) -> bytes:
 @st.composite
 def _positioning_case(draw):
     """Congruent random maps, some flat (prior only), maybe with an exact
-    or near two-cell tie and an extra map on another grid that no scan hears,
-    plus scans that hear different subsets of the maps, some with
-    readings far outside the mu range."""
+    or near two-cell tie and an extra map on another grid that no scan
+    hears (a list that holds it is refused), plus scans that hear
+    different subsets of the maps, some with readings far outside the
+    mu range."""
     nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     n = nx * ny
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -551,11 +546,13 @@ def _positioning_case(draw):
 @given(_positioning_case())
 def test_position_one_shot_equals_dense_oracle(case):
     maps, scans = case
+    off_grid = any(m.ap_id == "unheard" for m in maps)
     for ms in (maps, maps[::-1]):
         for obs in scans:
-            if not obs:
+            if not obs or off_grid:
+                match = "not on the same grid" if obs else "no sources"
                 for fn in (position_one_shot, oracles.position_one_shot):
-                    with pytest.raises(ValueError, match="no sources"):
+                    with pytest.raises(ValueError, match=match):
                         fn(ms, obs)
                 continue
             assert _bits(position_one_shot(ms, obs)) == _bits(oracles.position_one_shot(ms, obs))
@@ -613,14 +610,14 @@ def test_position_one_shot_equals_dense_oracle_on_gp_maps():
 
 
 def test_position_screen_rows_start_on_cache_lines():
-    # timing-free: every block's float32 screen starts on a 64-byte
-    # boundary with a whole number of 64-byte lines per row
+    # timing-free: a list's block has a float32 screen that starts on a
+    # 64-byte boundary with a whole number of 64-byte lines per row
     rng = np.random.default_rng(19)
     for k in range(1, 9):
         for n in range(1, 131):
             maps = [SignalMap(f"ap{i}", 0.0, 0.0, 1.0, n, 1, rng.uniform(-90.0, -40.0, n),
                               rng.uniform(1.0, 6.0, n)) for i in range(k)]
-            w = signalmap._screen(tuple(maps)).placed[0][0].w
+            w = signalmap._block(tuple(maps)).w
             assert w.shape == (3 * k, n)
             assert w.ctypes.data % 64 == 0 and w.strides[0] % 64 == 0
             heard = maps if n % 2 else maps[: max(1, k - 1)]

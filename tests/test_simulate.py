@@ -65,11 +65,6 @@ def test_generate_walk_skips_tiny_legs():
     assert np.allclose(traj.poses[-1, :2], [3.0, 0])
 
 
-def test_generate_walk_start_theta():
-    _, steps = generate_walk(WalkScript([(0, 0), (3, 0)], start_theta=math.pi / 2))
-    assert math.isclose(steps[0].dtheta, -math.pi / 2)
-
-
 def test_generate_walk_needs_two_waypoints():
     with pytest.raises(ValueError):
         generate_walk(WalkScript([(0, 0)]))
@@ -189,7 +184,7 @@ def test_office_floorplan_structure():
 
 
 def test_office_floorplan_doorways():
-    fp = office_floorplan(door=2.0)
+    fp = office_floorplan()
     # through the room-0 doorway: no wall crossed
     a = np.array([[3.125, 14.0]])
     b = np.array([[3.125, 13.0]])
