@@ -471,29 +471,50 @@ _GRID_TABLE = [
 ]
 
 
-def test_position_one_shot_takes_lists_on_the_first_maps_grid():
+def _grid_table_cases():
+    """(maps, taken, scans) for each row of _GRID_TABLE: every scan
+    hears a non-empty subset of the row's maps."""
     m0, m1 = _maps_for_positioning()
     grid = {ap: dataclasses.replace(m, ap_id=ap, x0=x0) for ap, m, x0 in (
         ("a", m0, 1.0), ("b", m1, 1.0 + 0.9e-9), ("c", m0, 1.0 - 0.9e-9), ("d", m1, 1.5))}
     a, b, c, d = grid.values()
     assert a.congruent(b) and a.congruent(c) and not b.congruent(c) and not a.congruent(d)
     for order, taken in _GRID_TABLE:
-        ms = [grid[ap] for ap in order]
-        assert all(m.congruent(ms[0]) for m in ms) == taken
-        for n in range(1, len(order) + 1):
-            for heard in itertools.combinations(order, n):
-                obs = {ap: -55.0 + 3 * i for i, ap in enumerate(heard)}
-                if taken:
-                    assert _bits(position_one_shot(ms, obs)) == \
-                        _bits(oracles.position_one_shot(ms, obs))
-                    continue
-                for fn in (position_one_shot, oracles.position_one_shot):
-                    with pytest.raises(ValueError, match="not on the same grid"):
-                        fn(ms, obs)
-        # a scan that hears no source is refused as such, before the grid check
+        scans = [{ap: -55.0 + 3 * i for i, ap in enumerate(heard)}
+                 for n in range(1, len(order) + 1)
+                 for heard in itertools.combinations(order, n)]
+        yield [grid[ap] for ap in order], taken, scans
+
+
+def test_position_one_shot_rejects_scans_across_grids():
+    # a list with a map off its first map's grid is refused for every
+    # scan that hears a source, by the library and the oracle alike; a
+    # scan that hears no source is refused as such, before the grid check
+    refused = 0
+    for ms, taken, scans in _grid_table_cases():
+        for obs in scans if not taken else ():
+            for fn in (position_one_shot, oracles.position_one_shot):
+                with pytest.raises(ValueError, match="not on the same grid"):
+                    fn(ms, obs)
+            refused += 1
         for fn in (position_one_shot, oracles.position_one_shot):
             with pytest.raises(ValueError, match="no sources"):
                 fn(ms, {"e": -50.0})
+    assert refused == 2 * 3 + 4 * 7 + 2 * 3 + 2 * 7
+
+
+def test_position_one_shot_tests_congruence_pairwise_like_the_oracle():
+    # congruence is tested pairwise between the first map and each other
+    # map, as the oracle tests it: a list is taken exactly when every
+    # pair holds, and a taken list gives the oracle's bits for every scan
+    fixed = 0
+    for ms, taken, scans in _grid_table_cases():
+        assert all(m.congruent(ms[0]) for m in ms) == taken
+        for obs in scans if taken else ():
+            assert _bits(position_one_shot(ms, obs)) == \
+                _bits(oracles.position_one_shot(ms, obs))
+            fixed += 1
+    assert fixed == 2 * 1 + 4 * 3 + 2 * 7
 
 
 def _bits(fix) -> bytes:
