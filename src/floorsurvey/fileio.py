@@ -6,7 +6,9 @@ artifacts, floorplans, survey logs, scenarios) has one grammar, read by
 geometry.records: one record per line, comma-separated fields stripped
 of spaces, blank and '#' lines skipped, an exact field count per record
 kind (only a floorplan room, three or more vertices, and a log start,
-one or three values, vary) and finite numbers.  A bad record raises a
+one or three values, vary) and finite numbers.  Every x and y, and a
+map grid's origin, is at most geometry.MAX_COORD in magnitude, as
+floorplan coordinates (geometry.bounded_coords).  A bad record raises a
 ValueError "line N: ...", which the command line turns into exit code 2.
 """
 
@@ -35,8 +37,7 @@ def write_trajectory(path, times: np.ndarray, poses: np.ndarray) -> None:
 
 def read_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
     """The k-th data row must carry epoch k, and times never decrease,
-    so that readers can pair two trajectories row by row.  x and y are
-    at most geometry.MAX_COORD in magnitude, as floorplan coordinates."""
+    so that readers can pair two trajectories row by row."""
     times, poses = [], []
     for line, parts in records(_read(path)):
         with line:
@@ -107,7 +108,7 @@ def read_signal_map(path) -> SignalMap:
                 if grid is not None:
                     raise ValueError("grid row repeats an earlier one")
                 _, x0, y0, cell, nx, ny = expect(parts, "grid,x0,y0,cell,nx,ny")
-                grid = (*finite_floats([x0, y0, cell]), int(nx), int(ny))
+                grid = (*bounded_coords([x0, y0]), *finite_floats([cell]), int(nx), int(ny))
                 if grid[2] <= 0:
                     raise ValueError(f"grid pitch {grid[2]} is not positive")
                 if grid[3] <= 0 or grid[4] <= 0:
@@ -167,7 +168,8 @@ def read_survey_points(path) -> list[SurveyPoint]:
                 epoch = int(expect(parts, "point,epoch,t,x,y,theta,room,mag")[1])
                 if epoch in points:
                     raise ValueError(f"point epoch {epoch} repeats an earlier row")
-                t, x, y, theta = finite_floats(parts[2:6])
+                t, theta = finite_floats((parts[2], parts[5]))
+                x, y = bounded_coords(parts[3:5])
                 room = int(parts[6])
                 mag = None if parts[7] == "nan" else finite_floats(parts[7:])[0]
                 points[epoch] = SurveyPoint(epoch, t, x, y, theta,

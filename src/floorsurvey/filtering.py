@@ -181,7 +181,7 @@ def _reweight_batch(fp: Floorplan, prev_xy: np.ndarray, prev_cells: np.ndarray,
         # moves the grid index clears cannot touch a wall; test the rest
         test = np.flatnonzero(~fp.clear_between_cells(prev_cells, new_cells))
         if len(test):
-            p0s, p1s = _take(prev_xy, test), _take(new_xy, test)
+            p0s, p1s = np.take(prev_xy.T, test, axis=1).T, np.take(new_xy.T, test, axis=1).T
             lo = np.minimum(p0s.min(axis=0), p1s.min(axis=0))
             hi = np.maximum(p0s.max(axis=0), p1s.max(axis=0))
             near = fp.walls_near(lo, hi)
@@ -311,15 +311,6 @@ def kld_resample(poses: np.ndarray, weights: np.ndarray, cfg: KldConfig,
             return np.concatenate(parts)
 
 
-def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """a[idx] for an (n, k) array, gathered column by column into a
-    (k, len(idx)) block and returned as its (len(idx), k) view."""
-    out = np.empty((a.shape[1], len(idx)), dtype=a.dtype)
-    for col, dst in zip(a.T, out):
-        np.take(col, idx, out=dst)
-    return out.T
-
-
 _DEDUP_LEVELS = 16  # parent gathers between deduplications in an ancestor walk
 
 
@@ -377,12 +368,12 @@ class AncestorTree:
         out: dict[int, np.ndarray] = {}
         for e in range(last, low, -1):
             if e in wanted:
-                out[e] = _take(self.epochs[e].poses[:, :2], cur[where])
+                out[e] = np.take(self.epochs[e].poses.T[:2], cur[where], axis=1).T
             cur = self.epochs[e].parents[cur]
             if (last - e + 1) % _DEDUP_LEVELS == 0:
                 cur, inv = _distinct(cur, len(self.epochs[e - 1].poses))
                 where = inv[where]
-        out[low] = _take(self.epochs[low].poses[:, :2], cur[where])
+        out[low] = np.take(self.epochs[low].poses.T[:2], cur[where], axis=1).T
         return out
 
     def _survivors(self, low: int = 0) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -418,7 +409,7 @@ class AncestorTree:
             if len(idx) == len(cloud.poses):
                 cloud.parents = parents
             else:
-                self.epochs[e] = EpochCloud(_take(cloud.poses, idx), cloud.weights[idx], parents)
+                self.epochs[e] = EpochCloud(np.take(cloud.poses.T, idx, axis=1).T, cloud.weights[idx], parents)
 
 
 @dataclass
@@ -550,11 +541,11 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         draws = kld_resample(prev.poses, prev.weights, kld, rng)
         anchor_epochs = constraints.closures_at(epoch)
         anchors = tree.ancestor_positions(draws, anchor_epochs) if anchor_epochs else {}
-        selected = _take(prev.poses, draws)
+        selected = np.take(prev.poses.T, draws, axis=1).T
         new_poses = propagate(selected, step, noise, rng)
         if not np.isfinite(new_poses).all():
             raise FilterLostError(epoch, label, "non-finite pose")
-        prev_cells, cells = _take(cells, draws), fp.cells(new_poses[:, :2])
+        prev_cells, cells = np.take(cells.T, draws, axis=1).T, fp.cells(new_poses[:, :2])
         w = _reweight_batch(fp, selected[:, :2], prev_cells, new_poses, cells, i, constraints, anchors)
         total = w.sum()
         if not total > 0:

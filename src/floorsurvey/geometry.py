@@ -5,16 +5,17 @@ Walls block movement; rooms answer occupancy queries.  The two are kept
 independent on purpose: walls need not close off a room (doorways are
 plain gaps in the wall set), and room polygons may share edges.
 
-Each floorplan builds a uniform grid index over its bounds on first use
-(0.125 m cells, coarser when that would exceed _MAX_CELLS cells), padded
-with one ring of cells.  The index answers most room and wall queries by
-a cell lookup and leaves the rest to the exact kernels, with the same
-answers.  A point's cell is floor((p - origin) / cell) + 1 in floats,
-then clamped with fmax and fmin to the ring; fmax maps NaN to 0, so
-every NaN and off-grid point lands in the ring with no mask.  The map
-from p to its cell is monotone in each coordinate of p; a box "comes
-near" a cell when the cell range of the box grown by a pad (1e-9 of the
-plan's largest coordinate, at least 1e-9 m) contains it.
+Each floorplan holds a uniform grid index over its bounds (0.125 m
+cells, coarser when that would exceed _MAX_CELLS cells), padded with one
+ring of cells; its room table and its wall table are built on first use.
+The index answers most room and wall queries by a cell lookup and leaves
+the rest to the exact kernels, with the same answers.  A point's cell is
+floor((p - origin) / cell) + 1 in floats, then clamped with fmax and fmin
+to the ring; fmax maps NaN to 0, so every NaN and off-grid point lands in
+the ring with no mask.  The map from p to its cell is monotone in each
+coordinate of p; a box "comes near" a cell when the cell range of the box
+grown by a pad (1e-9 of the plan's largest coordinate, at least 1e-9 m)
+contains it.
 
 - Exact room test: a point outside every edge's grown box gets the
   answer of real arithmetic.  It lies on no edge's box, and any crossing
@@ -80,6 +81,7 @@ too) goes to np.remainder whole.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -200,7 +202,10 @@ class Room:
 
 
 class Floorplan:
-    """Wall segments plus room polygons, with precomputed bounds.
+    """Wall segments plus room polygons, with precomputed bounds and a
+    grid index over the bounds, padded with one ring of cells.  Its two
+    tables, rooms per cell and cells near a wall, are built on first use;
+    the module docstring says why lookups in them are exact.
 
     walls: (W, 4) array of x0, y0, x1, y1 rows.
     rooms: list of Room, ids unique and contiguous from 0.
@@ -264,7 +269,19 @@ class Floorplan:
         self._room_box = np.array([(r.vertices.min(axis=0) - self._pad, r.vertices.max(axis=0) + self._pad)
                                    for r in self.rooms]).reshape(-1, 2, 2)
         self._wall_bbox = _boxes(self.walls)  # prefilters crossing tests
-        self._grid_index: _GridIndex | None = None
+        # the grid index: _cell-metre cells over the bounds, one ring around
+        x0, y0, x1, y1 = self.bounds
+        self._origin = np.array([x0, y0])
+        w, h = x1 - x0, y1 - y0
+        if not (math.isfinite(w) and math.isfinite(h)):
+            w = h = 0.0  # extent overflows: one cell, which the pad marks
+        cell = _CELL
+        while max(1, math.ceil(w / cell)) * max(1, math.ceil(h / cell)) > _MAX_CELLS:
+            cell *= 2.0
+        self._cell = cell
+        self._width = max(1, math.ceil(w / cell)) + 2
+        self._rows = max(1, math.ceil(h / cell)) + 2
+        self._ring = np.array([self._width - 1.0, self._rows - 1.0])  # last column and row
 
     def __repr__(self):
         return f"Floorplan(walls={len(self.walls)}, rooms={len(self.rooms)}, bounds={self.bounds})"
@@ -277,51 +294,56 @@ class Floorplan:
 
     def cells(self, xy) -> np.ndarray:
         """(N, 2) grid index cells (column, row) of an (N, 2) array of
-        points; NaN and off-grid points get cells of the outer ring."""
-        return self._grid().cells(np.asarray(xy, dtype=float))
+        points; NaN and off-grid points get cells of the outer ring.
+        Computed on a (2, N) block and returned as its (N, 2) view."""
+        xy = np.asarray(xy, dtype=float)
+        c = np.subtract(xy.T, self._origin[:, None], out=np.empty((2, len(xy))))
+        c /= self._cell
+        np.floor(c, out=c)
+        c += 1.0
+        np.fmax(c, 0.0, out=c)
+        np.fmin(c, self._ring[:, None], out=c)
+        return c.astype(np.intp).T
 
     def clear_between_cells(self, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
         """Bool per move between points with cells c0 and c1 (rows of
-        cells()): True where the grid index shows that the move cannot
-        touch a wall, False where it cannot tell."""
-        return self._grid().clear_between(c0, c1)
+        cells()): True where the cell rectangle holds no cell near a
+        wall, so the move cannot touch one; False where the grid index
+        cannot tell.  Four gathers from the summed-area table."""
+        (lo_col, lo_row), (hi_col, hi_row) = np.minimum(c0.T, c1.T), np.maximum(c0.T, c1.T)
+        hi_col += 1
+        hi_row += 1
+        w = self._width + 1
+        lo_row *= w
+        hi_row *= w
+        s = self._wall_sat
+        walls = s[hi_row + hi_col] - s[lo_row + hi_col] - s[hi_row + lo_col] + s[lo_row + lo_col]
+        return walls == 0
 
-    def _grid(self) -> _GridIndex:
-        if self._grid_index is None:
-            self._grid_index = _GridIndex(self)
-        return self._grid_index
+    def _near(self, boxes: np.ndarray) -> np.ndarray:
+        """Flat mask of the ring and of the cells that some box, grown by
+        the pad, comes near; boxes are rows of x0, y0, x1, y1."""
+        near = np.ones((self._rows, self._width), dtype=bool)
+        near[1:-1, 1:-1] = False
+        lo = self.cells(boxes[:, :2] - self._pad)
+        hi = self.cells(boxes[:, 2:] + self._pad)
+        for (i0, j0), (i1, j1) in zip(lo, hi):
+            near[j0:j1 + 1, i0:i1 + 1] = True
+        return near.ravel()
 
-
-class _GridIndex:
-    """Uniform grid over a floorplan's bounds, padded with one ring of
-    cells: the room of every inner cell that no room edge comes near
-    (lowest id, -1 for none, _MIXED for the other cells and the ring),
-    and a summed-area table (Crow 1984) of the cells that some wall
-    comes near, where the ring counts as near.  Both tables are flat,
-    row by row.  The module docstring says why lookups are exact."""
-
-    def __init__(self, fp: Floorplan):
-        x0, y0, x1, y1 = fp.bounds
-        self.origin = np.array([x0, y0])
-        self.pad = fp._pad
-        w, h = x1 - x0, y1 - y0
-        if not (math.isfinite(w) and math.isfinite(h)):
-            w = h = 0.0  # extent overflows: one cell, which the pad marks
-        cell = _CELL
-        while max(1, math.ceil(w / cell)) * max(1, math.ceil(h / cell)) > _MAX_CELLS:
-            cell *= 2.0
-        self.cell = cell
-        self.nx, self.ny = max(1, math.ceil(w / cell)), max(1, math.ceil(h / cell))
-        self.width = self.nx + 2
-        self.top = np.array([self.nx + 1.0, self.ny + 1.0])
-        self.rooms = np.full((self.ny + 2) * self.width, _MIXED, dtype=int)
-        self.rooms[~self._near(_boxes(fp._edges))] = -1
+    @functools.cached_property
+    def _room_table(self) -> np.ndarray:
+        """The grid index's room per cell, flat, row by row: for an inner
+        cell that no room edge comes near, the lowest id of a room holding
+        its centre (-1 for none); _MIXED for the other cells and the ring."""
+        rooms = np.full(self._rows * self._width, _MIXED, dtype=int)
+        rooms[~self._near(_boxes(self._edges))] = -1
         # cell centres by column and by row; they increase, so the
         # centres in a room's grown box form one block of the grid
-        xs = self.origin[0] + (np.arange(self.width) - 0.5) * cell
-        ys = self.origin[1] + (np.arange(self.ny + 2) - 0.5) * cell
-        table = self.rooms.reshape(self.ny + 2, self.width)
-        for room, ((lo, hi), first, n) in enumerate(zip(fp._room_box, fp._first_edge, fp._edge_count)):
+        xs = self._origin[0] + (np.arange(self._width) - 0.5) * self._cell
+        ys = self._origin[1] + (np.arange(self._rows) - 0.5) * self._cell
+        table = rooms.reshape(self._rows, self._width)
+        for room, ((lo, hi), first, n) in enumerate(zip(self._room_box, self._first_edge, self._edge_count)):
             cols = np.flatnonzero((xs >= lo[0]) & (xs <= hi[0]))
             rows = np.flatnonzero((ys >= lo[1]) & (ys <= hi[1]))
             if not (len(cols) and len(rows)):
@@ -330,54 +352,21 @@ class _GridIndex:
             # points_in_rooms' even-odd floats on a block of centres, one
             # crossing abscissa per row and edge; free centres lie on no edge
             x, y, inside = xs[cols], ys[rows, None], np.zeros(block.shape, dtype=bool)
-            for x0, y0, y1, dx, dy in fp._edge_terms[first:first + n]:
+            for x0, y0, y1, dx, dy in self._edge_terms[first:first + n]:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     xc = x0 + (y - y0) * dx / dy
                 inside ^= ((y0 > y) != (y1 > y)) & (x < xc)
             block[inside & (block == -1)] = room
-        sat = np.zeros((self.ny + 3, self.width + 1), dtype=np.intp)
-        sat[1:, 1:] = self._near(fp._wall_bbox).reshape(self.ny + 2, self.width).cumsum(axis=0).cumsum(axis=1)
-        self.wall_sat = sat.ravel()
+        return rooms
 
-    def cells(self, xy: np.ndarray) -> np.ndarray:
-        """Padded cell (column, row) per point: floor((xy - origin) / cell)
-        + 1, clamped to the ring; fmax sends NaN to 0.  Computed on a
-        (2, N) block and returned as its (N, 2) transposed view."""
-        c = np.subtract(xy.T, self.origin[:, None], out=np.empty((2, len(xy))))
-        c /= self.cell
-        np.floor(c, out=c)
-        c += 1.0
-        np.fmax(c, 0.0, out=c)
-        np.fmin(c, self.top[:, None], out=c)
-        return c.astype(np.intp).T
-
-    def _near(self, boxes: np.ndarray) -> np.ndarray:
-        """Flat mask of the ring and of the cells that some box, grown by
-        the pad, comes near; boxes are rows of x0, y0, x1, y1."""
-        near = np.ones((self.ny + 2, self.width), dtype=bool)
-        near[1:-1, 1:-1] = False
-        lo = self.cells(boxes[:, :2] - self.pad)
-        hi = self.cells(boxes[:, 2:] + self.pad)
-        for (i0, j0), (i1, j1) in zip(lo, hi):
-            near[j0:j1 + 1, i0:i1 + 1] = True
-        return near.ravel()
-
-    def rooms_at(self, c: np.ndarray) -> np.ndarray:
-        """Room id per cell; _MIXED where the cell is undecided."""
-        return self.rooms[c[:, 1] * self.width + c[:, 0]]
-
-    def clear_between(self, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-        """True per cell pair whose rectangle holds no cell near a wall:
-        four gathers from the summed-area table."""
-        (lo_col, lo_row), (hi_col, hi_row) = np.minimum(c0.T, c1.T), np.maximum(c0.T, c1.T)
-        hi_col += 1
-        hi_row += 1
-        w = self.width + 1
-        lo_row *= w
-        hi_row *= w
-        s = self.wall_sat
-        walls = s[hi_row + hi_col] - s[lo_row + hi_col] - s[hi_row + lo_col] + s[lo_row + lo_col]
-        return walls == 0
+    @functools.cached_property
+    def _wall_sat(self) -> np.ndarray:
+        """Summed-area table (Crow 1984) of the cells that some wall comes
+        near, where the ring counts as near; flat, row by row, with a
+        leading zero row and column."""
+        sat = np.zeros((self._rows + 1, self._width + 1), dtype=np.intp)
+        sat[1:, 1:] = self._near(self._wall_bbox).reshape(self._rows, self._width).cumsum(axis=0).cumsum(axis=1)
+        return sat.ravel()
 
 
 def _boxes(seg: np.ndarray) -> np.ndarray:
@@ -505,7 +494,7 @@ def rooms_in_cells(fp: Floorplan, pts: np.ndarray, cells: np.ndarray) -> np.ndar
     """containing_rooms for points whose grid cells (fp.cells(pts)) are
     known.  The grid index answers points in cells that no room edge
     comes near; the others run the exact polygon loop."""
-    out = fp._grid().rooms_at(cells)
+    out = fp._room_table[cells[:, 1] * fp._width + cells[:, 0]]
     slow = np.flatnonzero(out == _MIXED)
     if len(slow):
         out[slow] = _rooms_by_polygon(fp, pts[slow])

@@ -127,9 +127,9 @@ def find_msps(positions: np.ndarray, params: MspParams | None = None) -> list[Se
     n = len(pos)
     if n < 2:
         return []
-    d = cdist(pos, pos)
-    sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    link = (d <= p.radius) & (sep > p.min_separation)
+    link = cdist(pos, pos) <= p.radius
+    # keep |i - j| > min_separation: the two triangles off the band
+    link = np.triu(link, p.min_separation + 1) | np.tril(link, -p.min_separation - 1)
 
     found: dict[tuple[int, int, int, int], None] = {}
     for i0 in range(n):
@@ -226,8 +226,6 @@ def split_warping_path(path: np.ndarray, max_flat: int = 3) -> list[tuple[int, i
 class SubMatching:
     """A contiguous matched stretch with positions along the trajectory."""
 
-    t_a: np.ndarray
-    t_b: np.ndarray
     pos_a: np.ndarray  # (M, 2)
     pos_b: np.ndarray  # (M, 2)
     length_a: float    # metres along the trajectory
@@ -343,7 +341,7 @@ def detect_loop_closures(traj, mags: list[MagSample], msp_params: MspParams | No
             t_b = grid_b[jb]
             # times run monotonically along a warp path, so its ends bound them
             arc = np.interp([t_a[0], t_a[-1], t_b[0], t_b[-1]], times, arcs)
-            sm = SubMatching(t_a, t_b, pos_a[lo:hi], pos_b[jb],
+            sm = SubMatching(pos_a[lo:hi], pos_b[jb],
                              abs(float(arc[1] - arc[0])), abs(float(arc[3] - arc[2])))
             ok, reason = (True, "") if not validate else validate_closure(sm, vp)
             if ok:

@@ -50,39 +50,27 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> Pipeli
 
     Keys are either top-level scalars ("sigma_closure=0.8") or one level
     deep ("msp.radius=2.5"); values are coerced to the field's current
-    type.  Unknown keys raise ValueError.
+    type, int or float.  Unknown keys and sections, other field types and
+    values the config classes reject raise ValueError.
     """
-    def coerce(cur, text: str):
-        if isinstance(cur, int):
-            return int(text)
-        if isinstance(cur, float):
-            return float(text)
-        raise ValueError(f"field of type {type(cur).__name__} cannot be overridden")
-
-    grouped: dict[str, dict[str, str]] = {}
-    flat: dict[str, str] = {}
+    changes: dict[str, dict] = {"": {}}  # per section; "" holds the config's own
     for key, text in overrides.items():
-        if "." in key:
-            head, _, tail = key.partition(".")
-            grouped.setdefault(head, {})[tail] = text
-        else:
-            flat[key] = text
-    kw = {}
-    for head, sub in grouped.items():
-        if not hasattr(config, head):
+        head, dot, name = key.partition(".")
+        if not dot:
+            head, name = "", key
+        owner = getattr(config, head, None) if head else config
+        if not dataclasses.is_dataclass(owner):
             raise ValueError(f"unknown config section {head!r}")
-        section = getattr(config, head)
-        skw = {}
-        for name, text in sub.items():
-            if not hasattr(section, name):
-                raise ValueError(f"unknown config key {head}.{name}")
-            skw[name] = coerce(getattr(section, name), text)
-        kw[head] = dataclasses.replace(section, **skw)
-    for name, text in flat.items():
-        if not hasattr(config, name):
-            raise ValueError(f"unknown config key {name!r}")
-        kw[name] = coerce(getattr(config, name), text)
-    return dataclasses.replace(config, **kw)
+        if name not in {f.name for f in dataclasses.fields(owner)}:
+            raise ValueError(f"unknown config key {key!r}")
+        cur = getattr(owner, name)
+        if not isinstance(cur, (int, float)):
+            raise ValueError(f"field of type {type(cur).__name__} cannot be overridden")
+        changes.setdefault(head, {})[name] = int(text) if isinstance(cur, int) else float(text)
+    top = changes.pop("")
+    for head, sub in changes.items():
+        top[head] = dataclasses.replace(getattr(config, head), **sub)
+    return dataclasses.replace(config, **top)
 
 
 @dataclass

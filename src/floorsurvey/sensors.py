@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2D, expect, finite_floats, records
+from .geometry import Pose2D, bounded_coords, expect, finite_floats, records
 
 
 class LogError(ValueError):
@@ -109,7 +109,8 @@ def parse_survey_log(text: str) -> SurveyLog:
     wifi,<t>,<ap_id>,<rssi_dbm>
     start,<room_id>            or  start,<x>,<y>,<theta_rad>
 
-    Records follow the grammar of records(); numbers must be finite and
+    Records follow the grammar of records(); numbers must be finite, the
+    start's x and y at most MAX_COORD in magnitude (bounded_coords), and
     step timestamps non-decreasing.  Errors carry the 1-based line number.
     """
     log = SurveyLog()
@@ -135,7 +136,7 @@ def parse_survey_log(text: str) -> SurveyLog:
                 if len(parts) == 2:
                     log.start_room = int(parts[1])
                 elif len(parts) == 4:
-                    log.start_pose = Pose2D(*finite_floats(parts[1:]))
+                    log.start_pose = Pose2D(*bounded_coords(parts[1:3]), *finite_floats(parts[3:]))
                 else:
                     raise ValueError("expected start,<room_id> or start,<x>,<y>,<theta>")
             else:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import (Floorplan, Pose2D, Room, containing_room, containing_rooms, expect,
-                       finite_floats, records, wrap_angle)
+from .geometry import (Floorplan, Pose2D, Room, bounded_coords, containing_room, containing_rooms,
+                       expect, finite_floats, records, wrap_angle)
 from .sensors import (
     MagSample,
     PdrTrajectory,
@@ -336,7 +336,8 @@ def parse_scenario(text: str) -> Scenario:
     for the settings speed, step_length, theta_sigma, len_sigma,
     background, mag_sigma, mag_rate, shadow_sigma, scan_period and
     bias_deg_per_min.  speed, step_length, mag_rate, scan_period and
-    each anomaly's decay must be positive; sigmas may not be negative.
+    each anomaly's decay must be positive; sigmas may not be negative;
+    every x and y is at most MAX_COORD in magnitude (bounded_coords).
     """
     waypoints = []
     aps = []
@@ -347,12 +348,14 @@ def parse_scenario(text: str) -> Scenario:
         with line:
             tag = parts[0]
             if tag == "waypoint":
-                waypoints.append(tuple(finite_floats(expect(parts, "waypoint,x,y")[1:])))
+                waypoints.append(tuple(bounded_coords(expect(parts, "waypoint,x,y")[1:])))
             elif tag == "ap":
-                x, y, p0, n = finite_floats(expect(parts, "ap,x,y,p0,n")[1:])
+                x, y = bounded_coords(expect(parts, "ap,x,y,p0,n")[1:3])
+                p0, n = finite_floats(parts[3:])
                 aps.append(AccessPoint(f"ap{len(aps)}", x, y, p0, n))
             elif tag == "anomaly":
-                anomalies.append(finite_floats(expect(parts, "anomaly,x,y,strength,decay")[1:]))
+                xy = bounded_coords(expect(parts, "anomaly,x,y,strength,decay")[1:3])
+                anomalies.append(xy + finite_floats(parts[3:]))
                 if anomalies[-1][3] <= 0:
                     raise ValueError(f"anomaly decay must be positive, got {anomalies[-1][3]}")
             elif tag == "starthint":

@@ -4,13 +4,14 @@ Most functions answer one question for one point, move, time or scan,
 by plain loops over every wall, room and map where it needs them, so tests
 can check the vectorised and grid-indexed code in floorsurvey against it.
 The others are the straightforward forms of the angle factor, the
-per-edge polygon test, the grid index's room table, KLD resampling, the MSP containment filter, two
-ancestor-tree walks, the smoothing mass, the per-epoch room labels, the
-GP predictions whose variance takes one or two triangular solves per
-query chunk, the DTW whose rows pick each step by an argmin and returns
-(i, j) pairs, the per-point warp-path split, the per-epoch closure
-thinning and the index-walking straight-run detector, plus dead
-reckoning and the empirical error CDF, which only tests use.
+per-edge polygon test, the grid index's room table, KLD resampling, the
+MSP links and containment filter, two ancestor-tree walks, the smoothing
+mass, the per-epoch room labels, the GP predictions whose variance takes
+one or two triangular solves per query chunk, the DTW whose rows pick
+each step by an argmin and returns (i, j) pairs, the per-point warp-path
+split, the per-epoch closure thinning and the index-walking straight-run
+detector, plus dead reckoning and the empirical error CDF, which only
+tests use.
 """
 
 from __future__ import annotations
@@ -213,12 +214,11 @@ def acute_angles_to_room_walls(fp: Floorplan, rooms: np.ndarray, headings: np.nd
 def grid_rooms(fp: Floorplan) -> np.ndarray:
     """The grid index's flat room table, from one exact room test of
     every free cell centre of the whole grid."""
-    grid = fp._grid()
     edges = fp._edges
-    free = np.flatnonzero(~grid._near(np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
-                                                 np.maximum(edges[:, :2], edges[:, 2:])])))
-    centres = grid.origin + (np.column_stack([free % grid.width, free // grid.width]) - 0.5) * grid.cell
-    rooms = np.full((grid.ny + 2) * grid.width, _MIXED, dtype=int)
+    free = np.flatnonzero(~fp._near(np.hstack([np.minimum(edges[:, :2], edges[:, 2:]),
+                                               np.maximum(edges[:, :2], edges[:, 2:])])))
+    centres = fp._origin + (np.column_stack([free % fp._width, free // fp._width]) - 0.5) * fp._cell
+    rooms = np.full(fp._rows * fp._width, _MIXED, dtype=int)
     rooms[free] = _rooms_by_polygon(fp, centres)
     return rooms
 
@@ -518,6 +518,13 @@ def detect_straight_steps(steps: list[StepEvent], params: StraightLineParams) ->
             flags[i:j] = True
         i = j
     return flags
+
+
+def msp_links(pos: np.ndarray, radius: float, min_separation: int) -> np.ndarray:
+    """find_msps' link matrix from a full T x T table of index
+    separations: within the radius and more than min_separation apart."""
+    sep = np.abs(np.arange(len(pos))[:, None] - np.arange(len(pos))[None, :])
+    return (cdist(pos, pos) <= radius) & (sep > min_separation)
 
 
 def uncontained(keys: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:

@@ -380,6 +380,34 @@ def test_plot_and_eval_refuse_a_coordinate_beyond_the_bound(ws, tmp_path, capsys
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, tag, field", [
+    ("pf1", "start", 1), ("pf1", "start", 2), ("map", "point", 3), ("map", "point", 4),
+    ("position", "grid", 1), ("position", "grid", 2),
+    ("simulate", "waypoint", 1), ("simulate", "ap", 2), ("simulate", "anomaly", 1)])
+def test_every_reader_refuses_a_coordinate_beyond_the_bound(ws, tmp_path, capsys, command, tag, field):
+    # a log's start of x = 1e200 used to survey, exit 0 and write a
+    # pf1.traj that eval then refused; a waypoint of 1e151 had simulate
+    # walk until memory ran out
+    src = {"pf1": ws["sim"] / "log.txt", "map": ws["srv"] / "points.spt",
+           "position": ws["maps"] / "map_ap0.map", "simulate": ws["scen"]}[command]
+    lines = src.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split(",")[0].strip() == tag)
+    parts = lines[at].split(",")
+    parts[field] = "1e151"
+    lines[at] = ",".join(parts)
+    bad = tmp_path / src.name
+    bad.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    args = {"pf1": ["pf1", "--log", str(bad), "--seed", "5"],
+            "map": ["map", "--points", str(bad)],
+            "position": ["position", "--map", str(bad), "--log", str(ws["sim"] / "log.txt")],
+            "simulate": ["simulate", "--scenario", str(bad)]}[command]
+    assert main([*args, "--out", out]) == 2
+    assert f"line {at + 1}: coordinate above 1e+150 in magnitude" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_rejected_rows(ws, tmp_path, capsys):
     traj = tmp_path / "bad.traj"
     traj.write_text("# epoch,t,x,y,theta\n0,0.0,1.0,2.0,0.0\nabc,0.5,1.0,2.0,0.0\n")

@@ -605,7 +605,7 @@ def _plan_points(fp):
     """Random points, points on cell edges, on room edges and vertices,
     far outside the bounds, huge and infinite points, and NaN points."""
     x0, y0, x1, y1 = fp.bounds
-    cell = fp._grid().cell
+    cell = fp._cell
     grid_x = st.integers(-3, int((x1 - x0) / cell) + 3).map(lambda k: x0 + cell * k)
     grid_y = st.integers(-3, int((y1 - y0) / cell) + 3).map(lambda k: y0 + cell * k)
     huge = st.sampled_from([1e300, -1e300, math.inf, -math.inf])
@@ -676,8 +676,7 @@ def test_wall_free_moves_never_cross(name, data):
 
 def test_grid_decides_most_cells_and_clears_stride_moves():
     fp = GRID_PLANS["office"]
-    grid = fp._grid()
-    inner = grid.rooms.reshape(grid.ny + 2, grid.width)[1:-1, 1:-1]
+    inner = fp._room_table.reshape(fp._rows, fp._width)[1:-1, 1:-1]
     assert np.mean(inner != _MIXED) > 0.5
 
     def clear(p0, p1):
@@ -733,7 +732,7 @@ def test_cell_screen_clears_no_crossing_and_no_move_off_the_grid(data):
     assert not (clear & crossing).any()
     # a cleared move has both ends finite and within a cell of the bounds
     x0, y0, x1, y1 = fp.bounds
-    cell = fp._grid().cell
+    cell = fp._cell
     for p in (p0s[clear], p1s[clear]):
         assert np.all((p >= (x0 - cell, y0 - cell)) & (p <= (x1 + cell, y1 + cell))), p
 
@@ -756,14 +755,31 @@ def test_cells_and_screen_ignore_input_layout(data):
 
 @pytest.mark.parametrize("fp", [*GRID_PLANS.values(), *map(_random_plan, range(4, 16))])
 def test_grid_room_table_matches_whole_grid_pass(fp):
-    assert np.array_equal(fp._grid().rooms, oracles.grid_rooms(fp))
+    assert np.array_equal(fp._room_table, oracles.grid_rooms(fp))
 
 
 def test_grid_cell_count_is_capped():
     fp = Floorplan(np.array([[0.0, 0.0, 1e6, 3e5]]), [Room(0, "big", box(0, 0, 1e6, 3e5))])
-    grid = fp._grid()
-    assert grid.nx * grid.ny <= _MAX_CELLS
+    assert (fp._width - 2) * (fp._rows - 2) <= _MAX_CELLS
     assert list(containing_rooms(fp, np.array([[5e5, 1e5], [2e6, 1.0]]))) == [0, -1]
+
+
+def test_grid_tables_are_built_on_first_use():
+    # building them with the floorplan would add to every run's set-up,
+    # also where the filter looks up no room
+    text = "wall,0,0,4,0\nwall,4,0,4,3\nroom,0,a,0,0,4,0,4,3,0,3\n"
+    tables = {"_room_table", "_wall_sat"}
+    pts = np.array([[1.0, 1.0], [2.0, 1.5], [9.0, 9.0]])
+    for lookup, built in ((lambda fp, c: rooms_in_cells(fp, pts, c), "_room_table"),
+                          (lambda fp, c: fp.clear_between_cells(c, c[::-1]), "_wall_sat")):
+        fp = parse_floorplan(text)
+        assert not tables & fp.__dict__.keys()
+        cells = fp.cells(pts)
+        assert not tables & fp.__dict__.keys()
+        lookup(fp, cells)
+        assert tables & fp.__dict__.keys() == {built}
+    assert list(rooms_in_cells(fp, pts, cells)) == [0, 0, -1]
+    assert list(fp.clear_between_cells(cells, cells[::-1])) == [False, True, False]
 
 
 def _mixed_plan():
@@ -790,7 +806,7 @@ def _mixed_plan_points(fp):
     on the shared vertices; cell-edge lattice points; far, huge,
     infinite and NaN points, which land in the grid's ring."""
     x0, y0, x1, y1 = fp.bounds
-    cell = fp._grid().cell
+    cell = fp._cell
     vertices = [tuple(v) for r in fp.rooms for v in r.vertices]
     edges = [(r.vertices[i], r.vertices[(i + 1) % len(r.vertices)])
              for r in fp.rooms for i in range(len(r.vertices))]
@@ -852,7 +868,8 @@ def test_room_lookup_with_room_skip_matches_scalar():
     door = rng.normal((9.375, 13.5), 0.3, size=(3000, 2))
     door[::97, 0] = math.nan
     door[::89, 1] = math.nan
-    mixed = door[fp._grid().rooms_at(fp.cells(door)) == _MIXED]
+    cells = fp.cells(door)
+    mixed = door[fp._room_table[cells[:, 1] * fp._width + cells[:, 0]] == _MIXED]
     lo, hi = np.nanmin(mixed, axis=0), np.nanmax(mixed, axis=0)
     met = [r for r, (blo, bhi) in enumerate(fp._room_box) if (blo <= hi).all() and (lo <= bhi).all()]
     assert met == [1, 16]

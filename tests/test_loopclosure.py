@@ -256,10 +256,42 @@ def test_find_msps_matches_pairwise_filter_on_random_walks(seed, monkeypatch):
     assert len(fast) > 10
 
 
+def _dense_msps(pos, params, monkeypatch):
+    """find_msps on oracles.msp_links: its cdist returns 0.0 where the
+    dense form links and inf elsewhere."""
+    with monkeypatch.context() as m:
+        m.setattr(loopclosure, "cdist", lambda a, b: np.where(
+            oracles.msp_links(a, params.radius, params.min_separation), 0.0, np.inf))
+        return find_msps(pos, params)
+
+
+def test_find_msps_band_edges_match_dense_separation_table(monkeypatch):
+    # out and back 1 m apart (exactly the radius) with the turn's two
+    # x = 2 points exactly min_separation (2) apart: they are not linked
+    x = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0])
+    pos = np.column_stack([x, (np.arange(7) > 3).astype(float)])
+    params = MspParams(radius=1.0, min_separation=2)
+    assert find_msps(pos, params) == _dense_msps(pos, params, monkeypatch) == [SegmentPair(0, 1, 6, 5)]
+    # one more step apart, they are
+    pos = np.column_stack([np.r_[x[:4], 3.0, x[4:]], np.r_[np.zeros(4), np.ones(4)]])
+    assert find_msps(pos, params) == _dense_msps(pos, params, monkeypatch) == [SegmentPair(0, 2, 7, 5)]
+
+
+@pytest.mark.parametrize("n", [10, 300])
+@pytest.mark.parametrize("sep", [0, 1, 15])
+def test_find_msps_match_dense_separation_table_on_lattice_walks(n, sep, monkeypatch):
+    # 0.5 m lattice steps: many pairs lie exactly 1 m (the radius) apart
+    steps = np.random.default_rng(n + sep).integers(-1, 2, size=(n, 2)) * 0.5
+    pos = np.cumsum(steps, axis=0)
+    params = MspParams(radius=1.0, min_separation=sep)
+    fast = find_msps(pos, params)
+    assert fast == _dense_msps(pos, params, monkeypatch)
+    assert bool(fast) == (n > sep)
+
+
 # ------------------------------------------------------------- validation
 
 def _sub(length_a, length_b, d_mean=0.0, d_var=0.0, m=5):
-    t = np.linspace(0.0, 1.0, m)
     pos_a = np.column_stack([np.linspace(0, length_a, m), np.zeros(m)])
     offsets = np.full(m, d_mean)
     if d_var > 0:
@@ -268,7 +300,7 @@ def _sub(length_a, length_b, d_mean=0.0, d_var=0.0, m=5):
         offsets = d_mean + np.concatenate([np.full(half, -spread),
                                            np.full(m - half, spread)])
     pos_b = pos_a + np.column_stack([np.zeros(m), offsets])
-    return SubMatching(t, t, pos_a, pos_b, length_a, length_b)
+    return SubMatching(pos_a, pos_b, length_a, length_b)
 
 
 def test_validate_closure_accepts_good_match():

@@ -57,6 +57,13 @@ def test_apply_overrides_unknown_keys(key):
         apply_overrides(PipelineConfig(), {key: "1"})
 
 
+@pytest.mark.parametrize("key", ["pf1.n_max", "pf2.n_theta", "sigma_closure.real", "msp.radius.x"])
+def test_apply_overrides_refuses_what_is_not_a_config_field(key):
+    # properties and a float's attributes are no fields to set
+    with pytest.raises(ValueError, match="unknown config"):
+        apply_overrides(PipelineConfig(), {key: "1"})
+
+
 def test_apply_overrides_rejects_section_assignment():
     with pytest.raises(ValueError, match="cannot be overridden"):
         apply_overrides(PipelineConfig(), {"noise": "3"})
