@@ -8,7 +8,8 @@ of spaces, blank and '#' lines skipped, an exact field count per record
 kind (only a floorplan room, three or more vertices, and a log start,
 one or three values, vary) and finite numbers.  Every x and y, and a
 map grid's origin, is at most geometry.MAX_COORD in magnitude, as
-floorplan coordinates (geometry.bounded_coords).  A bad record raises a
+floorplan coordinates (geometry.bounded_coords); a map cell's mu and
+sigma lie within MAP_LIMIT and MAP_RESOLUTION.  A bad record raises a
 ValueError "line N: ...", which the command line turns into exit code 2.
 """
 
@@ -94,6 +95,15 @@ def write_signal_map(path, sm: SignalMap) -> None:
     _write(path, lines)
 
 
+# A map cell's mu and sigma are dBm or uT.  Readings are within 120 dBm
+# or about 1.7e4 uT of zero (sensors), so a mu or sigma above MAP_LIMIT
+# says nothing a reading could match; a sigma below MAP_RESOLUTION, the
+# last of the six decimals that maps are written with, cannot be written.
+# Within these, every score term is finite (below 1e24), with no warning.
+MAP_LIMIT = 1e6
+MAP_RESOLUTION = 1e-6
+
+
 def read_signal_map(path) -> SignalMap:
     source = None
     grid = None
@@ -123,8 +133,9 @@ def read_signal_map(path) -> SignalMap:
                 if c in cells:
                     raise ValueError(f"cell ({ix}, {iy}) repeats an earlier row")
                 mu, sigma = finite_floats(parts[3:])
-                if sigma <= 0:
-                    raise ValueError(f"sigma {sigma} is not positive")
+                if not (abs(mu) <= MAP_LIMIT and MAP_RESOLUTION <= sigma <= MAP_LIMIT):
+                    raise ValueError(f"mu {mu} or sigma {sigma} outside |mu| <= {MAP_LIMIT:g}, "
+                                     f"{MAP_RESOLUTION:g} <= sigma <= {MAP_LIMIT:g}")
                 cells[c] = (mu, sigma)
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")

@@ -19,6 +19,12 @@ class LogError(ValueError):
     """Raised for unparseable or inconsistent survey-log input."""
 
 
+# largest magnetometer component read from a log, in uT: twice the widest
+# phone magnetometer range (about +-4,900 uT) and 150 times the Earth's
+# field, so that a sample's squared magnitude cannot overflow
+MAX_FIELD = 1e4
+
+
 @dataclass(frozen=True)
 class StepEvent:
     """One detected step: completion time, stride length, heading change."""
@@ -110,8 +116,9 @@ def parse_survey_log(text: str) -> SurveyLog:
     start,<room_id>            or  start,<x>,<y>,<theta_rad>
 
     Records follow the grammar of records(); numbers must be finite, the
-    start's x and y at most MAX_COORD in magnitude (bounded_coords), and
-    step timestamps non-decreasing.  Errors carry the 1-based line number.
+    start's x and y at most MAX_COORD in magnitude (bounded_coords), mag
+    components at most MAX_FIELD uT in magnitude, and step timestamps
+    non-decreasing.  Errors carry the 1-based line number.
     """
     log = SurveyLog()
     last_step_t = None
@@ -126,6 +133,8 @@ def parse_survey_log(text: str) -> SurveyLog:
                 log.steps.append(StepEvent(t, length, dtheta))
             elif tag == "mag":
                 t, bx, by, bz = finite_floats(expect(parts, "mag,<t>,<bx>,<by>,<bz>")[1:])
+                if max(abs(bx), abs(by), abs(bz)) > MAX_FIELD:
+                    raise ValueError(f"mag component above {MAX_FIELD:g} uT in magnitude")
                 log.mags.append(MagSample(t, (bx, by, bz)))
             elif tag == "wifi":
                 t, rssi = finite_floats(expect(parts, "wifi,<t>,<ap_id>,<rssi>")[1::2])

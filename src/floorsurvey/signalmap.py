@@ -275,35 +275,49 @@ class _Block:
 
     With c = -log(2 pi sigma^2) / 2 and v2 = 2 sigma^2, the exact score
     of a cell from these floats, for the M maps a scan heard, is a
-    quadratic in each reading r:
-        s = sum_m c - (r - mu)^2 / v2 = sum_m a + r b + r^2 e,
-        a = c - mu^2 / v2,  b = 2 mu / v2,  e = -1 / v2.
-    So q = [h, r, r^2] @ W, with W the 3k x cells float32 matrix of a, b
-    and e and h = 1 for a heard map (h = r = 0 for the rest), screens
+    quadratic in each reading r.  Each map is expanded around its own
+    reference r0 = min(mu) / 2 + max(mu) / 2, so that with x = r - r0
+    and y = mu - r0 (x - y = r - mu exactly):
+        s = sum_m c - (r - mu)^2 / v2 = sum_m a + x b + x^2 e,
+        a = c - y^2 / v2,  b = 2 y / v2,  e = -1 / v2.
+    So q = [h, x, x^2] @ W, with W the 3k x cells float32 matrix of a, b
+    and e and h = 1 for a heard map (h = x = 0 for the rest), screens
     every cell in one float32 product.  Let u = 2^-24, the unit roundoff
     of float32, gamma_n = n u / (1 - n u), and G = sum over heard maps of
-    P + B |r| + E r^2, where P, B and E are the maxima over cells of
-    |c| + mu^2 / v2, |b| and |e|.  Then, by Higham 2002, Accuracy and
-    Stability of Numerical Algorithms, ch. 3:
+    P + B |x| + E x^2, where P, B and E are the maxima over cells of
+    |c| + y^2 / v2, |b| and |e|; as (r - mu)^2 <= y^2 + 2 |x y| + x^2,
+    each term's size |c| + (r - mu)^2 / v2 is at most P + B |x| + E x^2.
+    Then, by Higham 2002, Accuracy and Stability of Numerical
+    Algorithms, ch. 3:
     - the float64 score of the dense expression (as rescored) sits
       within gamma_{M+5} G of s: four roundings per term, then M - 1 in
       the running sum, each of at most 2^-53 < u;
-    - q sits within gamma_{3k+6} G of s: a, b and e carry up to three
-      float64 roundings and one to float32, r one rounding and r^2 two,
-      each product one, then the product sums 3k terms in some order,
-      with fused multiply-adds or without.
+    - q sits within gamma_{3k+7} G of s: x and y carry one float64
+      rounding each, from r - r0 and mu - r0; a carries six (y twice,
+      y^2, / v2, c minus it, and float32), b three and e two; x in
+      float32 carries two and x^2 four; each product adds one, so no
+      term carries more than seven, and the product sums 3k terms in
+      some order, with fused multiply-adds or without.
     So the best cell by the dense score has q >= max q - 2 (gamma_{M+5}
-    + gamma_{3k+6}) G, and rescoring every cell within that margin of
+    + gamma_{3k+7}) G, and rescoring every cell within that margin of
     max q, in index order, finds it and its lowest-index ties.  The
     margin used is 4 gamma_{4k+16} G', where G' adds 1 to P, B, E and
-    r^2; the threshold is formed and compared in float64.  The excess
-    covers the rounding of G' and of the threshold (even to float32),
-    and the absolute error of results below the normal range.  The
+    x^2, formed from the float64 x.  The excess covers the rounding of
+    G', x and the threshold, and the absolute error of results below
+    the normal range.  The threshold is then rounded up to float32:
+    a float32 q is at least a float64 t exactly when it is at least the
+    least float32 not below t, so the compare keeps the same cells.  The
     bound needs finite terms and no overflow.  The float32 products and
     partial sums stay below 2 G', and in float64 (r - mu)^2 is at most
-    2 (r^2 + P v2).  So a map whose P + 1, B + 1, E + 1 or largest v2
-    exceeds 2^100 gets infinite bounds and zero rows in W, and a scan
-    whose G' exceeds 2^100 has every cell rescored.
+    2 (x^2 + P v2).  So a map whose P + 1, B + 1, E + 1 or largest v2
+    exceeds 2^100 gets infinite bounds and zero rows in W.  When G' <=
+    2^100, every heard map fits: its v2 and 1 / v2 are at most 2^100,
+    so v2 is positive, and its c, mu, r and (r - mu)^2 are finite.  So
+    the kept cells are rescored in Python floats, which then meet no
+    zero divisor and no NaN, with the same IEEE operations as the dense
+    numpy expression.  A scan whose G' exceeds 2^100, or is NaN, has
+    every cell scored by that dense expression, with np.argmax's rule
+    for NaN.
     """
 
     def __init__(self, maps: tuple[SignalMap, ...]):
@@ -312,11 +326,13 @@ class _Block:
         c = np.column_stack([-0.5 * np.log(2.0 * math.pi * v) for v in var])
         v2 = np.column_stack([2.0 * v for v in var])
         mu = np.column_stack([m.mu for m in maps])
-        self.table = np.stack((c, mu, v2), axis=1)  # (cells, 3, k)
+        self.table = np.stack((c, mu, v2), axis=2)  # (cells, k, 3)
         with np.errstate(all="ignore"):
-            mu2 = mu * mu / v2
-            terms = (c - mu2, 2.0 * mu / v2, -1.0 / v2)
-            bounds = np.stack([np.abs(c) + mu2, np.abs(terms[1]), np.abs(terms[2])]).max(axis=1) + 1.0
+            self.r0 = (0.5 * mu.min(axis=0) + 0.5 * mu.max(axis=0)).tolist()
+            y = mu - self.r0
+            y2 = y * y / v2
+            terms = (c - y2, 2.0 * y / v2, -1.0 / v2)
+            bounds = np.stack([np.abs(c) + y2, np.abs(terms[1]), np.abs(terms[2])]).max(axis=1) + 1.0
         # NaN compares false: a map with a NaN term does not fit either
         fits = (bounds.max(axis=0) <= _BIG) & (v2.max(axis=0) <= _BIG)
         self.bounds = [tuple(b) if ok else (math.inf,) * 3
@@ -330,26 +346,44 @@ class _Block:
         """Lowest-index best cell, and its score, for readings r of the
         maps in columns cols, rising (a map's column is its list index)."""
         k = len(self.bounds)
-        hrr = [0.0] * (3 * k)  # [h, r, r^2]
+        hxx = [0.0] * (3 * k)  # [h, x, x^2]
         g = 0.0  # G'; inf or NaN when a heard map does not fit
-        for col, x in zip(cols, r):
+        for col, reading in zip(cols, r):
             p, b, e = self.bounds[col]
+            x = reading - self.r0[col]
             g += p + b * abs(x) + e * (x * x + 1.0)
-            hrr[col], hrr[k + col], hrr[2 * k + col] = 1.0, x, x * x
-        if g <= _BIG:
-            q = np.array(hrr, dtype=np.float32) @ self.w
-            cells = (q >= np.float64(q.max()) - self.margin * g).nonzero()[0]
-        else:
-            cells = np.arange(len(self.table))
-        at = self.table.take(cells, 0)  # (cells, 3, k): c, mu, v2
-        if len(cols) < k:  # cols rise, so all k columns are range(k)
-            at = at[:, :, cols]
-        terms = at[:, 0] - (np.array(r) - at[:, 1]) ** 2 / at[:, 2]
+            hxx[col], hxx[k + col], hxx[2 * k + col] = 1.0, x, x * x
+        if not g <= _BIG:
+            return self._dense(cols, r)
+        q = np.array(hxx, dtype=np.float32) @ self.w
+        t = float(q.max()) - self.margin * g
+        t32 = np.float32(t)
+        if float(t32) < t:
+            t32 = np.nextafter(t32, np.float32(np.inf))
+        cells = (q >= t32).nonzero()[0]
+        # the dense expression's operations, summed in map order from
+        # +0.0; cells rise, so the first maximum is the lowest-index one
+        best, top = 0, -math.inf
+        for cell, row in zip(cells.tolist(), self.table.take(cells, 0).tolist()):
+            s = 0.0
+            for col, reading in zip(cols, r):
+                c, mu, v2 = row[col]
+                d = reading - mu
+                s += c - d * d / v2
+            if s > top:
+                best, top = cell, s
+        return best, top
+
+    def _dense(self, cols: list[int], r: list[float]) -> tuple[int, float]:
+        """best_cell by the dense float64 score of every cell, for a scan
+        the screen cannot bound: a term may then divide by zero or be NaN."""
+        at = self.table if len(cols) == len(self.bounds) else self.table[:, cols]
+        terms = at[..., 0] - (np.array(r) - at[..., 1]) ** 2 / at[..., 2]
         # each cell's terms summed in map order; adding 0.0 turns a -0.0
         # total into the +0.0 that a sum begun at +0.0 gives
         score = np.add.accumulate(terms, axis=1)[:, -1]
         i = int(np.argmax(score))
-        return int(cells[i]), float(score[i]) + 0.0
+        return i, float(score[i]) + 0.0
 
 
 @functools.lru_cache(maxsize=4)

@@ -325,6 +325,10 @@ class Scenario:
 
 _SCALARS = [f.name for f in fields(Scenario) if f.type == "float"]
 _POSITIVE = ("speed", "step_length", "mag_rate", "scan_period")  # divisors; sigmas may be 0
+# most strides in a scenario's walk: 75 km at the default 0.75 m stride,
+# hours longer than any indoor survey walk, and a walk's steps, poses and
+# samples are all held in memory
+MAX_STRIDES = 1e5
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -337,9 +341,11 @@ def parse_scenario(text: str) -> Scenario:
     background, mag_sigma, mag_rate, shadow_sigma, scan_period and
     bias_deg_per_min.  speed, step_length, mag_rate, scan_period and
     each anomaly's decay must be positive; sigmas may not be negative;
-    every x and y is at most MAX_COORD in magnitude (bounded_coords).
+    every x and y is at most MAX_COORD in magnitude (bounded_coords); the
+    legs' lengths sum to at most MAX_STRIDES step lengths.
     """
     waypoints = []
+    waypoint_lines = []
     aps = []
     anomalies = []
     scalars = {}
@@ -349,6 +355,7 @@ def parse_scenario(text: str) -> Scenario:
             tag = parts[0]
             if tag == "waypoint":
                 waypoints.append(tuple(bounded_coords(expect(parts, "waypoint,x,y")[1:])))
+                waypoint_lines.append(line.number)
             elif tag == "ap":
                 x, y = bounded_coords(expect(parts, "ap,x,y,p0,n")[1:3])
                 p0, n = finite_floats(parts[3:])
@@ -373,6 +380,13 @@ def parse_scenario(text: str) -> Scenario:
                 raise ValueError(f"unknown record tag {tag!r}")
     if len(waypoints) < 2:
         raise ValueError("scenario needs at least two waypoint records")
+    # step_length may follow the waypoints, so the walk is measured last
+    step = scalars.get("step_length", Scenario.step_length)
+    walked = np.cumsum(np.hypot(*np.diff(np.array(waypoints), axis=0).T))
+    over = np.flatnonzero(walked > MAX_STRIDES * step)
+    if len(over):
+        raise ValueError(f"line {waypoint_lines[over[0] + 1]}: walk of more than "
+                         f"{MAX_STRIDES:g} strides of {step:g} m")
     return Scenario(
         waypoints=waypoints,
         aps=aps or default_aps(),

@@ -338,7 +338,13 @@ def test_exit_code_data_errors(ws, tmp_path, capsys):
                  "--out", str(tmp_path / "o5")]) == 2
     assert f"line {at + 1}: non-finite" in capsys.readouterr().err
     badmap = tmp_path / "bad.map"
-    for cell in ("-1,0,-50.0,1.0", "0,0,-50.0,0.0", "1,0,-70.0,2.0"):
+    # a cell outside the grid, a sigma that is not positive, a repeated
+    # cell, and cells that could not be scored finitely: a sigma whose
+    # square underflows, a mu or sigma whose square overflows, and values
+    # just past the map bounds
+    for cell in ("-1,0,-50.0,1.0", "0,0,-50.0,0.0", "1,0,-70.0,2.0", "0,0,-50.0,1e-170",
+                 "0,0,1e308,2.0", "0,0,-50.0,1e200", "0,0,-1000000.5,2.0", "0,0,-50.0,0.0000009",
+                 "0,0,-50.0,1000000.5"):
         badmap.write_text(f"source,ap0\ngrid,0,0,1.0,2,1\ncell,1,0,-60.0,2.0\ncell,{cell}\n")
         assert main(["position", "--map", str(badmap), "--log", str(ws["sim"] / "log.txt"),
                      "--out", str(tmp_path / "o6")]) == 2
@@ -406,6 +412,62 @@ def test_every_reader_refuses_a_coordinate_beyond_the_bound(ws, tmp_path, capsys
     assert main([*args, "--out", out]) == 2
     assert f"line {at + 1}: coordinate above 1e+150 in magnitude" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_position_scores_a_map_at_its_bounds_finitely(tmp_path, capsys):
+    # the extreme mu and sigma a map file may hold, against the extreme
+    # readings a log may hold: every fix has a finite log-likelihood
+    log = tmp_path / "bounds.log"
+    log.write_text("wifi,0.0,ap0,-120.0\nwifi,1.0,ap0,0.0\n"
+                   "mag,0.0,0.0,0.0,0.0\nmag,1.0,10000.0,-10000.0,10000.0\n")
+    for source in ("ap0", "mag"):
+        grid = tmp_path / f"{source}.map"
+        grid.write_text(f"source,{source}\ngrid,0,0,1.0,2,1\ncell,0,0,1000000.0,0.000001\n"
+                        "cell,1,0,-1000000.0,0.000001\n")
+        out = tmp_path / f"{source}.pos"
+        assert main(["position", "--map", str(grid), "--log", str(log), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(np.isfinite(float(r[3])) and float(r[3]) < -1e20 for r in rows)
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+def test_position_and_survey_refuse_a_mag_component_beyond_the_bound(ws, tmp_path, capsys):
+    # squaring a component of 1e200 overflowed: both commands exited 1
+    # with a traceback
+    lines = (ws["sim"] / "log.txt").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("mag,"))
+    parts = lines[at].split(",")
+    parts[2] = "1e200"
+    lines[at] = ",".join(parts)
+    log = tmp_path / "log.txt"
+    log.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    for args in (["position", "--map", str(ws["maps"] / "map_mag.map"),
+                  "--map", str(ws["maps"] / "map_ap0.map"), "--log", str(log), "--out", str(out)],
+                 ["survey", "--log", str(log), "--floorplan", str(ws["sim"] / "floorplan.txt"),
+                  "--out", str(out), "--seed", "5"]):
+        assert main(args) == 2
+        assert f"line {at + 1}: mag component above 10000 uT" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_refuses_a_walk_beyond_the_stride_bound(tmp_path, capsys):
+    # a waypoint within the coordinate bound but 1e150 m away made
+    # simulate stride until memory ran out; the step_length that sets
+    # the stride may come after the waypoints
+    scen = tmp_path / "far.scen"
+    out = tmp_path / "out"
+    for text, line in (("waypoint,2.0,14.625\nwaypoint,1e150,14.625\n", 2),
+                       ("waypoint,2.0,14.625\nwaypoint,14.0,14.625\nwaypoint,14.0,1e5\n"
+                        "step_length,0.5\n", 3)):
+        scen.write_text(text)
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert f"line {line}: walk of more than 100000 strides" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_exit_code_rejected_rows(ws, tmp_path, capsys):

@@ -102,10 +102,19 @@ def test_parse_survey_log_room_hint():
     ("# head\nwifi,inf,ap0,-60\n", "line 2: non-finite"),
     ("wifi,1.0,ap0,nan\n", "line 1: non-finite"),
     ("start,1,nan,0\n", "line 1: non-finite"),
+    # a component of 1e200 overflowed in the magnitude's square
+    ("mag,1.0,2,10000.001,3\n", "line 1: mag component above 10000 uT"),
+    ("step,1.0,0.75,0\nmag,1.0,-1e200,0,0\n", "line 2: mag component above 10000 uT"),
 ])
 def test_parse_survey_log_errors(bad, msg):
     with pytest.raises(LogError, match=msg):
         parse_survey_log(bad)
+
+
+def test_parse_survey_log_takes_mag_components_at_the_bound():
+    log = parse_survey_log("mag,1.0,10000,-10000,10000\n")
+    assert log.mags[0].b == (1e4, -1e4, 1e4)
+    assert math.isclose(log.mags[0].magnitude, math.sqrt(3.0) * 1e4)
 
 
 # ------------------------------------------------------------ epoch times

@@ -523,20 +523,24 @@ def _bits(fix) -> bytes:
 
 @st.composite
 def _positioning_case(draw):
-    """Congruent random maps, some flat (prior only), maybe with an exact
-    or near two-cell tie and an extra map on another grid that no scan
-    hears (a list that holds it is refused), plus scans that hear
-    different subsets of the maps, some with readings far outside the
-    mu range."""
+    """Congruent random maps, some flat (prior only), some RSS-like
+    (-100..-30) and some magnitude-like (+20..+90), so that mu ranges lie
+    far from zero and from each other, maybe with an exact or near
+    two-cell tie and an extra map on another grid that no scan hears (a
+    list that holds it is refused), plus scans that hear different
+    subsets of the maps, some with readings far outside each map's mu
+    range."""
     nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     n = nx * ny
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     maps = []
     for i in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["flat", "rss", "magnitude"]))
+        if kind == "flat":
             mu, sigma = np.full(n, -90.0), np.full(n, 7.2)
         else:
-            mu, sigma = rng.uniform(-100.0, -30.0, n), rng.uniform(0.5, 9.0, n)
+            lo = -100.0 if kind == "rss" else 20.0
+            mu, sigma = rng.uniform(lo, lo + 70.0, n), rng.uniform(0.5, 9.0, n)
         maps.append(SignalMap(f"ap{i}", 1.0, -2.0, 0.5, nx, ny, mu, sigma))
     ulps = draw(st.sampled_from([None, 0, 1, 2, 64]))
     if n > 1 and ulps is not None:
@@ -556,9 +560,12 @@ def _positioning_case(draw):
         obs = {}
         for m in maps:
             if m.ap_id != "unheard" and draw(st.booleans()):
-                obs[m.ap_id] = draw(st.one_of(st.floats(-110.0, -20.0),
+                lo, hi = float(m.mu.min()), float(m.mu.max())
+                obs[m.ap_id] = draw(st.one_of(st.floats(-110.0, 100.0),
                                               st.floats(-1e6, 1e6),
-                                              st.sampled_from(list(m.mu))))
+                                              st.sampled_from(list(m.mu)),
+                                              st.floats(20.0, 1e4).map(lambda d: lo - d),
+                                              st.floats(20.0, 1e4).map(lambda d: hi + d)))
         scans.append(obs)
     return maps, scans
 
@@ -609,16 +616,27 @@ def test_position_one_shot_equals_dense_oracle_at_float32_ties(case):
     assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
 
 
-def test_position_one_shot_equals_dense_oracle_on_gp_maps():
+def test_position_one_shot_equals_dense_oracle_on_gp_maps(monkeypatch):
     # seven maps in one block, as in the benchmark; scans that hear all
     # of them, or all but one or two.  72 x 43 and 35 x 21 cells: the
-    # screen's rows are padded to whole 16-float lines
+    # screen's rows are padded to whole 16-float lines.  Timing-free: the
+    # screen, centred on each map's mu range, leaves few cells to rescore
+    # (counted at the rescore's gather from the block's table)
+    taken = []
+
+    class CountedTable(np.ndarray):
+        def take(self, indices, axis=None, **kwargs):
+            taken.append(len(indices))
+            return np.asarray(self).take(indices, axis, **kwargs)
+
     fp = office_floorplan()
     pts, mag, wifi = grid_survey(corridor_scenario(), fp, spacing=1.0, seed=404)
     rng = np.random.default_rng(5)
     for cell in (0.7, 1.45):
         maps = list(fit_signal_maps(fp.bounds, pts, {"mag": mag, **wifi}, GpParams(cell=cell)).values())
         assert len(maps) == 7 and maps[0].nx * maps[0].ny % 16 != 0
+        block = signalmap._block(tuple(maps))
+        monkeypatch.setattr(block, "table", block.table.view(CountedTable))
         dropped = []
         for _ in range(150):
             c = int(rng.integers(maps[0].nx * maps[0].ny))
@@ -628,6 +646,7 @@ def test_position_one_shot_equals_dense_oracle_on_gp_maps():
                    for i, m in enumerate(maps) if i not in drop}
             assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
         assert set(dropped) == {0, 1, 2}
+    assert len(taken) == 300 and sum(taken) / len(taken) <= 4.0
 
 
 def test_position_screen_rows_start_on_cache_lines():

@@ -276,6 +276,20 @@ def test_parse_scenario_errors(text, fragment):
         parse_scenario(text)
 
 
+def test_parse_scenario_bounds_the_walk_in_strides():
+    # the sum of the legs over step_length, measured after every record,
+    # so a step_length after the waypoints counts; the error names the
+    # first waypoint past the bound
+    assert len(parse_scenario("waypoint,0,0\nwaypoint,75000,0\n").waypoints) == 2
+    assert len(parse_scenario("waypoint,0,0\nwaypoint,0,2e5\nstep_length,2\n").waypoints) == 2
+    for text, line in (("waypoint,0,0\nwaypoint,75000.01,0\n", 2),
+                       ("waypoint,0,0\nwaypoint,0,2e5\nstep_length,1.999\n", 2),
+                       ("waypoint,0,0\nwaypoint,40000,0\n# back\nwaypoint,0,0\nwaypoint,1e150,0\n", 4),
+                       ("waypoint,0,0\nwaypoint,1,0\nwaypoint,1e150,0\nwaypoint,0,0\n", 3)):
+        with pytest.raises(ValueError, match=f"^line {line}: walk of more than 100000 strides"):
+            parse_scenario(text)
+
+
 def test_parse_scenario_accepts_zero_noise_and_any_finite_background_or_bias():
     sc = parse_scenario("waypoint,0,0\nwaypoint,1,0\ntheta_sigma,0\nlen_sigma,0\n"
                         "mag_sigma,0\nshadow_sigma,0\nbackground,-5\nbias_deg_per_min,-3\n")
