@@ -34,9 +34,9 @@ from .simulate import (
     corridor_scenario,
     detour_scenario,
     floor_loop_scenario,
-    load_scenario,
     multi_room_scenario,
     office_floorplan,
+    parse_scenario,
     simulate_scenario,
 )
 
@@ -99,10 +99,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    if args.scenario:
-        sc = load_scenario(args.scenario)
-    else:
-        sc = _BUILTIN_WALKS[args.walk]()
+    sc = (parse_scenario(Path(args.scenario).read_text(encoding="utf-8")) if args.scenario
+          else _BUILTIN_WALKS[args.walk]())
     fp = _load_fp(args)
     log, truth = simulate_scenario(sc, fp, seed=args.seed)
     out = _outdir(args)

@@ -7,10 +7,12 @@ geometry.records: one record per line, comma-separated fields stripped
 of spaces, blank and '#' lines skipped, an exact field count per record
 kind (only a floorplan room, three or more vertices, and a log start,
 one or three values, vary) and finite numbers.  Every x and y, and a
-map grid's origin, is at most geometry.MAX_COORD in magnitude, as
-floorplan coordinates (geometry.bounded_coords); a map cell's mu and
-sigma lie within MAP_LIMIT and MAP_RESOLUTION.  A bad record raises a
-ValueError "line N: ...", which the command line turns into exit code 2.
+map grid's origin and far corner, is at most geometry.MAX_COORD in
+magnitude, as floorplan coordinates (geometry.bounded_coords); a map
+cell's mu and sigma lie within MAP_LIMIT and MAP_RESOLUTION, and a
+points file's mag and rssi within MAX_MAG and sensors.RSS_RANGE.  A
+bad record raises a ValueError "line N: ...", which the command line
+turns into exit code 2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .geometry import Floorplan, bounded_coords, expect, finite_floats, records
 from .loopclosure import RejectedMatch, StepLoopClosure
 from .pipeline import EvalReport, SurveyPoint
-from .sensors import MagSample, StepEvent, SurveyLog, WifiObservation
+from .sensors import MAX_FIELD, MagSample, StepEvent, SurveyLog, WifiObservation
 from .signalmap import SignalMap
 
 
@@ -123,6 +125,7 @@ def read_signal_map(path) -> SignalMap:
                     raise ValueError(f"grid pitch {grid[2]} is not positive")
                 if grid[3] <= 0 or grid[4] <= 0:
                     raise ValueError(f"grid of {grid[3]} x {grid[4]} cells is empty")
+                bounded_coords([grid[0] + grid[2] * grid[3], grid[1] + grid[2] * grid[4]])  # far corner
             elif parts[0] == "cell":
                 if grid is None:
                     raise ValueError("cell row before grid row")
@@ -170,8 +173,12 @@ def write_survey_points(path, points: list[SurveyPoint]) -> None:
     _write(path, lines)
 
 
+MAX_MAG = float(fmt(np.sqrt(3.0) * MAX_FIELD))  # a log sample's largest magnitude, as written
+
+
 def read_survey_points(path) -> list[SurveyPoint]:
-    """Numbers must be finite, except a mag of nan, meaning no samples."""
+    """Numbers must be finite, except a mag of nan, meaning no samples;
+    a mag lies in [0, MAX_MAG] uT and a sig's rssi in sensors.RSS_RANGE."""
     points: dict[int, SurveyPoint] = {}
     for line, parts in records(_read(path)):
         with line:
@@ -183,6 +190,8 @@ def read_survey_points(path) -> list[SurveyPoint]:
                 x, y = bounded_coords(parts[3:5])
                 room = int(parts[6])
                 mag = None if parts[7] == "nan" else finite_floats(parts[7:])[0]
+                if mag is not None and not 0.0 <= mag <= MAX_MAG:
+                    raise ValueError(f"mag {mag} outside [0, {MAX_MAG}] uT")
                 points[epoch] = SurveyPoint(epoch, t, x, y, theta,
                                             None if room < 0 else room, mag, {})
             elif parts[0] == "sig":
@@ -191,7 +200,9 @@ def read_survey_points(path) -> list[SurveyPoint]:
                     raise ValueError("sig row before its point row")
                 if parts[2] in points[epoch].wifi:
                     raise ValueError(f"source {parts[2]!r} repeats at epoch {epoch}")
-                points[epoch].wifi[parts[2]] = finite_floats(parts[3:])[0]
+                # a sig row is a reading at its point, held to a log reading's range
+                ob = WifiObservation(points[epoch].t, parts[2], *finite_floats(parts[3:]))
+                points[epoch].wifi[ob.ap_id] = ob.rssi
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
     return [points[e] for e in sorted(points)]

@@ -542,7 +542,9 @@ def run_filter(steps: list[StepEvent], fp: Floorplan, kld: KldConfig,
         anchor_epochs = constraints.closures_at(epoch)
         anchors = tree.ancestor_positions(draws, anchor_epochs) if anchor_epochs else {}
         selected = np.take(prev.poses.T, draws, axis=1).T
-        new_poses = propagate(selected, step, noise, rng)
+        # a stride near the float range may overflow: the check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_poses = propagate(selected, step, noise, rng)
         if not np.isfinite(new_poses).all():
             raise FilterLostError(epoch, label, "non-finite pose")
         prev_cells, cells = np.take(cells.T, draws, axis=1).T, fp.cells(new_poses[:, :2])

@@ -98,7 +98,7 @@ def finite_floats(fields) -> list[float]:
     """Parse text fields as floats; ValueError unless all are finite."""
     values = list(map(float, fields))
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite number in {','.join(fields)}")
+        raise ValueError(f"non-finite number in {','.join(map(str, fields))}")
     return values
 
 
@@ -374,12 +374,12 @@ def _boxes(seg: np.ndarray) -> np.ndarray:
     return np.hstack([np.minimum(seg[:, :2], seg[:, 2:]), np.maximum(seg[:, :2], seg[:, 2:])])
 
 
-def bounded_coords(fields: list[str]) -> list[float]:
-    """Parse text fields as coordinates; ValueError unless all are
-    finite and at most MAX_COORD in magnitude."""
+def bounded_coords(fields: list) -> list[float]:
+    """Parse text fields (or take numbers) as coordinates; ValueError
+    unless all are finite and at most MAX_COORD in magnitude."""
     values = finite_floats(fields)
     if _beyond_bound(np.array(values)):
-        raise ValueError(f"coordinate above {MAX_COORD:g} in magnitude in {','.join(fields)}")
+        raise ValueError(f"coordinate above {MAX_COORD:g} in magnitude in {','.join(map(str, fields))}")
     return values
 
 
@@ -402,13 +402,12 @@ def parse_floorplan(text: str) -> Floorplan:
                 if len(parts) < 9 or (len(parts) - 3) % 2 != 0:
                     raise ValueError("expected room,<id>,<name>,x0,y0,... with >= 3 vertices")
                 room_id = int(parts[1])
+                if room_id in (r.room_id for r in rooms):
+                    raise ValueError(f"duplicate room id {room_id}")
                 coords = np.array(bounded_coords(parts[3:]), dtype=float).reshape(-1, 2)
                 rooms.append(Room(room_id, parts[2], coords))
             else:
                 raise ValueError(f"unknown record tag {parts[0]!r}")
-    seen = [r.room_id for r in rooms]
-    if len(set(seen)) != len(seen):
-        raise FloorplanError(f"duplicate room ids: {sorted(i for i in set(seen) if seen.count(i) > 1)}")
     return Floorplan(np.array(walls, dtype=float).reshape(-1, 4), rooms)
 
 

@@ -52,6 +52,12 @@ class MspParams:
     radius: float = 3.0       # metres; link indices whose positions are this close
     min_separation: int = 15  # steps; closer indices are never linked
 
+    def __post_init__(self):
+        # a NaN radius links nothing; a negative separation links an index to itself
+        if not (0.0 < self.radius < math.inf and self.min_separation >= 0):
+            raise ValueError(f"radius must be positive and finite and min_separation non-negative, "
+                             f"got {self.radius} and {self.min_separation}")
+
 
 @dataclass
 class ValidationParams:
@@ -60,6 +66,14 @@ class ValidationParams:
     max_mean_dist: float = 3.0  # metres; mean matched-point separation, inclusive
     max_dist_var: float = 1.0   # metres^2; separation variance, inclusive
     max_flat: int = 3           # warp-path points sharing one reference sample
+
+    def __post_init__(self):
+        # a NaN threshold would pass or fail every match unnoticed
+        for name in ("min_length", "max_ratio", "max_mean_dist", "max_dist_var"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        if self.max_flat < 2:
+            raise ValueError(f"max_flat must be >= 2, got {self.max_flat}")
 
 
 @dataclass

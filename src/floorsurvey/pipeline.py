@@ -10,6 +10,7 @@ with per-epoch signal summaries ready for map building.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,12 @@ class PipelineConfig:
     gp: GpParams = field(default_factory=GpParams)
     sigma_alpha: float = ConstraintSet.sigma_alpha
     sigma_closure: float = ConstraintSet.sigma_closure
+
+    def __post_init__(self):
+        # each is the scale of a folded normal density, which divides by it
+        if not (0.0 < self.sigma_alpha < math.inf and 0.0 < self.sigma_closure < math.inf):
+            raise ValueError(f"sigma_alpha and sigma_closure must be positive and finite, "
+                             f"got {self.sigma_alpha} and {self.sigma_closure}")
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> PipelineConfig:

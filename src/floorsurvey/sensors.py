@@ -24,6 +24,12 @@ class LogError(ValueError):
 # field, so that a sample's squared magnitude cannot overflow
 MAX_FIELD = 1e4
 
+RSS_RANGE = (-120.0, 0.0)  # dBm: a log's WiFi readings, and the simulator's clamp
+
+# widest span of a log's record times, in s: 28 hours, past any survey
+# walk; closure mining resamples a matched window at 10 samples per second
+MAX_LOG_SPAN = 1e5
+
 
 @dataclass(frozen=True)
 class StepEvent:
@@ -57,8 +63,9 @@ class WifiObservation:
     rssi: float
 
     def __post_init__(self):
-        if not -120.0 <= self.rssi <= 0.0:
-            raise ValueError(f"rssi {self.rssi} outside [-120, 0] dBm")
+        lo, hi = RSS_RANGE
+        if not lo <= self.rssi <= hi:
+            raise ValueError(f"rssi {self.rssi} outside [{lo:g}, {hi:g}] dBm")
 
 
 @dataclass
@@ -117,11 +124,13 @@ def parse_survey_log(text: str) -> SurveyLog:
 
     Records follow the grammar of records(); numbers must be finite, the
     start's x and y at most MAX_COORD in magnitude (bounded_coords), mag
-    components at most MAX_FIELD uT in magnitude, and step timestamps
-    non-decreasing.  Errors carry the 1-based line number.
+    components at most MAX_FIELD uT in magnitude, step timestamps
+    non-decreasing, and all record times within MAX_LOG_SPAN of each
+    other.  Errors carry the 1-based line number.
     """
     log = SurveyLog()
     last_step_t = None
+    first_t, last_t = math.inf, -math.inf  # earliest and latest record time so far
     for line, parts in records(text, LogError):
         with line:
             tag = parts[0]
@@ -150,6 +159,11 @@ def parse_survey_log(text: str) -> SurveyLog:
                     raise ValueError("expected start,<room_id> or start,<x>,<y>,<theta>")
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
+            if tag != "start":  # every other record is timed
+                first_t, last_t = min(first_t, t), max(last_t, t)
+                if last_t - first_t > MAX_LOG_SPAN:
+                    raise ValueError(f"time {t:g} s spreads the log's records over more than "
+                                     f"{MAX_LOG_SPAN:g} s")
     return log
 
 
@@ -169,10 +183,7 @@ def step_epoch_times(steps: list[StepEvent]) -> np.ndarray:
         return np.zeros(1)
     times = np.empty(len(steps) + 1)
     times[1:] = [s.t for s in steps]
-    if len(steps) >= 2:
-        t0 = steps[0].t - (steps[1].t - steps[0].t)
-    else:
-        t0 = steps[0].t - 0.5
+    t0 = steps[0].t - (steps[1].t - steps[0].t if len(steps) >= 2 else 0.5)
     times[0] = min(max(t0, 0.0), steps[0].t)
     return times
 

@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import (Floorplan, Pose2D, Room, bounded_coords, containing_room, containing_rooms,
                        expect, finite_floats, records, wrap_angle)
 from .sensors import (
+    RSS_RANGE,
     MagSample,
     PdrTrajectory,
     StepEvent,
@@ -26,27 +27,20 @@ from .sensors import (
 )
 
 
-@dataclass
-class WalkScript:
-    """Waypoint walk at constant speed and stride.
+def generate_walk(waypoints: list, speed: float,
+                  step_length: float) -> tuple[PdrTrajectory, list[StepEvent]]:
+    """Exact step sequence and truth trajectory of a waypoint walk at
+    constant speed (m/s) and stride (m).
 
     Per leg the walker turns to face the target once, then strides
     straight; leg step counts round to the nearest whole stride and the
     next leg re-aims from wherever the previous one ended.
     """
-
-    waypoints: list
-    speed: float = 1.25        # m/s
-    step_length: float = 0.75  # m
-
-
-def generate_walk(script: WalkScript) -> tuple[PdrTrajectory, list[StepEvent]]:
-    """Exact step sequence and truth trajectory for a walk script."""
-    wps = [np.asarray(w, dtype=float) for w in script.waypoints]
+    wps = [np.asarray(w, dtype=float) for w in waypoints]
     if len(wps) < 2:
-        raise ValueError("a walk script needs at least two waypoints")
-    L = script.step_length
-    dt = L / script.speed
+        raise ValueError("a walk needs at least two waypoints")
+    L = step_length
+    dt = L / speed
     pos = wps[0].copy()
     first_leg = wps[1] - wps[0]
     heading_prev = math.atan2(first_leg[1], first_leg[0])
@@ -72,32 +66,22 @@ def generate_walk(script: WalkScript) -> tuple[PdrTrajectory, list[StepEvent]]:
     return PdrTrajectory(arr, step_epoch_times(steps)), steps
 
 
-def corrupt_steps(steps: list[StepEvent], theta_sigma: float = math.radians(0.5),
-                  len_sigma: float = 0.04, bias_deg_per_min: float = 0.0,
-                  rng: np.random.Generator | None = None) -> list[StepEvent]:
+def corrupt_steps(steps: list[StepEvent], theta_sigma: float, len_sigma: float,
+                  bias_deg_per_min: float, rng: np.random.Generator) -> list[StepEvent]:
     """Logged steps: truth plus Gaussian stride/heading noise plus a
-    linear gyro bias drift (degrees per minute of walk time).  Strides
-    are clamped to at least 5 cm.
+    linear gyro bias drift (degrees per minute of walk time, over each
+    step's epoch interval).  Strides are clamped to at least 5 cm.
 
     Stride jitter here is the physical kind (a few cm); the much wider
     filter-side stride model is a robustness margin, not a generative
     truth, so the two are deliberately separate.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = len(steps)
-    if n == 0:
-        return []
     e_theta = rng.normal(0.0, theta_sigma, n)
     e_len = rng.normal(0.0, len_sigma, n)
-    times = np.array([s.t for s in steps])
-    dts = np.diff(times, prepend=times[0] - (times[1] - times[0] if n > 1 else 0.5))
-    bias = math.radians(bias_deg_per_min) / 60.0 * dts
-    out = []
-    for i, s in enumerate(steps):
-        out.append(StepEvent(s.t, max(0.05, s.length + e_len[i]),
-                             s.dtheta + e_theta[i] + bias[i]))
-    return out
+    bias = math.radians(bias_deg_per_min) / 60.0 * np.diff(step_epoch_times(steps))
+    return [StepEvent(s.t, max(0.05, s.length + dl), s.dtheta + dth + b)
+            for s, dl, dth, b in zip(steps, e_len, e_theta, bias)]
 
 
 @dataclass
@@ -105,8 +89,8 @@ class MagFieldModel:
     """Background magnitude plus point anomalies decaying exponentially
     with distance; anomalies is a (K, 4) array of x, y, strength, decay."""
 
-    background: float = 50.0
-    anomalies: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    background: float
+    anomalies: np.ndarray
 
     def field_at(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -117,12 +101,9 @@ class MagFieldModel:
         return out
 
 
-def sample_magnetics(truth: PdrTrajectory, fieldmodel: MagFieldModel,
-                     rate: float = 50.0, sigma: float = 0.3,
-                     rng: np.random.Generator | None = None) -> list[MagSample]:
+def sample_magnetics(truth: PdrTrajectory, fieldmodel: MagFieldModel, rate: float,
+                     sigma: float, rng: np.random.Generator) -> list[MagSample]:
     """Magnetometer magnitudes sampled uniformly along the truth walk."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     t0, t1 = float(truth.times[0]), float(truth.times[-1])
     count = int(math.floor((t1 - t0) * rate)) + 1
     times = t0 + np.arange(count) / rate
@@ -141,28 +122,24 @@ class AccessPoint:
 
 
 def rss_at(ap: AccessPoint, pts: np.ndarray) -> np.ndarray:
-    """Noise-free log-distance RSS at the given points, clamped to [-120, 0]."""
+    """Noise-free log-distance RSS at the given points, clamped to RSS_RANGE."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d = np.hypot(pts[:, 0] - ap.x, pts[:, 1] - ap.y)
     d = np.maximum(d, 0.1)
-    return np.clip(ap.p0 - 10.0 * ap.n * np.log10(d), -120.0, 0.0)
+    return np.clip(ap.p0 - 10.0 * ap.n * np.log10(d), *RSS_RANGE)
 
 
-def simulate_wifi(truth: PdrTrajectory, aps: list[AccessPoint],
-                  scan_period: float = 1.0, shadow_sigma: float = 2.0,
-                  rng: np.random.Generator | None = None) -> list[WifiObservation]:
+def simulate_wifi(truth: PdrTrajectory, aps: list[AccessPoint], scan_period: float,
+                  shadow_sigma: float, rng: np.random.Generator) -> list[WifiObservation]:
     """Periodic scans along the truth walk; one observation per AP per
-    scan with independent Gaussian shadowing."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    scan with independent Gaussian shadowing, clamped to RSS_RANGE."""
     t0, t1 = float(truth.times[0]), float(truth.times[-1])
     count = int(math.floor((t1 - t0) / scan_period)) + 1
     times = t0 + np.arange(count) * scan_period
     pts = interpolate_positions(truth, times)
     obs = []
     for ap in aps:
-        base = rss_at(ap, pts)
-        noisy = np.clip(base + rng.normal(0.0, shadow_sigma, count), -120.0, 0.0)
+        noisy = np.clip(rss_at(ap, pts) + rng.normal(0.0, shadow_sigma, count), *RSS_RANGE)
         obs.extend(WifiObservation(float(t), ap.ap_id, float(v)) for t, v in zip(times, noisy))
     obs.sort(key=lambda o: (o.t, o.ap_id))
     return obs
@@ -196,40 +173,25 @@ def office_floorplan() -> Floorplan:
     """
     W, H = _OFFICE_SIZE
     y0, y1 = 13.5, 15.75
-    walls: list[tuple] = [
-        (0, 0, W, 0), (W, 0, W, H), (W, H, 0, H), (0, H, 0, 0),
-    ]
+    walls: list[tuple] = [(0, 0, W, 0), (W, 0, W, H), (W, H, 0, H), (0, H, 0, 0)]
     rooms: list[Room] = []
-    bx = np.linspace(0.0, W, 9)
-    bottom_centers = (bx[:-1] + bx[1:]) / 2.0
-    for k in range(8):
-        x0, x1 = bx[k], bx[k + 1]
-        rooms.append(Room(k, f"room-{k}", [(x0, 0), (x1, 0), (x1, y0), (x0, y0)]))
-        if k > 0:
-            walls.append((x0, 0, x0, y0))
-    tlx = np.linspace(0.0, 23.0, 5)
-    trx = np.linspace(27.0, W, 5)
-    tl_centers = (tlx[:-1] + tlx[1:]) / 2.0
-    tr_centers = (trx[:-1] + trx[1:]) / 2.0
-    for k in range(4):
-        x0, x1 = tlx[k], tlx[k + 1]
-        rooms.append(Room(8 + k, f"room-{8 + k}", [(x0, y1), (x1, y1), (x1, H), (x0, H)]))
-        if k > 0:
-            walls.append((x0, y1, x0, H))
-    for k in range(4):
-        x0, x1 = trx[k], trx[k + 1]
-        rooms.append(Room(12 + k, f"room-{12 + k}", [(x0, y1), (x1, y1), (x1, H), (x0, H)]))
-        if k > 0:
-            walls.append((x0, y1, x0, H))
+    doors = []  # each band's door centres
+    for first, xs, ya, yb in ((0, np.linspace(0.0, W, 9), 0, y0),
+                              (8, np.linspace(0.0, 23.0, 5), y1, H),
+                              (12, np.linspace(27.0, W, 5), y1, H)):
+        for k, (x0, x1) in enumerate(zip(xs[:-1], xs[1:])):
+            rooms.append(Room(first + k, f"room-{first + k}", [(x0, ya), (x1, ya), (x1, yb), (x0, yb)]))
+            if k > 0:
+                walls.append((x0, ya, x0, yb))
+        doors.append((xs[:-1] + xs[1:]) / 2.0)
     rooms.append(Room(16, "corridor-h", [(0, y0), (W, y0), (W, y1), (0, y1)]))
     rooms.append(Room(17, "corridor-v", [(23.0, y1), (27.0, y1), (27.0, H), (23.0, H)]))
     half = 1.0  # half a doorway
-    walls += _wall_run(y0, 0.0, W, [(c - half, c + half) for c in bottom_centers])
-    top_gaps = [(c - half, c + half) for c in np.concatenate([tl_centers, tr_centers])]
+    walls += _wall_run(y0, 0.0, W, [(c - half, c + half) for c in doors[0]])
+    top_gaps = [(c - half, c + half) for c in np.concatenate(doors[1:])]
     top_gaps.append((23.0, 27.0))  # vertical corridor mouth
     walls += _wall_run(y1, 0.0, W, top_gaps)
-    walls.append((23.0, y1, 23.0, H))
-    walls.append((27.0, y1, 27.0, H))
+    walls += [(23.0, y1, 23.0, H), (27.0, y1, 27.0, H)]
     return Floorplan(np.array(walls, dtype=float), rooms)
 
 
@@ -245,10 +207,7 @@ def corridor_walk(repeats: int = 2) -> list[tuple[float, float]]:
 def floor_loop_walk() -> list[tuple[float, float]]:
     """Covers both corridors: west end, up the dead-end spur, east end, back."""
     y = CORRIDOR_Y
-    return [
-        (2.0, y), (24.5, y), (24.5, 28.5), (24.5, y),
-        (47.0, y), (2.0, y),
-    ]
+    return [(2.0, y), (24.5, y), (24.5, 28.5), (24.5, y), (47.0, y), (2.0, y)]
 
 
 def detour_walk() -> list[tuple[float, float]]:
@@ -256,10 +215,8 @@ def detour_walk() -> list[tuple[float, float]]:
     y = CORRIDOR_Y
     cx = 28.125  # room-4 door centre
     lap = [(26.625, 8.5), (26.625, 5.5), (29.625, 5.5), (29.625, 8.5)]
-    return (
-        [(2.0, y), (24.5, y), (24.5, 28.5), (24.5, y), (47.0, y), (cx, y), (cx, 8.5)]
-        + lap + lap + [(26.625, 8.5), (cx, 8.5), (cx, y), (2.0, y)]
-    )
+    return ([(2.0, y), (24.5, y), (24.5, 28.5), (24.5, y), (47.0, y), (cx, y), (cx, 8.5)]
+            + lap + lap + [(26.625, 8.5), (cx, 8.5), (cx, y), (2.0, y)])
 
 
 def multi_room_walk() -> list[tuple[float, float]]:
@@ -278,8 +235,7 @@ def multi_room_walk() -> list[tuple[float, float]]:
         wps += [(c, y), (c, 6.375), (c, y)]
     for c in top:
         wps += [(c, y), (c, 22.875), (c, y)]
-    wps.append((2.0, y))
-    return wps
+    return wps + [(2.0, y)]
 
 
 def default_aps() -> list[AccessPoint]:
@@ -287,12 +243,10 @@ def default_aps() -> list[AccessPoint]:
     return [AccessPoint(f"ap{i}", x, y) for i, (x, y) in enumerate(spots)]
 
 
-def random_anomalies(bounds: tuple[float, float, float, float], count: int = 110,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
+def random_anomalies(bounds: tuple[float, float, float, float], count: int,
+                     rng: np.random.Generator) -> np.ndarray:
     """Random magnetic anomalies over a bounding box: strengths of
     10-25 of either sign, decay lengths of 1-2.2 m."""
-    if rng is None:
-        rng = np.random.default_rng(7)
     x0, y0, x1, y1 = bounds
     out = np.empty((count, 4))
     out[:, 0] = rng.random(count) * (x1 - x0) + x0
@@ -325,10 +279,13 @@ class Scenario:
 
 _SCALARS = [f.name for f in fields(Scenario) if f.type == "float"]
 _POSITIVE = ("speed", "step_length", "mag_rate", "scan_period")  # divisors; sigmas may be 0
-# most strides in a scenario's walk: 75 km at the default 0.75 m stride,
-# hours longer than any indoor survey walk, and a walk's steps, poses and
-# samples are all held in memory
+# most strides in a scenario's walk: 75 km at the default 0.75 m stride, hours
+# longer than any indoor survey walk, whose steps and samples are held in memory
 MAX_STRIDES = 1e5
+# most magnetometer samples, and most WiFi readings (scans times sources),
+# in a walk: the longest walk within MAX_STRIDES at the default settings
+# (60,000 s at 50 Hz), so that only a rate, never a length, meets this cap
+MAX_SAMPLES = 3e6
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -342,14 +299,15 @@ def parse_scenario(text: str) -> Scenario:
     bias_deg_per_min.  speed, step_length, mag_rate, scan_period and
     each anomaly's decay must be positive; sigmas may not be negative;
     every x and y is at most MAX_COORD in magnitude (bounded_coords); the
-    legs' lengths sum to at most MAX_STRIDES step lengths.
+    legs' lengths sum to at most MAX_STRIDES step lengths, and the walk,
+    timed at speed, gives at most MAX_SAMPLES magnetometer samples and
+    MAX_SAMPLES WiFi readings.
     """
     waypoints = []
     waypoint_lines = []
     aps = []
     anomalies = []
-    scalars = {}
-    start_hint = "pose"
+    settings = {}  # what the text sets; Scenario's defaults fill the rest
     for line, parts in records(text):
         with line:
             tag = parts[0]
@@ -366,8 +324,8 @@ def parse_scenario(text: str) -> Scenario:
                 if anomalies[-1][3] <= 0:
                     raise ValueError(f"anomaly decay must be positive, got {anomalies[-1][3]}")
             elif tag == "starthint":
-                start_hint = expect(parts, "starthint,pose|room")[1]
-                if start_hint not in ("pose", "room"):
+                settings["start_hint"] = expect(parts, "starthint,pose|room")[1]
+                if settings["start_hint"] not in ("pose", "room"):
                     raise ValueError("starthint must be pose or room")
             elif tag in _SCALARS:
                 value = finite_floats(expect(parts, f"{tag},<value>")[1:])[0]
@@ -375,30 +333,31 @@ def parse_scenario(text: str) -> Scenario:
                     raise ValueError(f"{tag} must be positive, got {value}")
                 if tag.endswith("_sigma") and value < 0:
                     raise ValueError(f"{tag} must be non-negative, got {value}")
-                scalars[tag] = value
+                settings[tag] = value
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
     if len(waypoints) < 2:
         raise ValueError("scenario needs at least two waypoint records")
-    # step_length may follow the waypoints, so the walk is measured last
-    step = scalars.get("step_length", Scenario.step_length)
+    if aps:
+        settings["aps"] = aps
+    sc = Scenario(waypoints, anomalies=np.array(anomalies, dtype=float).reshape(-1, 4), **settings)
+    # settings may follow the waypoints, so the walk is measured last;
+    # each bound names the first waypoint past it, and a count that
+    # overflows to inf is past it
     walked = np.cumsum(np.hypot(*np.diff(np.array(waypoints), axis=0).T))
-    over = np.flatnonzero(walked > MAX_STRIDES * step)
-    if len(over):
-        raise ValueError(f"line {waypoint_lines[over[0] + 1]}: walk of more than "
-                         f"{MAX_STRIDES:g} strides of {step:g} m")
-    return Scenario(
-        waypoints=waypoints,
-        aps=aps or default_aps(),
-        anomalies=np.array(anomalies, dtype=float).reshape(-1, 4),
-        start_hint=start_hint,
-        **scalars,
-    )
-
-
-def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    with np.errstate(over="ignore"):
+        seconds = walked / sc.speed
+        bounds = ((walked > MAX_STRIDES * sc.step_length,
+                   f"{MAX_STRIDES:g} strides of {sc.step_length:g} m"),
+                  (seconds * sc.mag_rate > MAX_SAMPLES,
+                   f"{MAX_SAMPLES:g} magnetometer samples at {sc.mag_rate:g} Hz"),
+                  (seconds / sc.scan_period * len(sc.aps) > MAX_SAMPLES,
+                   f"{MAX_SAMPLES:g} readings of {len(sc.aps)} WiFi sources every "
+                   f"{sc.scan_period:g} s"))
+    for over, what in bounds:
+        if over.any():
+            raise ValueError(f"line {waypoint_lines[over.argmax() + 1]}: walk of more than {what}")
+    return sc
 
 
 def simulate_scenario(sc: Scenario, fp: Floorplan,
@@ -409,7 +368,7 @@ def simulate_scenario(sc: Scenario, fp: Floorplan,
     seed fully determines the output.
     """
     rng = np.random.default_rng(seed)
-    truth, steps = generate_walk(WalkScript(sc.waypoints, sc.speed, sc.step_length))
+    truth, steps = generate_walk(sc.waypoints, sc.speed, sc.step_length)
     noisy = corrupt_steps(steps, sc.theta_sigma, sc.len_sigma, sc.bias_deg_per_min, rng)
     fieldmodel = MagFieldModel(sc.background, sc.anomalies)
     mags = sample_magnetics(truth, fieldmodel, sc.mag_rate, sc.mag_sigma, rng)
@@ -432,17 +391,12 @@ def grid_survey(sc: Scenario, fp: Floorplan, spacing: float = 1.0,
     """
     rng = np.random.default_rng(seed)
     x0, y0, x1, y1 = fp.bounds
-    xs = np.arange(x0 + spacing / 2.0, x1, spacing)
-    ys = np.arange(y0 + spacing / 2.0, y1, spacing)
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(np.arange(x0 + spacing / 2.0, x1, spacing),
+                         np.arange(y0 + spacing / 2.0, y1, spacing))
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    inside = containing_rooms(fp, pts) >= 0
-    pts = pts[inside]
-    field = MagFieldModel(sc.background, sc.anomalies)
-    mag = field.field_at(pts) + rng.normal(0.0, sc.mag_sigma, len(pts))
-    wifi: dict[str, np.ndarray] = {}
-    for ap in sc.aps:
-        wifi[ap.ap_id] = rss_at(ap, pts) + rng.normal(0.0, sc.shadow_sigma, len(pts))
+    pts = pts[containing_rooms(fp, pts) >= 0]
+    mag = MagFieldModel(sc.background, sc.anomalies).field_at(pts) + rng.normal(0.0, sc.mag_sigma, len(pts))
+    wifi = {ap.ap_id: rss_at(ap, pts) + rng.normal(0.0, sc.shadow_sigma, len(pts)) for ap in sc.aps}
     return pts, mag, wifi
 
 

@@ -20,6 +20,11 @@ class StraightLineParams:
     turn_threshold: float = math.radians(5.0)  # strict |dtheta| bound, radians
     min_run: int = 10                          # steps; shorter runs are ignored
 
+    def __post_init__(self):
+        if not (0.0 <= self.turn_threshold < math.inf and self.min_run >= 1):
+            raise ValueError(f"turn_threshold must be finite and non-negative and min_run >= 1, "
+                             f"got {self.turn_threshold} and {self.min_run}")
+
 
 def detect_straight_steps(steps: list[StepEvent], params: StraightLineParams | None = None) -> np.ndarray:
     """Boolean flag per step: True for steps inside straight runs.
@@ -28,8 +33,6 @@ def detect_straight_steps(steps: list[StepEvent], params: StraightLineParams | N
     candidate runs shorter than min_run are dropped entirely.
     """
     p = params or StraightLineParams()
-    if p.min_run < 1:
-        raise ValueError(f"min_run must be >= 1, got {p.min_run}")
     cand = np.array([abs(s.dtheta) < p.turn_threshold for s in steps], dtype=bool)
     # the mask's edges cut it into runs that alternate non-candidate,
     # candidate, ..., non-candidate (the first and last may be empty)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floorsurvey import fileio
 from floorsurvey.cli import main
@@ -470,6 +476,77 @@ def test_simulate_refuses_a_walk_beyond_the_stride_bound(tmp_path, capsys):
         assert not out.exists()
 
 
+def _run_capped(args: list[str]) -> subprocess.CompletedProcess:
+    """The command line in a child process whose address space is capped
+    at 1 GiB, so that an input that asks for gigabytes fails at once."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from floorsurvey.cli import main; sys.exit(main())",
+         *args], env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space cap")
+def test_simulate_refuses_a_rate_beyond_the_sample_bound(tmp_path):
+    # mag_rate,1e8 on a 12 m walk asked for a 7 GiB array
+    scen = tmp_path / "fast.scen"
+    scen.write_text(SCENARIO + "mag_rate,1e8\n")
+    done = _run_capped(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert done.returncode == 2, done.stderr
+    assert "line 2: walk of more than 3e+06 magnetometer samples at 1e+08 Hz" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space cap")
+def test_survey_refuses_a_log_beyond_the_time_span_bound(tmp_path):
+    # one step and one mag record at t = 1e9 s after a corridor walk:
+    # closure mining asked for a 74.5 GiB resample grid
+    log, _ = simulate_scenario(corridor_scenario(), office_floorplan(), seed=4)
+    path = tmp_path / "log.txt"
+    fileio.write_survey_log(path, log)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + ["step,1e9,0.75,0.0", "mag,1e9,50.0,0.0,0.0"]) + "\n")
+    done = _run_capped(["survey", "--log", str(path), "--out", str(tmp_path / "out")])
+    assert done.returncode == 2, done.stderr
+    assert (f"line {len(lines) + 1}: time 1e+09 s spreads the log's records over more "
+            "than 100000 s") in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_survey_refuses_invalid_config_values_before_filtering(ws, tmp_path, monkeypatch, capsys):
+    # sigma_alpha=nan lost the filter (exit 3), msp.radius=nan mined no
+    # closures with exit 0, and the rest exited 2 after the first pass
+    import floorsurvey.cli as cli
+
+    def explode(*a, **kw):
+        raise AssertionError("the survey ran")
+
+    monkeypatch.setattr(cli, "run_survey", explode)
+    for bad in ("sigma_alpha=nan", "sigma_closure=0", "validation.max_flat=1",
+                "straight.min_run=0", "msp.radius=nan"):
+        assert main(["survey", "--log", str(ws["sim"] / "log.txt"), "--out", str(tmp_path / "o"),
+                     "--config", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and bad.split("=")[0].rpartition(".")[2] in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_map_refuses_a_points_file_beyond_the_signal_bounds(tmp_path, capsys):
+    # a mag of 1e300 used to exit 0 and write 300-digit mu values
+    points = tmp_path / "bad.spt"
+    for rows, match in (("point,0,0.0,1.0,2.0,0.5,3,1e300", "line 1: mag 1e+300 outside"),
+                        ("point,1,0.0,1.0,2.0,0.5,3,50.0\nsig,1,ap0,55.0",
+                         "line 2: rssi 55.0 outside [-120, 0] dBm")):
+        points.write_text(rows + "\n")
+        assert main(["map", "--points", str(points), "--out", str(tmp_path / "o")]) == 2
+        assert match in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_rejected_rows(ws, tmp_path, capsys):
     traj = tmp_path / "bad.traj"
     traj.write_text("# epoch,t,x,y,theta\n0,0.0,1.0,2.0,0.0\nabc,0.5,1.0,2.0,0.0\n")
@@ -567,3 +644,109 @@ def test_exit_code_non_finite_pose(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["pf1", "--log", str(log), "--out", str(tmp_path / "o")]) == 3
     assert "pf1: non-finite pose at epoch 1" in capsys.readouterr().err
+
+
+# The commands that read each input of the ws session, with the input's
+# path left as f; --out is added per run
+def _readers(ws):
+    sim, srv, maps = ws["sim"], ws["srv"], ws["maps"]
+    plan, log, truth = (str(sim / n) for n in ("floorplan.txt", "log.txt", "truth.traj"))
+    mag, ap0 = str(maps / "map_mag.map"), str(maps / "map_ap0.map")
+    return {
+        "scenario": (ws["scen"], lambda f: ["simulate", "--scenario", f, "--seed", "2"]),
+        "floorplan": (sim / "floorplan.txt",
+                      lambda f: ["simulate", "--scenario", str(ws["scen"]), "--floorplan", f]),
+        "survey-log": (sim / "log.txt",
+                       lambda f: ["survey", "--log", f, "--floorplan", plan, "--seed", "5"]),
+        "straight-log": (sim / "log.txt", lambda f: ["straight", "--log", f]),
+        "position-log": (sim / "log.txt",
+                         lambda f: ["position", "--map", mag, "--map", ap0, "--log", f]),
+        "points": (srv / "points.spt", lambda f: ["map", "--points", f, "--floorplan", plan]),
+        "position-map": (maps / "map_mag.map",
+                         lambda f: ["position", "--map", f, "--map", ap0, "--log", log]),
+        "compare-map": (maps / "map_ap0.map", lambda f: ["compare", "--map-a", f, "--map-b", ap0]),
+        "eval-traj": (srv / "pf2.traj",
+                      lambda f: ["eval", "--traj", f, "--truth", truth, "--floorplan", plan]),
+        "eval-truth": (sim / "truth.traj", lambda f: ["eval", "--traj", f, "--truth", truth]),
+        "plot-traj": (srv / "pf2.traj", lambda f: ["plot", "--traj", f, "--floorplan", plan]),
+        "plot-closures": (ws["closures"], lambda f: ["plot", "--closures", f, "--floorplan", plan]),
+    }
+
+
+# errors about a whole file, which no one line holds: a record that a
+# deleted line held, or two files that do not fit together
+_WHOLE_FILE_ERRORS = ("survey log contains no start hint", "scenario needs at least two waypoint",
+                      "missing source or grid record", "map file does not cover every cell",
+                      "room ids must be unique and contiguous", "epoch count mismatch")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _mutate(lines: list[str], data) -> list[str]:
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    kind = data.draw(st.sampled_from(["field", "repeat", "delete", "swap"]), label="mutation")
+    out = list(lines)
+    if kind == "field":
+        parts = out[at].split(",")
+        k = data.draw(st.integers(0, len(parts) - 1), label="field")
+        # a tag or a name (a source id, a room name) set to nan or inf is
+        # still a word, which outputs may repeat
+        values = ["nan", "inf"] * _is_number(parts[k]) + ["1e400", "1e308", "", "text"]
+        parts[k] = data.draw(st.sampled_from(values), label="value")
+        out[at] = ",".join(parts)
+    elif kind == "repeat":
+        out.insert(at, out[at])
+    elif kind == "delete":
+        del out[at]
+    else:
+        other = data.draw(st.integers(0, len(lines) - 1), label="other line")
+        out[at], out[other] = out[other], out[at]
+    return out
+
+
+@pytest.fixture(scope="module")
+def mutation_session(ws):
+    closures = ws["root"] / "mutation.lc"
+    closures.write_text("# epoch_a,epoch_b\n0,5\n2,9\n")
+    return {**ws, "closures": closures}
+
+
+_BAD_TOKEN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("reader", ["scenario", "floorplan", "survey-log", "straight-log",
+                                    "position-log", "points", "position-map", "compare-map",
+                                    "eval-traj", "eval-truth", "plot-traj", "plot-closures"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_one_mutated_line_exits_cleanly(mutation_session, reader, data):
+    # one line of one valid input is mutated, and the command that reads
+    # it either succeeds with finite output, fails on data naming a line,
+    # or loses the filter; warnings are errors
+    src, command = _readers(mutation_session)[reader]
+    lines = src.read_text().splitlines()
+    with tempfile.TemporaryDirectory(dir=mutation_session["root"]) as tmp:
+        bad = Path(tmp) / src.name
+        bad.write_text("\n".join(_mutate(lines, data)) + "\n")
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
+            code = main([*command(str(bad)), "--out", str(out)])
+        assert code in (0, 2, 3), stderr.getvalue()
+        if code == 2:
+            err = stderr.getvalue()
+            assert re.search(r"line \d+: ", err) or any(m in err for m in _WHOLE_FILE_ERRORS), err
+        if code == 0:
+            files = sorted(out.iterdir()) if out.is_dir() else [out]
+            for text in [stdout.getvalue()] + [f.read_text() for f in files]:
+                # a points row's last field, mag, is nan where the epoch had no samples
+                text = re.sub(r"^(point,.*),nan$", r"\1", text, flags=re.MULTILINE)
+                assert not _BAD_TOKEN.search(text), text[:2000]

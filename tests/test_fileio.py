@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def test_survey_points_write_read_roundtrip(tmp_path_factory, data):
     points = []
     for epoch in sorted(data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=15))):
         room = data.draw(st.none() | st.integers(0, 100))
-        mag = _floats(data, 1)[0] if data.draw(st.booleans()) else None
+        mag = _floats(data, 1, 0.0, fileio.MAX_MAG)[0] if data.draw(st.booleans()) else None
         wifi = {ap: _floats(data, 1, -120.0, 0.0)[0]
                 for ap in data.draw(st.lists(_name, unique=True, max_size=4))}
         points.append(SurveyPoint(epoch, *_floats(data, 4), room, mag, wifi))
@@ -405,6 +406,37 @@ def test_survey_points_roundtrip(tmp_path):
         f.write_text(f"point,0,{point}\nsig,0,ap0,{sig}\n")
         with pytest.raises(ValueError, match="non-finite"):
             fileio.read_survey_points(f)
+
+
+def test_survey_points_bound_mag_and_rssi(tmp_path):
+    # a mag of 1e300 used to fit a map of 300-digit mu values, and a sig
+    # of 55 dBm was taken as a reading
+    f = tmp_path / "points.csv"
+    ok = "point,0,0.0,1.0,2.0,0.5,3,{mag}\nsig,0,ap0,{rssi}\n"
+    f.write_text(ok.format(mag="17320.508076", rssi="-120.0"))
+    assert fileio.read_survey_points(f)[0].mag == fileio.MAX_MAG == 17320.508076
+    f.write_text(ok.format(mag="0.0", rssi="0.0"))
+    assert fileio.read_survey_points(f)[0].wifi == {"ap0": 0.0}
+    for mag, rssi, match in (("1e300", "-50.0", "line 1: mag 1e+300 outside"),
+                             ("17320.508077", "-50.0", "line 1: mag 17320.508077 outside"),
+                             ("-0.5", "-50.0", "line 1: mag -0.5 outside"),
+                             ("50.0", "55.0", "line 2: rssi 55.0 outside [-120, 0] dBm"),
+                             ("50.0", "-120.5", "line 2: rssi -120.5 outside")):
+        f.write_text(ok.format(mag=mag, rssi=rssi))
+        with pytest.raises(ValueError, match=re.escape(match)):
+            fileio.read_survey_points(f)
+
+
+def test_signal_map_bounds_the_grid_far_corner(tmp_path):
+    # a pitch of 1e308 put every fix at inf, and position exited 0
+    f = tmp_path / "m.map"
+    for pitch, match in (("1e308", "non-finite number in inf,1e+308"),
+                         ("1e150", "coordinate above 1e+150 in magnitude in 2e+150,1e+150")):
+        f.write_text(f"source,ap0\ngrid,0,0,{pitch},2,1\ncell,0,0,-50.0,1.0\ncell,1,0,-60.0,1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 2: {match}")):
+            fileio.read_signal_map(f)
+    f.write_text("source,ap0\ngrid,-1e150,0,1e150,2,1\ncell,0,0,-50.0,1.0\ncell,1,0,-60.0,1.0\n")
+    assert fileio.read_signal_map(f).cell == 1e150
 
 
 def test_survey_points_reject_repeated_epoch_and_source(tmp_path):

@@ -261,7 +261,7 @@ def test_parse_floorplan_error_carries_line_number():
         parse_floorplan("wall,0,0,1,0\nwall,oops,0,1,0\n")
     with pytest.raises(FloorplanError, match="unknown record"):
         parse_floorplan("door,0,0,1,1\n")
-    with pytest.raises(FloorplanError, match="duplicate room ids"):
+    with pytest.raises(FloorplanError, match="line 2: duplicate room id 0"):
         parse_floorplan(
             "room,0,a,0,0,1,0,1,1\nroom,0,b,2,2,3,2,3,3\n"
         )

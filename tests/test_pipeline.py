@@ -80,9 +80,20 @@ def test_apply_overrides_bad_number():
                                        ("gp.length_scale", "0"), ("gp.length_scale", "-3"),
                                        ("gp.sigma_f", "-1"), ("gp.sigma_f", "nan"),
                                        ("gp.sigma_n", "-0.5"), ("gp.sigma_n", "inf"),
-                                       ("gp.mean", "-inf"), ("gp.mean", "nan")])
+                                       ("gp.mean", "-inf"), ("gp.mean", "nan"),
+                                       ("sigma_alpha", "nan"), ("sigma_alpha", "inf"),
+                                       ("sigma_closure", "0"), ("sigma_closure", "-1"),
+                                       ("msp.radius", "nan"), ("msp.radius", "0"),
+                                       ("msp.min_separation", "-1"),
+                                       ("validation.min_length", "nan"),
+                                       ("validation.max_ratio", "-1"),
+                                       ("validation.max_mean_dist", "inf"),
+                                       ("validation.max_dist_var", "nan"),
+                                       ("validation.max_flat", "1"),
+                                       ("straight.turn_threshold", "nan"),
+                                       ("straight.min_run", "0")])
 def test_apply_overrides_rejects_invalid_values(key, text):
-    with pytest.raises(ValueError, match=key.partition(".")[2]):
+    with pytest.raises(ValueError, match=key.rpartition(".")[2]):
         apply_overrides(PipelineConfig(), {key: text})
 
 

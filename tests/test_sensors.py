@@ -111,6 +111,19 @@ def test_parse_survey_log_errors(bad, msg):
         parse_survey_log(bad)
 
 
+def test_parse_survey_log_bounds_the_span_of_record_times():
+    # the first record that spreads the times over more than 1e5 s is
+    # named, whatever its kind; the bound holds at any offset
+    assert len(parse_survey_log("step,5,0.75,0\nmag,100005,1,0,0\n").mags) == 1
+    assert len(parse_survey_log("wifi,1e9,ap0,-50\nstep,1e9,0.75,0\n").wifi) == 1
+    for text, line in (("step,1.0,0.75,0\nstep,2.0,0.75,0\nmag,1e9,1,0,0\nstep,1e9,0.75,0\n", 3),
+                       ("mag,2e5,1,0,0\nstart,3\nwifi,99999,ap0,-50\n", 3),
+                       ("step,1e9,0.75,0\nwifi,-1e308,ap0,-50\n", 2)):
+        with pytest.raises(LogError, match=f"^line {line}: time .* spreads the log's records "
+                                           "over more than 100000 s"):
+            parse_survey_log(text)
+
+
 def test_parse_survey_log_takes_mag_components_at_the_bound():
     log = parse_survey_log("mag,1.0,10000,-10000,10000\n")
     assert log.mags[0].b == (1e4, -1e4, 1e4)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from floorsurvey.simulate import (
     AccessPoint,
     MagFieldModel,
     Scenario,
-    WalkScript,
     corrupt_steps,
     corridor_scenario,
     corridor_walk,
@@ -35,8 +35,13 @@ from floorsurvey.simulate import (
 
 # ------------------------------------------------------------------ walks
 
+def _walk(waypoints):
+    sc = Scenario(waypoints)
+    return generate_walk(sc.waypoints, sc.speed, sc.step_length)
+
+
 def test_generate_walk_square():
-    traj, steps = generate_walk(WalkScript([(0, 0), (3, 0), (3, 3), (0, 3), (0, 0)]))
+    traj, steps = _walk([(0, 0), (3, 0), (3, 3), (0, 3), (0, 0)])
     assert len(steps) == 16
     assert len(traj) == 17
     assert np.allclose(traj.poses[-1, :2], [0, 0], atol=1e-9)
@@ -53,50 +58,58 @@ def test_generate_walk_square():
 def test_generate_walk_leg_rounding_and_reaim():
     # 1 m leg rounds to one 0.75 m stride; the next leg re-aims from the
     # actual endpoint, not the waypoint
-    traj, steps = generate_walk(WalkScript([(0, 0), (1.0, 0), (1.0, 2.0)]))
+    traj, steps = _walk([(0, 0), (1.0, 0), (1.0, 2.0)])
     assert np.allclose(traj.poses[1, :2], [0.75, 0])
     second_heading = math.atan2(2.0, 1.0 - 0.75)
     assert math.isclose(traj.poses[2, 2], second_heading, abs_tol=1e-12)
 
 
 def test_generate_walk_skips_tiny_legs():
-    traj, steps = generate_walk(WalkScript([(0, 0), (0.3, 0), (3.0, 0)]))
+    traj, steps = _walk([(0, 0), (0.3, 0), (3.0, 0)])
     assert len(steps) == 4
     assert np.allclose(traj.poses[-1, :2], [3.0, 0])
 
 
 def test_generate_walk_needs_two_waypoints():
     with pytest.raises(ValueError):
-        generate_walk(WalkScript([(0, 0)]))
+        _walk([(0, 0)])
 
 
 def test_corrupt_steps_zero_noise_is_identity():
-    _, steps = generate_walk(WalkScript([(0, 0), (6, 0), (6, 6)]))
-    out = corrupt_steps(steps, theta_sigma=0.0, len_sigma=0.0)
+    _, steps = _walk([(0, 0), (6, 0), (6, 6)])
+    out = corrupt_steps(steps, 0.0, 0.0, 0.0, np.random.default_rng(0))
     assert out == steps
-    assert corrupt_steps([]) == []
+    assert corrupt_steps([], 0.0, 0.0, 0.0, np.random.default_rng(0)) == []
 
 
 def test_corrupt_steps_bias_is_linear_in_time():
-    _, steps = generate_walk(WalkScript([(0, 0), (6, 0)]))
-    out = corrupt_steps(steps, theta_sigma=0.0, len_sigma=0.0, bias_deg_per_min=60.0)
+    _, steps = _walk([(0, 0), (6, 0)])
+    out = corrupt_steps(steps, 0.0, 0.0, 60.0, np.random.default_rng(0))
     # 60 deg/min = 1 deg/s; each stride takes 0.6 s
     per_step = math.radians(1.0) * 0.6
     for a, b in zip(steps, out):
         assert math.isclose(b.dtheta - a.dtheta, per_step, abs_tol=1e-12)
 
 
+def test_corrupt_steps_bias_runs_over_each_epoch_interval():
+    # a one-step walk's bias runs from epoch 0 as step_epoch_times sets
+    # it: 0.375 s here, where it used to run a nominal 0.5 s
+    _, steps = generate_walk([(0, 0), (0.75, 0)], 2.0, 0.75)
+    out = corrupt_steps(steps, 0.0, 0.0, 60.0, np.random.default_rng(0))
+    assert steps[0].t == 0.375
+    assert math.isclose(out[0].dtheta, math.radians(1.0) * 0.375, abs_tol=1e-15)
+
+
 def test_corrupt_steps_clamps_length():
-    _, steps = generate_walk(WalkScript([(0, 0), (6, 0)]))
-    out = corrupt_steps(steps, theta_sigma=0.0, len_sigma=5.0,
-                        rng=np.random.default_rng(1))
+    _, steps = _walk([(0, 0), (6, 0)])
+    out = corrupt_steps(steps, 0.0, 5.0, 0.0, np.random.default_rng(1))
     assert all(s.length >= 0.05 for s in out)
 
 
 def test_corrupt_steps_deterministic():
-    _, steps = generate_walk(WalkScript([(0, 0), (6, 0)]))
-    a = corrupt_steps(steps, rng=np.random.default_rng(5))
-    b = corrupt_steps(steps, rng=np.random.default_rng(5))
+    _, steps = _walk([(0, 0), (6, 0)])
+    a = corrupt_steps(steps, math.radians(0.5), 0.04, 2.0, np.random.default_rng(5))
+    b = corrupt_steps(steps, math.radians(0.5), 0.04, 2.0, np.random.default_rng(5))
     assert a == b
 
 
@@ -107,7 +120,7 @@ def test_mag_field_model():
     v = field.field_at(np.array([[2.0, 0.0], [100.0, 0.0]]))
     assert math.isclose(v[0], 50.0 + 10.0 * math.exp(-1.0))
     assert math.isclose(v[1], 50.0, abs_tol=1e-9)
-    assert MagFieldModel(48.0).field_at([1.0, 2.0])[0] == 48.0
+    assert MagFieldModel(48.0, np.zeros((0, 4))).field_at([1.0, 2.0])[0] == 48.0
 
 
 def test_rss_at_log_distance():
@@ -122,9 +135,9 @@ def test_rss_at_log_distance():
 
 
 def test_sample_magnetics_timing_and_values():
-    traj, _ = generate_walk(WalkScript([(0, 0), (6, 0)]))
-    field = MagFieldModel(50.0)
-    mags = sample_magnetics(traj, field, rate=10.0, sigma=0.0)
+    traj, _ = _walk([(0, 0), (6, 0)])
+    field = MagFieldModel(50.0, np.zeros((0, 4)))
+    mags = sample_magnetics(traj, field, 10.0, 0.0, np.random.default_rng(0))
     t0, t1 = traj.times[0], traj.times[-1]
     assert len(mags) == int(math.floor((t1 - t0) * 10.0)) + 1
     assert mags[0].t == t0
@@ -132,9 +145,9 @@ def test_sample_magnetics_timing_and_values():
 
 
 def test_simulate_wifi_sorted_and_bounded():
-    traj, _ = generate_walk(WalkScript([(0, 0), (10, 0)]))
+    traj, _ = _walk([(0, 0), (10, 0)])
     aps = default_aps()[:3]
-    obs = simulate_wifi(traj, aps, scan_period=1.0, rng=np.random.default_rng(2))
+    obs = simulate_wifi(traj, aps, 1.0, 2.0, np.random.default_rng(2))
     keys = [(o.t, o.ap_id) for o in obs]
     assert keys == sorted(keys)
     scans = int(math.floor((traj.times[-1] - traj.times[0]) / 1.0)) + 1
@@ -202,7 +215,7 @@ def test_office_floorplan_doorways():
 def test_walk_scripts_stay_inside():
     fp = office_floorplan()
     for wps in (corridor_walk(), floor_loop_walk(), detour_walk(), multi_room_walk()):
-        traj, _ = generate_walk(WalkScript(wps))
+        traj, _ = _walk(wps)
         inside = containing_rooms(fp, traj.positions) >= 0
         assert inside.all()
         crossed = segments_cross_walls(traj.positions[:-1], traj.positions[1:], fp.walls)
@@ -279,14 +292,37 @@ def test_parse_scenario_errors(text, fragment):
 def test_parse_scenario_bounds_the_walk_in_strides():
     # the sum of the legs over step_length, measured after every record,
     # so a step_length after the waypoints counts; the error names the
-    # first waypoint past the bound
+    # first waypoint past the bound.  The 200 km walk takes 160,000 s,
+    # so it samples the magnetometer at 10 Hz to stay within MAX_SAMPLES
     assert len(parse_scenario("waypoint,0,0\nwaypoint,75000,0\n").waypoints) == 2
-    assert len(parse_scenario("waypoint,0,0\nwaypoint,0,2e5\nstep_length,2\n").waypoints) == 2
+    assert len(parse_scenario("waypoint,0,0\nwaypoint,0,2e5\nstep_length,2\n"
+                              "mag_rate,10\n").waypoints) == 2
     for text, line in (("waypoint,0,0\nwaypoint,75000.01,0\n", 2),
                        ("waypoint,0,0\nwaypoint,0,2e5\nstep_length,1.999\n", 2),
                        ("waypoint,0,0\nwaypoint,40000,0\n# back\nwaypoint,0,0\nwaypoint,1e150,0\n", 4),
                        ("waypoint,0,0\nwaypoint,1,0\nwaypoint,1e150,0\nwaypoint,0,0\n", 3)):
         with pytest.raises(ValueError, match=f"^line {line}: walk of more than 100000 strides"):
+            parse_scenario(text)
+
+
+def test_parse_scenario_bounds_the_walk_in_samples():
+    # mag_rate,1e8 made simulate ask for 7 GiB; the longest walk within
+    # the stride bound meets MAX_SAMPLES at the default settings, and the
+    # error names the first waypoint past it
+    sc = parse_scenario("waypoint,0,0\nwaypoint,75000,0\n")
+    assert (75000 / sc.speed * sc.mag_rate, 75000 / sc.speed / sc.scan_period) == (3e6, 6e4)
+    assert len(parse_scenario("waypoint,0,0\nwaypoint,12,0\nmag_rate,250000\n").waypoints) == 2
+    for text, line, what in (
+            ("waypoint,0,0\nwaypoint,12,0\nmag_rate,1e8\n", 2, "3e+06 magnetometer samples at 1e+08 Hz"),
+            ("waypoint,0,0\nwaypoint,12,0\n# slow\nwaypoint,24,0\nspeed,3e-4\n", 4,
+             "3e+06 magnetometer samples at 50 Hz"),
+            ("waypoint,0,0\nwaypoint,12,0\nmag_rate,1e308\nspeed,1e-300\n", 2,
+             "3e+06 magnetometer samples at 1e+308 Hz"),
+            ("waypoint,0,0\nwaypoint,12,0\nscan_period,1e-6\n", 2,
+             "3e+06 readings of 6 WiFi sources every 1e-06 s"),
+            ("waypoint,0,0\nwaypoint,12,0\nap,1,1,-40,2.5\nscan_period,3e-6\n", 2,
+             "3e+06 readings of 1 WiFi sources every 3e-06 s")):
+        with pytest.raises(ValueError, match=re.escape(f"line {line}: walk of more than {what}")):
             parse_scenario(text)
 
 
