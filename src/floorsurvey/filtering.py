@@ -31,6 +31,7 @@ from .sensors import StepEvent, StepNoiseModel, step_epoch_times
 
 TAU = 2.0 * math.pi
 COMPACT_EVERY = 16  # epochs between ancestor-tree compactions; 0 compacts only at the end
+_GUIDE_STEPS = 8    # vector steps of the guide-table draws still short before the binary search
 
 
 class FilterLostError(RuntimeError):
@@ -256,12 +257,16 @@ def _guide_draws(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarra
     can skip the answer.  About half the draws end at the start; one
     exact whole-vector comparison advances the draws with cum <= u by
     one entry (cum[-1] = 1 > u keeps them inside the array), which ends
-    most of the rest.  The few still short (a bucket crowded with tiny
-    weights) take the binary search.
+    most of the rest.  Up to _GUIDE_STEPS more steps, then the binary
+    search, end the few still short (a bucket crowded with tiny weights).
     """
     idx = guide[_buckets(u, len(cum))]
     idx += cum[idx] <= u
     todo = np.flatnonzero(cum[idx] <= u)
+    for _ in range(_GUIDE_STEPS):
+        if len(todo):
+            idx[todo] += 1
+            todo = todo[cum[idx[todo]] <= u[todo]]
     idx[todo] = np.searchsorted(cum, u[todo], side="right")
     return idx
 

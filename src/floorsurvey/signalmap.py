@@ -262,16 +262,11 @@ def _aligned_rows(rows: int, cols: int) -> np.ndarray:
     return buf[start:start + rows * ld].reshape(rows, ld)[:, :cols]
 
 
-def _gamma(k: int) -> float:
-    """Higham's bound k u / (1 - k u) on the relative error of k roundings."""
-    return k * _U / (1.0 - k * _U)
-
-
 class _Block:
     """One block per list: the k maps of one list, on one grid, in list
-    order.  It holds their source ids, their log-likelihood terms as a
-    float32 screen matrix, and a float64 table of each cell's c, mu and
-    v2 to rescore the cells the screen keeps.
+    order.  It holds a (column, source id, P, B, E, r0) entry per map,
+    their log-likelihood terms as a float32 screen matrix, and a float64
+    table of each cell's c, mu and v2 to rescore the cells the screen keeps.
 
     With c = -log(2 pi sigma^2) / 2 and v2 = 2 sigma^2, the exact score
     of a cell from these floats, for the M maps a scan heard, is a
@@ -280,24 +275,29 @@ class _Block:
     and y = mu - r0 (x - y = r - mu exactly):
         s = sum_m c - (r - mu)^2 / v2 = sum_m a + x b + x^2 e,
         a = c - y^2 / v2,  b = 2 y / v2,  e = -1 / v2.
-    So q = [h, x, x^2] @ W, with W the 3k x cells float32 matrix of a, b
-    and e and h = 1 for a heard map (h = x = 0 for the rest), screens
-    every cell in one float32 product.  Let u = 2^-24, the unit roundoff
-    of float32, gamma_n = n u / (1 - n u), and G = sum over heard maps of
-    P + B |x| + E x^2, where P, B and E are the maxima over cells of
-    |c| + y^2 / v2, |b| and |e|; as (r - mu)^2 <= y^2 + 2 |x y| + x^2,
-    each term's size |c| + (r - mu)^2 / v2 is at most P + B |x| + E x^2.
-    Then, by Higham 2002, Accuracy and Stability of Numerical
-    Algorithms, ch. 3:
+    W holds the float32 rows [A; b_1..b_k; e_1..e_k; a_1..a_k], A being
+    the float64 sum of the a of the maps that fit (below), rounded once.
+    So q = [1, x, x^2] @ W[:2k+1] screens every cell of a scan that
+    hears every map, and q = [x, x^2, h] @ W[1:] of any other scan, with
+    h = 1 for a heard map (h = x = 0 for the rest).  Let u = 2^-24, the
+    unit roundoff of float32, gamma_n = n u / (1 - n u), and G = sum
+    over heard maps of P + B |x| + E x^2, where P, B and E are the maxima
+    over cells of |c| + y^2 / v2, |b| and |e|; as (r - mu)^2 <= y^2 +
+    2 |x y| + x^2, each term's size |c| + (r - mu)^2 / v2 is at most
+    P + B |x| + E x^2, and |a| is at most P.  Then, by Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, ch. 3:
     - the float64 score of the dense expression (as rescored) sits
       within gamma_{M+5} G of s: four roundings per term, then M - 1 in
       the running sum, each of at most 2^-53 < u;
-    - q sits within gamma_{3k+7} G of s: x and y carry one float64
-      rounding each, from r - r0 and mu - r0; a carries six (y twice,
-      y^2, / v2, c minus it, and float32), b three and e two; x in
-      float32 carries two and x^2 four; each product adds one, so no
-      term carries more than seven, and the product sums 3k terms in
-      some order, with fused multiply-adds or without.
+    - q sits within gamma_{3k+7} G of s in either window: x and y carry
+      one float64 rounding each, from r - r0 and mu - r0; a carries six
+      (y twice, y^2, / v2, c minus it, and float32), b three and e two;
+      x in float32 carries two and x^2 four; each product adds one, so
+      no term carries more than seven, and the sum of 3k terms adds
+      3k - 1.  Each a in A keeps its five float64 roundings, gains k - 1
+      from the sum and one from float32, then one from the product by 1
+      and 2k from the sum of 2k + 1 terms: 3k + 6 (x b, x^2 e: 2k + 7).
+      Either sum may run in any order, with fused multiply-adds or not.
     So the best cell by the dense score has q >= max q - 2 (gamma_{M+5}
     + gamma_{3k+7}) G, and rescoring every cell within that margin of
     max q, in index order, finds it and its lowest-index ties.  The
@@ -310,91 +310,45 @@ class _Block:
     bound needs finite terms and no overflow.  The float32 products and
     partial sums stay below 2 G', and in float64 (r - mu)^2 is at most
     2 (x^2 + P v2).  So a map whose P + 1, B + 1, E + 1 or largest v2
-    exceeds 2^100 gets infinite bounds and zero rows in W.  When G' <=
-    2^100, every heard map fits: its v2 and 1 / v2 are at most 2^100,
-    so v2 is positive, and its c, mu, r and (r - mu)^2 are finite.  So
-    the kept cells are rescored in Python floats, which then meet no
-    zero divisor and no NaN, with the same IEEE operations as the dense
-    numpy expression.  A scan whose G' exceeds 2^100, or is NaN, has
-    every cell scored by that dense expression, with np.argmax's rule
-    for NaN.
+    exceeds 2^100 gets infinite bounds, zero rows in W and no share of
+    A.  When G' <= 2^100, every heard map fits: its v2 and 1 / v2 are at
+    most 2^100, so v2 is positive, and its c, mu, r and (r - mu)^2 are
+    finite.  So the kept cells are rescored in Python floats, which then
+    meet no zero divisor and no NaN, with the same IEEE operations as
+    the dense numpy expression.  A scan whose G' exceeds 2^100, or is
+    NaN, has every cell scored by that dense expression, with
+    np.argmax's rule for NaN.
     """
 
     def __init__(self, maps: tuple[SignalMap, ...]):
-        self.ap_ids = tuple(m.ap_id for m in maps)
-        var = [m.sigma ** 2 for m in maps]
-        c = np.column_stack([-0.5 * np.log(2.0 * math.pi * v) for v in var])
-        v2 = np.column_stack([2.0 * v for v in var])
+        k = len(maps)
+        v2 = np.column_stack([2.0 * m.sigma ** 2 for m in maps])
+        c = -0.5 * np.log(math.pi * v2)  # pi (2 sigma^2) rounds as (2 pi) sigma^2
         mu = np.column_stack([m.mu for m in maps])
         self.table = np.stack((c, mu, v2), axis=2)  # (cells, k, 3)
         with np.errstate(all="ignore"):
-            self.r0 = (0.5 * mu.min(axis=0) + 0.5 * mu.max(axis=0)).tolist()
-            y = mu - self.r0
+            r0 = 0.5 * mu.min(axis=0) + 0.5 * mu.max(axis=0)
+            y = mu - r0
             y2 = y * y / v2
-            terms = (c - y2, 2.0 * y / v2, -1.0 / v2)
-            bounds = np.stack([np.abs(c) + y2, np.abs(terms[1]), np.abs(terms[2])]).max(axis=1) + 1.0
+            a, b, e = c - y2, 2.0 * y / v2, -1.0 / v2
+            bounds = np.stack([np.abs(c) + y2, np.abs(b), np.abs(e)]).max(axis=1) + 1.0
         # NaN compares false: a map with a NaN term does not fit either
         fits = (bounds.max(axis=0) <= _BIG) & (v2.max(axis=0) <= _BIG)
-        self.bounds = [tuple(b) if ok else (math.inf,) * 3
-                       for b, ok in zip(bounds.T.tolist(), fits.tolist())]
-        keep = np.tile(fits, 3)[:, None]
-        self.w = _aligned_rows(3 * len(maps), len(mu))
-        self.w[...] = np.where(keep, np.hstack(terms).T, 0.0)
-        self.margin = 4.0 * _gamma(4 * len(maps) + 16)
-
-    def best_cell(self, cols: list[int], r: list[float]) -> tuple[int, float]:
-        """Lowest-index best cell, and its score, for readings r of the
-        maps in columns cols, rising (a map's column is its list index)."""
-        k = len(self.bounds)
-        hxx = [0.0] * (3 * k)  # [h, x, x^2]
-        g = 0.0  # G'; inf or NaN when a heard map does not fit
-        for col, reading in zip(cols, r):
-            p, b, e = self.bounds[col]
-            x = reading - self.r0[col]
-            g += p + b * abs(x) + e * (x * x + 1.0)
-            hxx[col], hxx[k + col], hxx[2 * k + col] = 1.0, x, x * x
-        if not g <= _BIG:
-            return self._dense(cols, r)
-        q = np.array(hxx, dtype=np.float32) @ self.w
-        t = float(q.max()) - self.margin * g
-        t32 = np.float32(t)
-        if float(t32) < t:
-            t32 = np.nextafter(t32, np.float32(np.inf))
-        cells = (q >= t32).nonzero()[0]
-        # the dense expression's operations, summed in map order from
-        # +0.0; cells rise, so the first maximum is the lowest-index one
-        best, top = 0, -math.inf
-        for cell, row in zip(cells.tolist(), self.table.take(cells, 0).tolist()):
-            s = 0.0
-            for col, reading in zip(cols, r):
-                c, mu, v2 = row[col]
-                d = reading - mu
-                s += c - d * d / v2
-            if s > top:
-                best, top = cell, s
-        return best, top
-
-    def _dense(self, cols: list[int], r: list[float]) -> tuple[int, float]:
-        """best_cell by the dense float64 score of every cell, for a scan
-        the screen cannot bound: a term may then divide by zero or be NaN."""
-        at = self.table if len(cols) == len(self.bounds) else self.table[:, cols]
-        terms = at[..., 0] - (np.array(r) - at[..., 1]) ** 2 / at[..., 2]
-        # each cell's terms summed in map order; adding 0.0 turns a -0.0
-        # total into the +0.0 that a sum begun at +0.0 gives
-        score = np.add.accumulate(terms, axis=1)[:, -1]
-        i = int(np.argmax(score))
-        return i, float(score[i]) + 0.0
+        bounds[:, ~fits] = math.inf
+        self.sources = tuple(zip(range(k), (m.ap_id for m in maps), *bounds.tolist(), r0.tolist()))
+        rows = np.where(np.tile(fits, 3), np.hstack((b, e, a)), 0.0).T  # [b; e; a]
+        self.w = _aligned_rows(3 * k + 1, len(mu))
+        self.w[0], self.w[1:] = rows[2 * k:].sum(axis=0), rows
+        self.all_heard, self.some_heard = self.w[:2 * k + 1], self.w[1:]
+        self.margin = 4.0 * (4 * k + 16) * _U / (1.0 - (4 * k + 16) * _U)  # 4 gamma_{4k+16}
 
 
 @functools.lru_cache(maxsize=4)
-def _block(maps: tuple[SignalMap, ...]) -> _Block:
-    """The block of one list of maps, all on the grid of the first,
-    keyed by the identity of its maps (a SignalMap hashes by identity
-    and never changes).  The cache keeps the last four lists, and their
-    maps, alive."""
-    if not all(m.congruent(maps[0]) for m in maps):
-        raise ValueError("maps are not on the same grid")
-    return _Block(maps)
+def _block(maps: tuple[SignalMap, ...]) -> _Block | None:
+    """A list's block, keyed by its maps' identity (a SignalMap hashes by
+    identity and never changes), or None for an empty list or a map off
+    the first map's grid.  The cache keeps the last four lists alive."""
+    return _Block(maps) if maps and all(m.congruent(maps[0]) for m in maps) else None
 
 
 def position_one_shot(maps: list[SignalMap],
@@ -410,19 +364,56 @@ def position_one_shot(maps: list[SignalMap],
     of map objects (see _Block), so repeated calls with the same maps
     are cheap.
     """
-    used = [i for i, m in enumerate(maps) if m.ap_id in observation]
-    if not used:
-        raise ValueError("observation shares no sources with the maps")
     block = _block(tuple(maps))
-    r = [float(observation[block.ap_ids[i]]) for i in used]
-    for i, x in zip(used, r):
-        if not math.isfinite(x):
-            raise ValueError(f"reading {x} for source {block.ap_ids[i]!r} is not finite")
-    best, ll = block.best_cell(used, r)
-    first = maps[used[0]]
-    cx = first.x0 + (best % first.nx + 0.5) * first.cell
-    cy = first.y0 + (best // first.nx + 0.5) * first.cell
-    return cx, cy, ll
+    if block is None and any(m.ap_id in observation for m in maps):
+        raise ValueError("maps are not on the same grid")
+    # one pass over the maps: the heard columns and readings, the screen's
+    # x, x^2 and h, and G' (inf or NaN when a heard map does not fit)
+    cols, r, g, k = [], [], 0.0, len(maps)
+    xs, xxs, h = [0.0] * k, [0.0] * k, [0.0] * k
+    for col, ap_id, p, b, e, r0 in block.sources if block else ():
+        if ap_id in observation:
+            reading = float(observation[ap_id])
+            if not math.isfinite(reading):
+                raise ValueError(f"reading {reading} for source {ap_id!r} is not finite")
+            x = reading - r0
+            xs[col], xxs[col], h[col] = x, x * x, 1.0
+            g += p + b * abs(x) + e * (x * x + 1.0)
+            cols.append(col)
+            r.append(reading)
+    if not cols:
+        raise ValueError("observation shares no sources with the maps")
+    heard_all = len(cols) == k
+    if not g <= _BIG:
+        # every cell's dense float64 score (a term may divide by zero or be NaN)
+        # in map order; adding 0.0 turns a -0.0 total into a sum's +0.0
+        at = block.table if heard_all else block.table[:, cols]
+        score = np.add.accumulate(at[..., 0] - (np.array(r) - at[..., 1]) ** 2 / at[..., 2],
+                                  axis=1)[:, -1]
+        best = int(np.argmax(score))
+        top = float(score[best]) + 0.0
+    else:
+        v = np.array([1.0, *xs, *xxs] if heard_all else [*xs, *xxs, *h], dtype=np.float32)
+        q = v @ (block.all_heard if heard_all else block.some_heard)
+        t = float(q[q.argmax()]) - block.margin * g  # q holds no NaN
+        t32 = np.float32(t)
+        if float(t32) < t:
+            t32 = np.nextafter(t32, np.float32(np.inf))
+        cells = (q >= t32).nonzero()[0]
+        # the dense expression's operations, summed in map order from
+        # +0.0; cells rise, so the first maximum is the lowest-index one
+        best, top = 0, -math.inf
+        rows = block.table.take(cells, 0)
+        for cell, row in zip(cells.tolist(), (rows if heard_all else rows[:, cols]).tolist()):
+            s = 0.0
+            for (c, mu, v2), reading in zip(row, r):
+                d = reading - mu
+                s += c - d * d / v2
+            if s > top:
+                best, top = cell, s
+    first = maps[cols[0]]
+    return (first.x0 + (best % first.nx + 0.5) * first.cell,
+            first.y0 + (best // first.nx + 0.5) * first.cell, top)
 
 
 def bucket_fractions(errors: np.ndarray,

@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import (Floorplan, Pose2D, Room, bounded_coords, containing_room, containing_rooms,
                        expect, finite_floats, records, wrap_angle)
 from .sensors import (
+    MAX_LOG_SPAN,
     RSS_RANGE,
     MagSample,
     PdrTrajectory,
@@ -299,9 +300,10 @@ def parse_scenario(text: str) -> Scenario:
     bias_deg_per_min.  speed, step_length, mag_rate, scan_period and
     each anomaly's decay must be positive; sigmas may not be negative;
     every x and y is at most MAX_COORD in magnitude (bounded_coords); the
-    legs' lengths sum to at most MAX_STRIDES step lengths, and the walk,
+    legs' lengths sum to at most MAX_STRIDES step lengths; and the walk,
     timed at speed, gives at most MAX_SAMPLES magnetometer samples and
-    MAX_SAMPLES WiFi readings.
+    MAX_SAMPLES WiFi readings, and a log whose records span at most
+    MAX_LOG_SPAN s with a stride more per leg for its rounding to strides.
     """
     waypoints = []
     waypoint_lines = []
@@ -347,13 +349,15 @@ def parse_scenario(text: str) -> Scenario:
     walked = np.cumsum(np.hypot(*np.diff(np.array(waypoints), axis=0).T))
     with np.errstate(over="ignore"):
         seconds = walked / sc.speed
+        span = (walked + np.arange(1, len(walked) + 1) * sc.step_length) / sc.speed
         bounds = ((walked > MAX_STRIDES * sc.step_length,
                    f"{MAX_STRIDES:g} strides of {sc.step_length:g} m"),
                   (seconds * sc.mag_rate > MAX_SAMPLES,
                    f"{MAX_SAMPLES:g} magnetometer samples at {sc.mag_rate:g} Hz"),
                   (seconds / sc.scan_period * len(sc.aps) > MAX_SAMPLES,
                    f"{MAX_SAMPLES:g} readings of {len(sc.aps)} WiFi sources every "
-                   f"{sc.scan_period:g} s"))
+                   f"{sc.scan_period:g} s"),
+                  (span > MAX_LOG_SPAN, f"{MAX_LOG_SPAN:g} s at {sc.speed:g} m/s"))
     for over, what in bounds:
         if over.any():
             raise ValueError(f"line {waypoint_lines[over.argmax() + 1]}: walk of more than {what}")

@@ -476,6 +476,18 @@ def test_simulate_refuses_a_walk_beyond_the_stride_bound(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_simulate_refuses_a_walk_beyond_the_log_span_bound(tmp_path, capsys):
+    # this walk at 1e-4 m/s simulated with exit 0 to a log whose records
+    # spread over 120,000 s, which survey then refused
+    scen = tmp_path / "slow.scen"
+    scen.write_text("waypoint,2.0,14.625\nwaypoint,14.0,14.625\nspeed,1e-4\nmag_rate,0.01\n"
+                    "scan_period,100\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 2
+    assert "line 2: walk of more than 100000 s at 0.0001 m/s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_capped(args: list[str]) -> subprocess.CompletedProcess:
     """The command line in a child process whose address space is capped
     at 1 GiB, so that an input that asks for gigabytes fails at once."""

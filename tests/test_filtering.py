@@ -474,6 +474,20 @@ def test_guide_draws_equal_searchsorted_at_cumulative_values():
     u = np.r_[np.linspace(0.0, 5e-10, 101), below_one]
     assert np.array_equal(filtering._guide_draws(tiny, filtering._guide_table(tiny), u),
                           np.searchsorted(tiny, u, side="right"))
+    # weights spread over 1e-12..1 crowd many buckets: some draws end
+    # within the extra vector steps, and some outrun them
+    gen = np.random.default_rng(43)
+    w = 10.0 ** gen.uniform(-12.0, 0.0, 4000)
+    cum = np.cumsum(w / w.sum())
+    cum[-1] = 1.0
+    guide = filtering._guide_table(cum)
+    u = np.r_[gen.random(20000), cum[:-1], np.nextafter(cum[:-1], 0.0), np.nextafter(cum[:-1], 1.0)]
+    u = u[u < 1.0]
+    want = np.searchsorted(cum, u, side="right")
+    walk = want - guide[filtering._buckets(u, len(cum))]  # entries past each draw's start
+    assert ((walk > 1) & (walk <= 1 + filtering._GUIDE_STEPS)).sum() > 100
+    assert (walk > 1 + filtering._GUIDE_STEPS).sum() > 100
+    assert np.array_equal(filtering._guide_draws(cum, guide, u), want)
 
 
 class _TopUniforms:

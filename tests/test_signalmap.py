@@ -521,6 +521,19 @@ def _bits(fix) -> bytes:
     return np.array(fix, dtype=float).tobytes()
 
 
+def _count_windows(mp, maps, windows: list) -> None:
+    """Append to windows, through mp, the screen window that each fix on
+    the list maps multiplies: "all" for the 2k + 1 rows that a scan
+    hearing every map reads, "some" for the 3k rows of any other."""
+    block = signalmap._block(tuple(maps))
+    for name, window in (("all_heard", "all"), ("some_heard", "some")):
+        class Counted(np.ndarray):
+            def __rmatmul__(self, other, window=window):
+                windows.append(window)
+                return other @ np.asarray(self)
+        mp.setattr(block, name, getattr(block, name).view(Counted))
+
+
 @st.composite
 def _positioning_case(draw):
     """Congruent random maps, some flat (prior only), some RSS-like
@@ -573,6 +586,8 @@ def _positioning_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(_positioning_case())
 def test_position_one_shot_equals_dense_oracle(case):
+    # every map fits the screen, so a scan that hears every map reads
+    # the 2k + 1 rows with the summed constant terms, and any other the 3k
     maps, scans = case
     off_grid = any(m.ap_id == "unheard" for m in maps)
     for ms in (maps, maps[::-1]):
@@ -583,7 +598,11 @@ def test_position_one_shot_equals_dense_oracle(case):
                     with pytest.raises(ValueError, match=match):
                         fn(ms, obs)
                 continue
-            assert _bits(position_one_shot(ms, obs)) == _bits(oracles.position_one_shot(ms, obs))
+            windows = []
+            with pytest.MonkeyPatch.context() as mp:
+                _count_windows(mp, ms, windows)
+                assert _bits(position_one_shot(ms, obs)) == _bits(oracles.position_one_shot(ms, obs))
+            assert windows == ["all" if len(obs) == len(ms) else "some"]
 
 
 @st.composite
@@ -621,8 +640,9 @@ def test_position_one_shot_equals_dense_oracle_on_gp_maps(monkeypatch):
     # of them, or all but one or two.  72 x 43 and 35 x 21 cells: the
     # screen's rows are padded to whole 16-float lines.  Timing-free: the
     # screen, centred on each map's mu range, leaves few cells to rescore
-    # (counted at the rescore's gather from the block's table)
-    taken = []
+    # (counted at the rescore's gather from the block's table), and
+    # every scan that hears all seven maps reads the 15-row window
+    taken, windows, want_windows = [], [], []
 
     class CountedTable(np.ndarray):
         def take(self, indices, axis=None, **kwargs):
@@ -637,16 +657,20 @@ def test_position_one_shot_equals_dense_oracle_on_gp_maps(monkeypatch):
         assert len(maps) == 7 and maps[0].nx * maps[0].ny % 16 != 0
         block = signalmap._block(tuple(maps))
         monkeypatch.setattr(block, "table", block.table.view(CountedTable))
+        _count_windows(monkeypatch, maps, windows)
+        assert block.all_heard.shape == (15, len(maps[0].mu))
         dropped = []
         for _ in range(150):
             c = int(rng.integers(maps[0].nx * maps[0].ny))
             drop = set(rng.choice(7, int(rng.integers(3)), replace=False).tolist())
             dropped.append(len(drop))
+            want_windows.append("all" if not drop else "some")
             obs = {m.ap_id: float(m.mu[c] + rng.normal(0.0, 4.0))
                    for i, m in enumerate(maps) if i not in drop}
             assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
         assert set(dropped) == {0, 1, 2}
     assert len(taken) == 300 and sum(taken) / len(taken) <= 4.0
+    assert windows == want_windows
 
 
 def test_position_screen_rows_start_on_cache_lines():
@@ -658,7 +682,7 @@ def test_position_screen_rows_start_on_cache_lines():
             maps = [SignalMap(f"ap{i}", 0.0, 0.0, 1.0, n, 1, rng.uniform(-90.0, -40.0, n),
                               rng.uniform(1.0, 6.0, n)) for i in range(k)]
             w = signalmap._block(tuple(maps)).w
-            assert w.shape == (3 * k, n)
+            assert w.shape == (3 * k + 1, n)
             assert w.ctypes.data % 64 == 0 and w.strides[0] % 64 == 0
             heard = maps if n % 2 else maps[: max(1, k - 1)]
             obs = {m.ap_id: float(m.mu[n // 2] + rng.normal(0.0, 3.0)) for m in heard}
@@ -686,6 +710,25 @@ def test_position_one_shot_equals_dense_oracle_beyond_the_screen_bound(sigma0, m
     for obs in ({"ap0": -55.0, "ap1": reading}, {"ap0": -55.0}):
         with np.errstate(all="ignore"):
             assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
+
+
+def test_position_one_shot_windows_around_a_map_that_does_not_fit(monkeypatch):
+    # ap2's zero sigma leaves it out of the screen: a scan that hears it
+    # scores every cell densely, and one that hears only ap0 and ap1
+    # reads the 3k rows, as the summed row holds ap0's and ap1's terms
+    maps = _maps_for_positioning()
+    sigma = np.full(25, 3.0)
+    sigma[4] = 0.0
+    maps.append(SignalMap("ap2", 0, 0, 1.0, 5, 5, np.linspace(-70.0, -30.0, 25), sigma))
+    windows = []
+    with np.errstate(all="ignore"):
+        _count_windows(monkeypatch, maps, windows)
+        assert np.isfinite(signalmap._block(tuple(maps)).w[0]).all()
+        for obs, window in (({"ap0": -55.0, "ap1": -50.0, "ap2": -45.0}, []),
+                            ({"ap0": -55.0, "ap1": -50.0}, ["some"])):
+            windows.clear()
+            assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
+            assert windows == window
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from floorsurvey import fileio
 from floorsurvey.geometry import containing_room, containing_rooms, segments_cross_walls
+from floorsurvey.sensors import parse_survey_log
 from floorsurvey.simulate import (
     CORRIDOR_Y,
     AccessPoint,
@@ -292,11 +294,12 @@ def test_parse_scenario_errors(text, fragment):
 def test_parse_scenario_bounds_the_walk_in_strides():
     # the sum of the legs over step_length, measured after every record,
     # so a step_length after the waypoints counts; the error names the
-    # first waypoint past the bound.  The 200 km walk takes 160,000 s,
-    # so it samples the magnetometer at 10 Hz to stay within MAX_SAMPLES
+    # first waypoint past the bound.  The 200 km walk takes 80,000 s at
+    # 2.5 m/s, within MAX_LOG_SPAN, so it samples the magnetometer at
+    # 10 Hz to stay within MAX_SAMPLES
     assert len(parse_scenario("waypoint,0,0\nwaypoint,75000,0\n").waypoints) == 2
     assert len(parse_scenario("waypoint,0,0\nwaypoint,0,2e5\nstep_length,2\n"
-                              "mag_rate,10\n").waypoints) == 2
+                              "speed,2.5\nmag_rate,10\n").waypoints) == 2
     for text, line in (("waypoint,0,0\nwaypoint,75000.01,0\n", 2),
                        ("waypoint,0,0\nwaypoint,0,2e5\nstep_length,1.999\n", 2),
                        ("waypoint,0,0\nwaypoint,40000,0\n# back\nwaypoint,0,0\nwaypoint,1e150,0\n", 4),
@@ -324,6 +327,25 @@ def test_parse_scenario_bounds_the_walk_in_samples():
              "3e+06 readings of 1 WiFi sources every 3e-06 s")):
         with pytest.raises(ValueError, match=re.escape(f"line {line}: walk of more than {what}")):
             parse_scenario(text)
+
+
+def test_parse_scenario_bounds_the_span_of_the_log(tmp_path):
+    # at 1e-4 m/s a stride takes 7,500 s: the 9.2 m walk's log spans
+    # 90,000 s and the log reader takes it, while the 12 m walk's log
+    # spanned 120,000 s, which the log reader refused.  Each leg counts
+    # one stride more than its length, for its rounding to whole strides
+    slow = "speed,1e-4\nmag_rate,0.01\nscan_period,100\n"
+    sc = parse_scenario("waypoint,2.0,14.625\nwaypoint,11.2,14.625\n" + slow)
+    log, _ = simulate_scenario(sc, office_floorplan(), seed=1)
+    fileio.write_survey_log(tmp_path / "log.txt", log)
+    back = parse_survey_log((tmp_path / "log.txt").read_text())
+    assert max(m.t for m in back.mags) - min(m.t for m in back.mags) == 90000.0
+    for text, line in (("waypoint,2.0,14.625\nwaypoint,14.0,14.625\n", 2),
+                       ("waypoint,2.0,14.625\nwaypoint,11.3,14.625\n", 2),
+                       ("waypoint,2.0,14.625\nwaypoint,6.5,14.625\nwaypoint,11.0,14.625\n", 3)):
+        with pytest.raises(ValueError, match=re.escape(f"line {line}: walk of more than 100000 s "
+                                                       "at 0.0001 m/s")):
+            parse_scenario(text + slow)
 
 
 def test_parse_scenario_accepts_zero_noise_and_any_finite_background_or_bias():
