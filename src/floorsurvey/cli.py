@@ -5,7 +5,7 @@ filter pass, mine loop closures, build and compare signal maps, run
 one-shot positioning, evaluate against truth, and render SVG plots.
 
 Exit codes: 0 success, 1 usage errors, 2 malformed or missing data,
-3 filter lost (every particle weight hit zero).
+3 filter lost (every particle weight hit zero), 4 out of memory.
 """
 
 from __future__ import annotations
@@ -333,3 +333,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4

@@ -122,10 +122,14 @@ def propagate(poses, step: StepEvent, noise: StepNoiseModel, rng: np.random.Gene
     """
     poses = np.atleast_2d(np.asarray(poses, dtype=float))
     n = len(poses)
-    e_theta = rng.normal(0.0, noise.sigma_dtheta, n)
-    e_len = rng.normal(0.0, noise.sigma_length(step.length), n)
-    theta = poses[:, 2] + step.dtheta + e_theta
-    length = step.length + e_len
+    # the draws and bits of rng.normal(0.0, s, n) twice, which returns
+    # 0.0 + s z: adding 0.0 turns a zero sigma's -0.0 noise into +0.0
+    e = rng.standard_normal((2, n))
+    e[0] *= noise.sigma_dtheta
+    e[1] *= noise.sigma_length(step.length)
+    e += 0.0
+    theta = poses[:, 2] + step.dtheta + e[0]
+    length = step.length + e[1]
     out = np.empty((3, n))
     np.cos(theta, out=out[0])
     np.sin(theta, out=out[1])

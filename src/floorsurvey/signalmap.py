@@ -69,13 +69,6 @@ class SignalMap:
     def centers(self) -> np.ndarray:
         return _grid_centers(self.x0, self.y0, self.cell, self.nx, self.ny)
 
-    def cell_index(self, x: float, y: float) -> int:
-        ix = int((x - self.x0) // self.cell)
-        iy = int((y - self.y0) // self.cell)
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            raise ValueError(f"point ({x}, {y}) outside map extent")
-        return iy * self.nx + ix
-
     def congruent(self, other: "SignalMap") -> bool:
         return (self.nx == other.nx and self.ny == other.ny
                 and math.isclose(self.x0, other.x0) and math.isclose(self.y0, other.y0)
@@ -264,9 +257,10 @@ def _aligned_rows(rows: int, cols: int) -> np.ndarray:
 
 class _Block:
     """One block per list: the k maps of one list, on one grid, in list
-    order.  It holds a (column, source id, P, B, E, r0) entry per map,
-    their log-likelihood terms as a float32 screen matrix, and a float64
-    table of each cell's c, mu and v2 to rescore the cells the screen keeps.
+    order.  It holds a (column, group, source id, P, B, E, r0) entry per
+    map, their log-likelihood terms as a float32 screen matrix, a float64
+    table of each cell's c, mu and v2, and the same floats as Python
+    lists (rows), filled as the screen first keeps each cell.
 
     With c = -log(2 pi sigma^2) / 2 and v2 = 2 sigma^2, the exact score
     of a cell from these floats, for the M maps a scan heard, is a
@@ -275,28 +269,36 @@ class _Block:
     and y = mu - r0 (x - y = r - mu exactly):
         s = sum_m c - (r - mu)^2 / v2 = sum_m a + x b + x^2 e,
         a = c - y^2 / v2,  b = 2 y / v2,  e = -1 / v2.
-    W holds the float32 rows [A; b_1..b_k; e_1..e_k; a_1..a_k], A being
-    the float64 sum of the a of the maps that fit (below), rounded once.
-    So q = [1, x, x^2] @ W[:2k+1] screens every cell of a scan that
-    hears every map, and q = [x, x^2, h] @ W[1:] of any other scan, with
-    h = 1 for a heard map (h = x = 0 for the rest).  Let u = 2^-24, the
-    unit roundoff of float32, gamma_n = n u / (1 - n u), and G = sum
-    over heard maps of P + B |x| + E x^2, where P, B and E are the maxima
-    over cells of |c| + y^2 / v2, |b| and |e|; as (r - mu)^2 <= y^2 +
-    2 |x y| + x^2, each term's size |c| + (r - mu)^2 / v2 is at most
-    P + B |x| + E x^2, and |a| is at most P.  Then, by Higham 2002,
-    Accuracy and Stability of Numerical Algorithms, ch. 3:
+    Maps that fit (below) and whose sigma bytes are equal, as maps fitted
+    on the same positions are, form one group g and share c, v2 and e; a
+    map that does not fit is a group of its own.  For the G groups, W
+    holds the float32 rows [A; b_1..b_k; e_1..e_G; a_1..a_k], A being
+    the float64 sum of the a of the maps that fit, rounded once.  With
+    X_g = sum over heard maps m in g of x_m^2, summed in float64 in map
+    order, q = [1, x, X] @ W[:1+k+G] screens every cell of a scan that
+    hears every map, and q = [x, X, h] @ W[1:] of any other scan, with
+    h = 1 for a heard map (h = x = 0 for the rest): 2k + 1 and 3k rows
+    when no two maps share a group.  Let u = 2^-24, the unit roundoff of
+    float32, gamma_n = n u / (1 - n u), and G = sum over heard maps of
+    P + B |x| + E x^2, where P, B and E are the maxima over cells of
+    |c| + y^2 / v2, |b| and |e|; as (r - mu)^2 <= y^2 + 2 |x y| + x^2,
+    each term's size |c| + (r - mu)^2 / v2 is at most P + B |x| + E
+    x^2, |a| is at most P, and |e_g| X_g = sum over g of |e| x^2.  Then,
+    by Higham 2002, Accuracy and Stability of Numerical Algorithms, ch. 3:
     - the float64 score of the dense expression (as rescored) sits
       within gamma_{M+5} G of s: four roundings per term, then M - 1 in
       the running sum, each of at most 2^-53 < u;
     - q sits within gamma_{3k+7} G of s in either window: x and y carry
       one float64 rounding each, from r - r0 and mu - r0; a carries six
       (y twice, y^2, / v2, c minus it, and float32), b three and e two;
-      x in float32 carries two and x^2 four; each product adds one, so
-      no term carries more than seven, and the sum of 3k terms adds
-      3k - 1.  Each a in A keeps its five float64 roundings, gains k - 1
-      from the sum and one from float32, then one from the product by 1
-      and 2k from the sum of 2k + 1 terms: 3k + 6 (x b, x^2 e: 2k + 7).
+      x in float32 carries two, and each x^2 in X_g three, then |g| - 1
+      from the sum and one from float32: |g| + 3.  Each product adds
+      one, so x b carries six and X_g e_g |g| + 6.  A group holds at
+      most k - G + 1 maps, so a sum of 2k + G terms, adding 2k + G - 1,
+      leaves each term at most 3k + 6.  Each a in A keeps its five
+      float64 roundings, gains k - 1 from the sum and one from float32,
+      then one from the product by 1 and k + G from the sum of 1 + k + G
+      terms: 2k + G + 6 <= 3k + 6 (x b: 2k + 6, X_g e_g: 2k + 7).
       Either sum may run in any order, with fused multiply-adds or not.
     So the best cell by the dense score has q >= max q - 2 (gamma_{M+5}
     + gamma_{3k+7}) G, and rescoring every cell within that margin of
@@ -326,6 +328,8 @@ class _Block:
         c = -0.5 * np.log(math.pi * v2)  # pi (2 sigma^2) rounds as (2 pi) sigma^2
         mu = np.column_stack([m.mu for m in maps])
         self.table = np.stack((c, mu, v2), axis=2)  # (cells, k, 3)
+        # table[cell].tolist() once kept; threads that race fill a row with equal floats
+        self.rows: list[list | None] = [None] * len(mu)
         with np.errstate(all="ignore"):
             r0 = 0.5 * mu.min(axis=0) + 0.5 * mu.max(axis=0)
             y = mu - r0
@@ -335,11 +339,19 @@ class _Block:
         # NaN compares false: a map with a NaN term does not fit either
         fits = (bounds.max(axis=0) <= _BIG) & (v2.max(axis=0) <= _BIG)
         bounds[:, ~fits] = math.inf
-        self.sources = tuple(zip(range(k), (m.ap_id for m in maps), *bounds.tolist(), r0.tolist()))
-        rows = np.where(np.tile(fits, 3), np.hstack((b, e, a)), 0.0).T  # [b; e; a]
-        self.w = _aligned_rows(3 * k + 1, len(mu))
-        self.w[0], self.w[1:] = rows[2 * k:].sum(axis=0), rows
-        self.all_heard, self.some_heard = self.w[:2 * k + 1], self.w[1:]
+        # a group per sigma's bytes among the maps that fit, numbered by first map
+        keys: dict[bytes | int, int] = {}
+        group = [keys.setdefault(m.sigma.tobytes() if fit else col, len(keys))
+                 for col, (m, fit) in enumerate(zip(maps, fits))]
+        self.groups = len(keys)
+        leads = [group.index(g) for g in range(self.groups)]
+        self.sources = tuple(zip(range(k), group, (m.ap_id for m in maps), *bounds.tolist(),
+                                 r0.tolist()))
+        rows = np.where(np.concatenate((fits, fits[leads], fits)),
+                        np.hstack((b, e[:, leads], a)), 0.0).T  # [b; e of each group; a]
+        self.w = _aligned_rows(len(rows) + 1, len(mu))
+        self.w[0], self.w[1:] = rows[k + self.groups:].sum(axis=0), rows
+        self.all_heard, self.some_heard = self.w[:1 + k + self.groups], self.w[1:]
         self.margin = 4.0 * (4 * k + 16) * _U / (1.0 - (4 * k + 16) * _U)  # 4 gamma_{4k+16}
 
 
@@ -368,16 +380,17 @@ def position_one_shot(maps: list[SignalMap],
     if block is None and any(m.ap_id in observation for m in maps):
         raise ValueError("maps are not on the same grid")
     # one pass over the maps: the heard columns and readings, the screen's
-    # x, x^2 and h, and G' (inf or NaN when a heard map does not fit)
+    # x, X and h, and G' (inf or NaN when a heard map does not fit)
     cols, r, g, k = [], [], 0.0, len(maps)
-    xs, xxs, h = [0.0] * k, [0.0] * k, [0.0] * k
-    for col, ap_id, p, b, e, r0 in block.sources if block else ():
+    xs, h, xx = [0.0] * k, [0.0] * k, [0.0] * (block.groups if block else 0)
+    for col, grp, ap_id, p, b, e, r0 in block.sources if block else ():
         if ap_id in observation:
             reading = float(observation[ap_id])
             if not math.isfinite(reading):
                 raise ValueError(f"reading {reading} for source {ap_id!r} is not finite")
             x = reading - r0
-            xs[col], xxs[col], h[col] = x, x * x, 1.0
+            xs[col], h[col] = x, 1.0
+            xx[grp] += x * x
             g += p + b * abs(x) + e * (x * x + 1.0)
             cols.append(col)
             r.append(reading)
@@ -393,20 +406,22 @@ def position_one_shot(maps: list[SignalMap],
         best = int(np.argmax(score))
         top = float(score[best]) + 0.0
     else:
-        v = np.array([1.0, *xs, *xxs] if heard_all else [*xs, *xxs, *h], dtype=np.float32)
+        v = np.array([1.0, *xs, *xx] if heard_all else [*xs, *xx, *h], dtype=np.float32)
         q = v @ (block.all_heard if heard_all else block.some_heard)
         t = float(q[q.argmax()]) - block.margin * g  # q holds no NaN
         t32 = np.float32(t)
         if float(t32) < t:
             t32 = np.nextafter(t32, np.float32(np.inf))
-        cells = (q >= t32).nonzero()[0]
         # the dense expression's operations, summed in map order from
         # +0.0; cells rise, so the first maximum is the lowest-index one
         best, top = 0, -math.inf
-        rows = block.table.take(cells, 0)
-        for cell, row in zip(cells.tolist(), (rows if heard_all else rows[:, cols]).tolist()):
+        rows = block.rows
+        for cell in (q >= t32).nonzero()[0].tolist():
+            row = rows[cell]
+            if row is None:
+                row = rows[cell] = block.table[cell].tolist()
             s = 0.0
-            for (c, mu, v2), reading in zip(row, r):
+            for (c, mu, v2), reading in zip(row if heard_all else [row[col] for col in cols], r):
                 d = reading - mu
                 s += c - d * d / v2
             if s > top:

@@ -9,9 +9,10 @@ MSP links and containment filter, two ancestor-tree walks, the smoothing
 mass, the per-epoch room labels, the GP predictions whose variance takes
 one or two triangular solves per query chunk, the DTW whose rows pick
 each step by an argmin and returns (i, j) pairs, the per-point warp-path
-split, the per-epoch closure thinning and the index-walking straight-run
-detector, plus dead reckoning and the empirical error CDF, which only
-tests use.
+split, the per-epoch closure thinning, the index-walking straight-run
+detector and the motion update that draws its two noise rows in two
+calls, plus dead reckoning, a map's cell index and the empirical error
+CDF, which only tests use.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from floorsurvey.filtering import (
 from floorsurvey.geometry import _MIXED, Floorplan, Pose2D, _rooms_by_polygon, wrap_angle
 from floorsurvey.loopclosure import StepLoopClosure
 from floorsurvey.pipeline import SurveyPoint
-from floorsurvey.sensors import PdrTrajectory, StepEvent, step_epoch_times
+from floorsurvey.sensors import PdrTrajectory, StepEvent, StepNoiseModel, step_epoch_times
 from floorsurvey.signalmap import GpParams, SignalMap
 from floorsurvey.straightline import StraightLineParams
 
@@ -255,6 +256,19 @@ def reweight(fp: Floorplan, prev_pos, new_pose, step_index: int, constraints: Co
     return float(w)
 
 
+def propagate(poses, step: StepEvent, noise: StepNoiseModel, rng: np.random.Generator) -> np.ndarray:
+    """Turn-then-stride motion update whose heading and stride noise
+    rows are two rng.normal calls, returned as an (N, 3) array."""
+    poses = np.atleast_2d(np.asarray(poses, dtype=float))
+    n = len(poses)
+    e_theta = rng.normal(0.0, noise.sigma_dtheta, n)
+    e_len = rng.normal(0.0, noise.sigma_length(step.length), n)
+    theta = poses[:, 2] + step.dtheta + e_theta
+    length = step.length + e_len
+    return np.column_stack([poses[:, 0] + length * np.cos(theta),
+                            poses[:, 1] + length * np.sin(theta), wrap_angle(theta)])
+
+
 def dead_reckon(steps: list[StepEvent], start: Pose2D) -> PdrTrajectory:
     """Integrate step events from a start pose, turn first then stride."""
     n = len(steps)
@@ -281,6 +295,15 @@ def interpolate_position(traj: PdrTrajectory, t: float) -> np.ndarray:
     x = np.interp(t, times, traj.poses[:, 0])
     y = np.interp(t, times, traj.poses[:, 1])
     return np.array([x, y])
+
+
+def cell_index(m: SignalMap, x: float, y: float) -> int:
+    """Index iy * nx + ix of the map cell that holds the point (x, y)."""
+    ix = int((x - m.x0) // m.cell)
+    iy = int((y - m.y0) // m.cell)
+    if not (0 <= ix < m.nx and 0 <= iy < m.ny):
+        raise ValueError(f"point ({x}, {y}) outside map extent")
+    return iy * m.nx + ix
 
 
 def position_one_shot(maps: list[SignalMap],

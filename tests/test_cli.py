@@ -649,6 +649,21 @@ def test_exit_code_filter_lost(ws, tmp_path, monkeypatch, capsys):
     assert "epoch 3" in capsys.readouterr().err
 
 
+def test_exit_code_out_of_memory(ws, tmp_path, monkeypatch, capsys):
+    # a valid log whose closure mining asks for more memory than there is
+    import floorsurvey.pipeline as pipeline
+
+    def exhaust(*a, **kw):
+        raise MemoryError("Unable to allocate 1.75 GiB for an array with shape (15301, 15343)")
+
+    monkeypatch.setattr(pipeline, "detect_loop_closures", exhaust)
+    assert main(["survey", "--log", str(ws["sim"] / "log.txt"),
+                 "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 1.75 GiB for an array with shape (15301, 15343)\n"
+    assert "Traceback" not in err
+
+
 def test_exit_code_non_finite_pose(tmp_path, capsys):
     # step noise takes some 1.7e308 m strides past the largest float
     log = tmp_path / "log.txt"

@@ -141,6 +141,26 @@ def test_propagate_consumes_stream_even_with_zero_sigmas():
     assert rng_a.normal() == rng_b.normal()
 
 
+@pytest.mark.parametrize("sigma_dtheta, length_lambda", [
+    (0.05, 0.5), (0.0, 0.0), (1e-300, 1e-300), (0.0, 1.0), (1.0, 0.0)])
+def test_propagate_equals_two_call_oracle_to_the_bit(sigma_dtheta, length_lambda):
+    # one (2, n) draw scaled in place gives rng.normal's bits twice over,
+    # zero sigmas' +0.0 included, and leaves the stream where it left it.
+    # Every other pose is (x, -0.0, -0.0): on a -0.0 turn, a zero sigma's
+    # heading noise of -0.0 in place of +0.0 would leave y at -0.0
+    noise = StepNoiseModel(sigma_dtheta, length_lambda)
+    rng = np.random.default_rng(17)
+    odd = np.arange(300) % 2 == 1
+    poses = np.column_stack([rng.uniform(-5, 5, 300), np.where(odd, -0.0, rng.uniform(-5, 5, 300)),
+                             np.where(odd, -0.0, rng.uniform(-3, 3, 300))])
+    for step in (StepEvent(1.0, 0.75, 0.1), StepEvent(2.0, 0.5, -0.0)):
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        got = propagate(poses, step, noise, rng_a)
+        want = oracles.propagate(poses, step, noise, rng_b)
+        assert got.tobytes() == want.tobytes()
+        assert rng_a.random() == rng_b.random()
+
+
 # --------------------------------------------------------------- reweight
 
 def _reweight(fp, prev_xy, new_poses, step_index, c, anchors):

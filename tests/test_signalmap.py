@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 import oracles
 
-from floorsurvey import signalmap
+from floorsurvey import fileio, signalmap
 from floorsurvey.signalmap import (
     GpParams,
     SignalMap,
@@ -331,7 +331,7 @@ def test_signal_map_centers_and_index():
     c = m.centers
     assert np.allclose(c[0], [0.5, 0.5])
     assert np.allclose(c[-1], [2.5, 1.5])
-    assert m.cell_index(2.5, 1.5) == 5
+    assert oracles.cell_index(m, 2.5, 1.5) == 5
 
 
 def test_signal_map_is_frozen_and_read_only():
@@ -438,7 +438,7 @@ def test_position_one_shot_exact_match_and_order_invariance():
     c = 13
     obs = {m.ap_id: float(m.mu[c]) for m in maps}
     x, y, ll = position_one_shot(maps, obs)
-    assert maps[0].cell_index(x, y) == c
+    assert oracles.cell_index(maps[0], x, y) == c
     x2, y2, ll2 = position_one_shot(maps[::-1], obs)
     assert (x, y, ll) == (x2, y2, ll2)
 
@@ -447,14 +447,14 @@ def test_position_one_shot_tie_breaks_to_lowest_index():
     mu = np.array([-50.0, -60.0, -60.0, -50.0])
     m = SignalMap("ap0", 0, 0, 1.0, 4, 1, mu, np.full(4, 2.0))
     x, y, _ = position_one_shot([m], {"ap0": -60.0})
-    assert m.cell_index(x, y) == 1
+    assert oracles.cell_index(m, x, y) == 1
 
 
 def test_position_one_shot_ignores_unknown_sources():
     maps = _maps_for_positioning()
     obs = {maps[0].ap_id: float(maps[0].mu[7]), "nonexistent": -10.0}
     x, y, _ = position_one_shot(maps, obs)
-    assert maps[0].cell_index(x, y) == 7
+    assert oracles.cell_index(maps[0], x, y) == 7
     with pytest.raises(ValueError):
         position_one_shot(maps, {"other": -50.0})
 
@@ -523,22 +523,31 @@ def _bits(fix) -> bytes:
 
 def _count_windows(mp, maps, windows: list) -> None:
     """Append to windows, through mp, the screen window that each fix on
-    the list maps multiplies: "all" for the 2k + 1 rows that a scan
-    hearing every map reads, "some" for the 3k rows of any other."""
+    the list maps multiplies and its row count: ("all", 1 + k + G) for a
+    scan that hears every map, ("some", 2k + G) for any other, where G
+    is the number of sigma groups."""
     block = signalmap._block(tuple(maps))
     for name, window in (("all_heard", "all"), ("some_heard", "some")):
         class Counted(np.ndarray):
             def __rmatmul__(self, other, window=window):
-                windows.append(window)
+                windows.append((window, len(self)))
                 return other @ np.asarray(self)
         mp.setattr(block, name, getattr(block, name).view(Counted))
+
+
+def _window(maps, obs) -> tuple[str, int]:
+    """The window and row count a scan should read on maps that all fit:
+    maps whose sigma bytes are equal share one variance row."""
+    k, groups = len(maps), len({m.sigma.tobytes() for m in maps})
+    return ("all", 1 + k + groups) if len(obs) == k else ("some", 2 * k + groups)
 
 
 @st.composite
 def _positioning_case(draw):
     """Congruent random maps, some flat (prior only), some RSS-like
     (-100..-30) and some magnitude-like (+20..+90), so that mu ranges lie
-    far from zero and from each other, maybe with an exact or near
+    far from zero and from each other, some with an earlier map's sigma
+    (flat maps share theirs), maybe with an exact or near
     two-cell tie and an extra map on another grid that no scan hears (a
     list that holds it is refused), plus scans that hear different
     subsets of the maps, some with readings far outside each map's mu
@@ -547,13 +556,16 @@ def _positioning_case(draw):
     n = nx * ny
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     maps = []
-    for i in range(draw(st.integers(1, 4))):
+    for i in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(["flat", "rss", "magnitude"]))
         if kind == "flat":
             mu, sigma = np.full(n, -90.0), np.full(n, 7.2)
         else:
             lo = -100.0 if kind == "rss" else 20.0
             mu, sigma = rng.uniform(lo, lo + 70.0, n), rng.uniform(0.5, 9.0, n)
+            if maps and draw(st.booleans()):
+                # an earlier map's sigma values, as maps fitted together have
+                sigma = maps[draw(st.integers(0, len(maps) - 1))].sigma.copy()
         maps.append(SignalMap(f"ap{i}", 1.0, -2.0, 0.5, nx, ny, mu, sigma))
     ulps = draw(st.sampled_from([None, 0, 1, 2, 64]))
     if n > 1 and ulps is not None:
@@ -587,7 +599,9 @@ def _positioning_case(draw):
 @given(_positioning_case())
 def test_position_one_shot_equals_dense_oracle(case):
     # every map fits the screen, so a scan that hears every map reads
-    # the 2k + 1 rows with the summed constant terms, and any other the 3k
+    # the 1 + k + G rows with the summed constant terms and one variance
+    # row per sigma group, and any other the 2k + G, whichever maps of
+    # a group it hears
     maps, scans = case
     off_grid = any(m.ap_id == "unheard" for m in maps)
     for ms in (maps, maps[::-1]):
@@ -602,7 +616,7 @@ def test_position_one_shot_equals_dense_oracle(case):
             with pytest.MonkeyPatch.context() as mp:
                 _count_windows(mp, ms, windows)
                 assert _bits(position_one_shot(ms, obs)) == _bits(oracles.position_one_shot(ms, obs))
-            assert windows == ["all" if len(obs) == len(ms) else "some"]
+            assert windows == [_window(ms, obs)]
 
 
 @st.composite
@@ -638,16 +652,18 @@ def test_position_one_shot_equals_dense_oracle_at_float32_ties(case):
 def test_position_one_shot_equals_dense_oracle_on_gp_maps(monkeypatch):
     # seven maps in one block, as in the benchmark; scans that hear all
     # of them, or all but one or two.  72 x 43 and 35 x 21 cells: the
-    # screen's rows are padded to whole 16-float lines.  Timing-free: the
-    # screen, centred on each map's mu range, leaves few cells to rescore
-    # (counted at the rescore's gather from the block's table), and
-    # every scan that hears all seven maps reads the 15-row window
-    taken, windows, want_windows = [], [], []
+    # screen's rows are padded to whole 16-float lines.  The maps are
+    # fitted on the same positions, so they share one sigma and one
+    # variance row, and every scan that hears all seven maps reads the
+    # 9-row window.  Timing-free: the screen, centred on each map's mu
+    # range, leaves few cells to rescore (counted at the block's row
+    # cache), and each row the cache fills holds the table's floats
+    looked_up, windows, want_windows = [], [], []
 
-    class CountedTable(np.ndarray):
-        def take(self, indices, axis=None, **kwargs):
-            taken.append(len(indices))
-            return np.asarray(self).take(indices, axis, **kwargs)
+    class CountedRows(list):
+        def __getitem__(self, cell):
+            looked_up[-1] += 1
+            return super().__getitem__(cell)
 
     fp = office_floorplan()
     pts, mag, wifi = grid_survey(corridor_scenario(), fp, spacing=1.0, seed=404)
@@ -655,34 +671,49 @@ def test_position_one_shot_equals_dense_oracle_on_gp_maps(monkeypatch):
     for cell in (0.7, 1.45):
         maps = list(fit_signal_maps(fp.bounds, pts, {"mag": mag, **wifi}, GpParams(cell=cell)).values())
         assert len(maps) == 7 and maps[0].nx * maps[0].ny % 16 != 0
+        assert all(m.sigma is not maps[0].sigma for m in maps[1:])
         block = signalmap._block(tuple(maps))
-        monkeypatch.setattr(block, "table", block.table.view(CountedTable))
+        rows = CountedRows(block.rows)
+        monkeypatch.setattr(block, "rows", rows)
         _count_windows(monkeypatch, maps, windows)
-        assert block.all_heard.shape == (15, len(maps[0].mu))
+        assert block.groups == 1 and block.all_heard.shape == (9, len(maps[0].mu))
+        assert block.some_heard.shape == (15, len(maps[0].mu))
         dropped = []
         for _ in range(150):
             c = int(rng.integers(maps[0].nx * maps[0].ny))
             drop = set(rng.choice(7, int(rng.integers(3)), replace=False).tolist())
             dropped.append(len(drop))
-            want_windows.append("all" if not drop else "some")
+            want_windows.append(("all", 9) if not drop else ("some", 15))
             obs = {m.ap_id: float(m.mu[c] + rng.normal(0.0, 4.0))
                    for i, m in enumerate(maps) if i not in drop}
+            looked_up.append(0)
             assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
         assert set(dropped) == {0, 1, 2}
-    assert len(taken) == 300 and sum(taken) / len(taken) <= 4.0
+        filled = [cell for cell, row in enumerate(rows) if row is not None]
+        assert 0 < len(filled) <= sum(looked_up[-150:])
+        for cell in filled:
+            assert list.__getitem__(rows, cell) == block.table[cell].tolist()
+    assert len(looked_up) == 300 and sum(looked_up) / len(looked_up) <= 4.0
     assert windows == want_windows
 
 
 def test_position_screen_rows_start_on_cache_lines():
     # timing-free: a list's block has a float32 screen that starts on a
-    # 64-byte boundary with a whole number of 64-byte lines per row
+    # 64-byte boundary with a whole number of 64-byte lines per row.  When
+    # every sigma differs, its 3k + 1 rows give windows of 2k + 1 and 3k
+    # rows; when the maps share one sigma, 2k + 2 rows give k + 2 and 2k + 1
     rng = np.random.default_rng(19)
     for k in range(1, 9):
         for n in range(1, 131):
+            shared = rng.uniform(1.0, 6.0, n)
             maps = [SignalMap(f"ap{i}", 0.0, 0.0, 1.0, n, 1, rng.uniform(-90.0, -40.0, n),
-                              rng.uniform(1.0, 6.0, n)) for i in range(k)]
-            w = signalmap._block(tuple(maps)).w
-            assert w.shape == (3 * k + 1, n)
+                              shared if n % 3 == 0 else rng.uniform(1.0, 6.0, n))
+                    for i in range(k)]
+            block = signalmap._block(tuple(maps))
+            groups = 1 if n % 3 == 0 else k
+            w = block.w
+            assert w.shape == (1 + 2 * k + groups, n)
+            assert (len(block.all_heard), len(block.some_heard)) == (1 + k + groups, 2 * k + groups)
             assert w.ctypes.data % 64 == 0 and w.strides[0] % 64 == 0
             heard = maps if n % 2 else maps[: max(1, k - 1)]
             obs = {m.ap_id: float(m.mu[n // 2] + rng.normal(0.0, 3.0)) for m in heard}
@@ -715,7 +746,8 @@ def test_position_one_shot_equals_dense_oracle_beyond_the_screen_bound(sigma0, m
 def test_position_one_shot_windows_around_a_map_that_does_not_fit(monkeypatch):
     # ap2's zero sigma leaves it out of the screen: a scan that hears it
     # scores every cell densely, and one that hears only ap0 and ap1
-    # reads the 3k rows, as the summed row holds ap0's and ap1's terms
+    # reads the 2k + G rows, as the summed row holds ap0's and ap1's
+    # terms (8 rows: ap0 and ap1 share a sigma, and ap2 keeps its own)
     maps = _maps_for_positioning()
     sigma = np.full(25, 3.0)
     sigma[4] = 0.0
@@ -725,10 +757,84 @@ def test_position_one_shot_windows_around_a_map_that_does_not_fit(monkeypatch):
         _count_windows(monkeypatch, maps, windows)
         assert np.isfinite(signalmap._block(tuple(maps)).w[0]).all()
         for obs, window in (({"ap0": -55.0, "ap1": -50.0, "ap2": -45.0}, []),
-                            ({"ap0": -55.0, "ap1": -50.0}, ["some"])):
+                            ({"ap0": -55.0, "ap1": -50.0}, [("some", 8)])):
             windows.clear()
             assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
             assert windows == window
+
+
+def _grouped_maps():
+    """Six maps on one 6 x 4 grid: ap0, ap2 and ap4 share one sigma's
+    values, in distinct arrays, and ap1 and ap5 another; ap3 has ap0's
+    sigma too, but a mu of 1e25 in one cell, so it does not fit."""
+    rng = np.random.default_rng(23)
+    s1, s2 = rng.uniform(1.0, 6.0, 24), rng.uniform(1.0, 6.0, 24)
+    maps = []
+    for i, sigma in enumerate((s1, s2, s1, s1, s1, s2)):
+        mu = rng.uniform(-95.0, -35.0, 24) if i != 4 else rng.uniform(20.0, 90.0, 24)
+        if i == 3:
+            mu[5] = 1e25
+        maps.append(SignalMap(f"ap{i}", 0.0, 0.0, 1.0, 6, 4, mu, sigma.copy()))
+    return maps
+
+
+def test_position_one_shot_shares_a_variance_row_per_sigma_group(monkeypatch):
+    # maps that fit and whose sigma bytes are equal share one e row; a
+    # member that does not fit keeps its own zero rows.  Every scan, on
+    # every sublist, gives the oracle's bits: scans that hear the map
+    # that does not fit score every cell densely, and the rest read the
+    # 1 + k + G or 2k + G rows, also when they hear part of a group
+    maps = _grouped_maps()
+    block = signalmap._block(tuple(maps))
+    assert [src[1] for src in block.sources] == [0, 1, 0, 2, 0, 1]
+    assert block.groups == 3 and block.w.shape == (1 + 2 * 6 + 3, 24)
+    assert not block.w[1 + 6 + 2].any()  # ap3's e row
+    assert not block.w[3 + 1].any() and not block.w[1 + 6 + 3 + 3].any()  # its b and a rows
+    rng = np.random.default_rng(2)
+    fixed = 0
+    for ms in (maps, [m for m in maps if m.ap_id != "ap3"], maps[::-1], maps[:3], [maps[2], maps[0]]):
+        windows = []
+        _count_windows(monkeypatch, ms, windows)
+        k = len(ms)
+        groups = len({m.sigma.tobytes() for m in ms if m.ap_id != "ap3"}) + (maps[3] in ms)
+        for n in range(1, k + 1):
+            for heard in itertools.combinations(ms, n):
+                c = int(rng.integers(24))
+                obs = {m.ap_id: float(m.mu[c] + rng.normal(0.0, 3.0)) if m.ap_id != "ap3"
+                       else -60.0 for m in heard}
+                windows.clear()
+                with np.errstate(all="ignore"):
+                    assert _bits(position_one_shot(ms, obs)) == \
+                        _bits(oracles.position_one_shot(ms, obs))
+                if "ap3" in obs:
+                    assert windows == []
+                else:
+                    assert windows == [("all", 1 + k + groups) if n == k else ("some", 2 * k + groups)]
+                fixed += 1
+    assert fixed == 63 + 31 + 63 + 7 + 3
+
+
+def test_position_one_shot_groups_maps_read_back_from_map_files(tmp_path):
+    # maps fitted on the same positions, written as map files and read
+    # back as the position command reads them, hold equal sigma bytes in
+    # distinct arrays: one group, and the oracle's bits on every scan
+    fp = office_floorplan()
+    pts, mag, wifi = grid_survey(corridor_scenario(), fp, spacing=1.0, seed=404)
+    fitted = fit_signal_maps(fp.bounds, pts, {"mag": mag, **wifi}, GpParams(cell=1.45))
+    paths = []
+    for name, m in fitted.items():
+        paths.append(tmp_path / f"map_{name}.map")
+        fileio.write_signal_map(paths[-1], m)
+    maps = [fileio.read_signal_map(path) for path in paths]
+    block = signalmap._block(tuple(maps))
+    assert block.groups == 1 and block.all_heard.shape == (9, len(maps[0].mu))
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        c = int(rng.integers(len(maps[0].mu)))
+        heard = rng.random(7) < 0.8
+        obs = {m.ap_id: float(m.mu[c] + rng.normal(0.0, 4.0)) for m, h in zip(maps, heard) if h}
+        if obs:
+            assert _bits(position_one_shot(maps, obs)) == _bits(oracles.position_one_shot(maps, obs))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
